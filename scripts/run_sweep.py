@@ -24,13 +24,10 @@ def main():
     ap.add_argument("--diameter-max", type=int, default=DEFAULT_SWEEP_DIAMETER)
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--checkpoint")
-    ap.add_argument("--no-prune", action="store_true")
     args = ap.parse_args()
 
     config = SearchConfig(
         diameter_max=args.diameter_max,
-        prune_ap_plus_two=not args.no_prune,
-        prune_symmetric=not args.no_prune,
         workers=args.workers,
         checkpoint_path=args.checkpoint,
     )

@@ -10,21 +10,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from fractions import Fraction
 
 from . import search, setcore, structure, verify
-from .reports import DEFAULT_SEED, VerificationReport, render_json
-from .setcore import (
-    IntSet,
-    RationalSet,
-    SetClass,
-    SetLiteralError,
-    classify,
-    profile,
-    scale_to_integers,
-    sum_diff_sizes,
-)
+from .reports import DEFAULT_SEED, render_json
+from .setcore import IntSet, SetClass, SetLiteralError, profile, sum_diff_sizes
 
 WORKERS_ENV = "MSTD_WORKERS"
 
@@ -81,10 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--size-min", type=int)
     p.add_argument("--size-max", type=int)
-    p.add_argument(
-        "--no-prune", action="store_true",
-        help="disable the theorem-based prunes (discovery default: on)",
-    )
 
     p = sub.add_parser("verify", help="run one verification check")
     p.add_argument("check", help=f"one of {', '.join(VERIFY_CHECKS)}")
@@ -132,7 +118,7 @@ def _emit_report(report, as_json: bool) -> int:
 def _cmd_classify(args) -> int:
     a = IntSet.parse(args.set)
     nsum, ndiff = sum_diff_sizes(a)
-    cls = classify(a)
+    cls = SetClass.from_sizes(nsum, ndiff)
     if args.json:
         payload = {
             "set": str(a),
@@ -185,8 +171,6 @@ def _cmd_search(args) -> int:
         diameter_max=args.diameter_max,
         size_min=args.size_min,
         size_max=args.size_max,
-        prune_ap_plus_two=not args.no_prune,
-        prune_symmetric=not args.no_prune,
         workers=args.workers,
         checkpoint_path=args.checkpoint,
     )
@@ -196,7 +180,7 @@ def _cmd_search(args) -> int:
     else:
         print(
             f"searched diameters [{config.diameter_min},{config.diameter_max}]: "
-            f"{result.sets_examined} canonical sets, {result.sets_pruned} pruned"
+            f"{result.sets_examined} canonical sets"
         )
         if result.min_mstd_size is None:
             print("no sum-dominant set in this range")
@@ -223,24 +207,6 @@ def _parse_cases(raw_cases, want_pair: bool):
     return cases
 
 
-def _run_case_checks(cases, report_check: str):
-    """Classify explicit 'initial segment plus rationals' grid points."""
-    report = VerificationReport(
-        check=report_check, grid=f"{len(cases)} explicit cases"
-    )
-    t0 = time.perf_counter()
-    for case in cases:
-        n, xs = case[0], case[1:]
-        base = [Fraction(i) for i in range(n)]
-        ints, _ = scale_to_integers(RationalSet.from_fractions(base + list(xs)))
-        report.cases += 1
-        if classify(ints) is SetClass.SUM_DOMINANT:
-            pt = " ".join(str(x) for x in xs)
-            report.add_violation(ints, f"n={n} {pt}")
-    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return report
-
-
 def _cmd_verify(args) -> int:
     check = args.check
     if check == "thm1":
@@ -249,15 +215,19 @@ def _cmd_verify(args) -> int:
         )
     elif check == "thm2":
         if args.case:
-            report = _run_case_checks(_parse_cases(args.case, True), "ap-plus-two")
+            report = verify.verify_points(
+                "ap-plus-two", f"{len(args.case)} explicit cases",
+                verify.ap_plus_two_violation, _parse_cases(args.case, True),
+            )
         else:
             report = verify.verify_ap_plus_two(
                 args.n_max or 8, args.window, args.q_max or 2
             )
     elif check == "deficit":
         if args.case:
-            report = _run_case_checks(
-                _parse_cases(args.case, False), "insertion-deficit"
+            report = verify.verify_points(
+                "insertion-deficit", f"{len(args.case)} explicit cases",
+                verify.insertion_deficit_violation, _parse_cases(args.case, False),
             )
         else:
             report = verify.verify_insertion_deficit(

@@ -4,31 +4,34 @@ The search space is one representative per affine equivalence class
 (translation, positive dilation, reflection): subsets of [0, D] that contain
 both 0 and D, whose element gcd is 1, and that are lexicographically <= their
 reflection.  For masks anchored at 0 the lexicographic test reduces to an
-integer comparison against the bit-reversed mask.
+integer comparison against the mirrored mask.
 
-Enumeration is partitioned by (diameter, low-bit residue of the interior
-mask); partitions are independent work units whose tallies merge by
-addition, so results do not depend on scheduling.  A checkpoint file of
-line-delimited JSON records lets long sweeps resume.
+One depth-first walk per diameter enumerates them.  It adds elements in
+increasing order and carries the sum and positive-difference masks along,
+so each step costs a constant number of big-int operations.  The walk is
+partitioned by (diameter, membership of the elements 1..log2 p); partitions
+are independent work units whose tallies merge by addition, so results do
+not depend on scheduling.  A checkpoint file of line-delimited JSON records
+lets long sweeps resume.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, gcd
-from typing import Callable, Iterator, Optional
+from math import gcd
+from typing import Iterator, Optional
 
 from .reports import VerificationReport
 from .setcore import (
     APSpec,
     IntSet,
     SetClass,
-    ap_plus_two_decomposition,
+    _bit_indices,
+    _sum_diff_masks,
     classify,
     profile,
 )
@@ -37,17 +40,9 @@ from .setcore import (
 # always echoed in reports.
 DEFAULT_SWEEP_DIAMETER = 24
 
-_REV8 = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _reverse_mask(mask: int, width: int) -> int:
-    """Bit-reverse an integer of the given width."""
-    rev = 0
-    nbytes = (width + 7) // 8
-    for _ in range(nbytes):
-        rev = (rev << 8) | _REV8[mask & 0xFF]
-        mask >>= 8
-    return rev >> (8 * nbytes - width)
+# Version of the checkpoint layout: a header record, then one record per
+# completed partition.
+CHECKPOINT_FORMAT = 2
 
 
 @dataclass
@@ -56,8 +51,6 @@ class SearchConfig:
     diameter_max: int = DEFAULT_SWEEP_DIAMETER
     size_min: Optional[int] = None
     size_max: Optional[int] = None
-    prune_ap_plus_two: bool = False
-    prune_symmetric: bool = False
     workers: int = 1
     checkpoint_path: Optional[str] = None
 
@@ -76,38 +69,87 @@ class SearchConfig:
         hi = (self.diameter_max + 1) if self.size_max is None else self.size_max
         return lo, hi
 
+    def space_json_dict(self) -> dict:
+        """The fields that fix the search space (not how it is scheduled)."""
+        return {
+            "diameter_min": self.diameter_min,
+            "diameter_max": self.diameter_max,
+            "size_min": self.size_min,
+            "size_max": self.size_max,
+        }
+
 
 @dataclass
 class SearchResult:
     min_mstd_size: Optional[int]
     witnesses: list  # [(IntSet, SetProfile)], reflection-canonical, sorted
     sets_examined: int
-    sets_pruned: int
     per_diameter: dict
     config: SearchConfig
 
     def to_json_dict(self) -> dict:
-        cfg = self.config
         return {
-            "config": {
-                "diameter_min": cfg.diameter_min,
-                "diameter_max": cfg.diameter_max,
-                "size_min": cfg.size_min,
-                "size_max": cfg.size_max,
-                "prune_ap_plus_two": cfg.prune_ap_plus_two,
-                "prune_symmetric": cfg.prune_symmetric,
-            },
+            "config": self.config.space_json_dict(),
             "min_mstd_size": self.min_mstd_size,
             "witnesses": [
                 {"set": str(a), "profile": p.to_json_dict()}
                 for a, p in self.witnesses
             ],
             "sets_examined": self.sets_examined,
-            "sets_pruned": self.sets_pruned,
             "per_diameter": {
                 str(d): dict(t) for d, t in sorted(self.per_diameter.items())
             },
         }
+
+
+def _canonical_classes(
+    d: int, j: int, p: int, size_lo: int, size_hi: int
+) -> Iterator[tuple[int, int, int]]:
+    """Yield (mask, |A+A|, |A-A|) for each canonical class in one partition.
+
+    The partition holds the sets of diameter d whose elements 1..log2(p)
+    are present exactly where j has a bit set.  Classes come out in
+    lexicographic order of their element tuples.
+    """
+    if d == 0:
+        if j == 0 and size_lo <= 1 <= size_hi:
+            yield 1, 1, 1  # the singleton class {0}
+        return
+    if j.bit_count() + 2 > size_hi:
+        return  # the fixed elements plus {0, d} already exceed the size cap
+    top, top2 = 1 << d, 1 << (2 * d)
+    # root node: {0} plus the fixed elements, built with the shared kernel
+    a = 1 | (j << 1)
+    s, p_diffs = _sum_diff_masks(a)
+    p_diffs ^= 1  # keep positive differences only
+    m = g = 0
+    for e in _bit_indices(a):
+        m |= top >> e  # mirror: bit d - e
+        g = gcd(g, e)
+    n = a.bit_count()
+    x = p.bit_length()  # first element the walk may add
+    stack = []
+    while True:
+        if x < d and n + 2 <= size_hi:
+            # descend: add x, the smallest untried element
+            stack.append((a, m, s, p_diffs, g, n, x))
+            s |= (a << x) | (1 << (2 * x))
+            p_diffs |= (m << x) >> d  # the new differences x - e
+            a |= 1 << x
+            m |= top >> x
+            g = gcd(g, x)
+            n += 1
+            x += 1
+            continue
+        # every extension of this node is done: close it with d
+        full = a | top
+        if full <= m | 1 and size_lo <= n + 1 and gcd(g, d) == 1:
+            nsum = (s | (a << d) | top2).bit_count()
+            yield full, nsum, 2 * (p_diffs | m).bit_count() + 1
+        if not stack:
+            return
+        a, m, s, p_diffs, g, n, x = stack.pop()
+        x += 1
 
 
 def iter_normalized(config: SearchConfig) -> Iterator[IntSet]:
@@ -118,220 +160,131 @@ def iter_normalized(config: SearchConfig) -> Iterator[IntSet]:
     """
     size_lo, size_hi = config.size_range()
     for d in range(config.diameter_min, config.diameter_max + 1):
-        if d == 0:
-            if size_lo <= 1 <= size_hi:
-                yield IntSet((0,))
-            continue
-        yield from _lex_dfs((0,), 0, d, size_lo, size_hi)
-
-
-def _lex_dfs(prefix, g, d, size_lo, size_hi) -> Iterator[IntSet]:
-    # g carries the running gcd of the prefix elements
-    last = prefix[-1]
-    for e in range(last + 1, d + 1):
-        ge = gcd(g, e)
-        if e == d:
-            n = len(prefix) + 1
-            if size_lo <= n <= size_hi and (ge == 1 or n == 1):
-                els = prefix + (d,)
-                refl = tuple(d - x for x in reversed(els))
-                if els <= refl:
-                    yield IntSet(els)
-        elif len(prefix) + 2 <= size_hi:
-            yield from _lex_dfs(prefix + (e,), ge, d, size_lo, size_hi)
-
-
-def enumerate_normalized(
-    config: SearchConfig, visitor: Callable[[IntSet], None]
-) -> dict:
-    """Apply ``visitor`` to every canonical class in order; return tallies."""
-    per_diameter: dict[int, int] = {}
-    total = 0
-    for a in iter_normalized(config):
-        visitor(a)
-        total += 1
-        per_diameter[a.diameter] = per_diameter.get(a.diameter, 0) + 1
-    return {"visited": total, "per_diameter": per_diameter}
-
-
-def _interior_range(d: int, size_lo: int, size_hi: int) -> tuple[int, int]:
-    # interior element counts compatible with the size bounds ({0, d} is fixed)
-    return max(0, size_lo - 2), min(d - 1, size_hi - 2)
-
-
-def _combos_cheaper(d: int, size_lo: int, size_hi: int) -> bool:
-    """Size-bounded combination enumeration beats the full mask sweep."""
-    if d <= 1:
-        return False
-    k_lo, k_hi = _interior_range(d, size_lo, size_hi)
-    if k_hi < k_lo:
-        return True
-    total = sum(comb(d - 1, k) for k in range(k_lo, k_hi + 1))
-    return 8 * total < (1 << (d - 1))
-
-
-def _partition_count(d: int, size_lo: int, size_hi: int) -> int:
-    # fixed per (diameter, size bounds) so partition ids are stable across
-    # worker counts; the combination path is cheap enough to stay unsplit
-    if _combos_cheaper(d, size_lo, size_hi):
-        return 1
-    return 1 << max(0, min(8, d - 16))
+        for mask, _, _ in _canonical_classes(d, 0, 1, size_lo, size_hi):
+            yield IntSet(tuple(_bit_indices(mask)))
 
 
 def _partitions(config: SearchConfig) -> list[tuple[int, int, int]]:
-    size_lo, size_hi = config.size_range()
+    # the count depends on the diameter alone, so partition ids are stable
+    # across worker counts
     parts = []
     for d in range(config.diameter_min, config.diameter_max + 1):
-        p = _partition_count(d, size_lo, size_hi)
+        p = 1 << max(0, min(8, d - 16))
         for j in range(p):
             parts.append((d, j, p))
     return parts
 
 
-def _scan_partition(args) -> tuple[int, int, int, int, list[int]]:
-    """Scan one (diameter, residue) slice of the canonical space.
-
-    Returns (diameter, examined, pruned, sum_dominant_count, sd_masks).
-    """
-    d, j, p, size_lo, size_hi, prune_sym, prune_ap2 = args
-    examined = pruned = 0
+def _scan_partition(args) -> tuple[int, list[int]]:
+    """Scan one partition; return (classes examined, sum-dominant masks)."""
+    examined = 0
     sd_masks: list[int] = []
-    if d == 0:
-        if j == 0 and size_lo <= 1 <= size_hi:
-            examined = 1  # the singleton class {0}; never sum-dominant
-        return d, examined, pruned, 0, sd_masks
-    ends = 1 | (1 << d)
-    width = d + 1
-    if _combos_cheaper(d, size_lo, size_hi):
-        k_lo, k_hi = _interior_range(d, size_lo, size_hi)
-        masks = (
-            ends | sum(1 << e for e in chosen)
-            for k in range(k_lo, k_hi + 1)
-            for chosen in combinations(range(1, d), k)
-        )
-    else:
-        masks = (
-            ends | (interior << 1) for interior in range(j, 1 << (d - 1), p)
-        )
-    for mask in masks:
-        n = mask.bit_count()
-        if not size_lo <= n <= size_hi:
-            continue
-        g = 0
-        m = mask ^ 1  # drop element 0; it contributes nothing to the gcd
-        while m:
-            lsb = m & -m
-            g = gcd(g, lsb.bit_length() - 1)
-            if g == 1:
-                break
-            m ^= lsb
-        if g != 1:
-            continue
-        rev = _reverse_mask(mask, width)
-        if mask > rev:
-            continue
+    for mask, nsum, ndiff in _canonical_classes(*args):
         examined += 1
-        if prune_sym and mask == rev:
-            pruned += 1
-            continue
-        if prune_ap2 and ap_plus_two_decomposition(_mask_to_intset(mask)) is not None:
-            pruned += 1
-            continue
-        nsum, ndiff = _mask_sum_diff_sizes(mask)
         if nsum > ndiff:
             sd_masks.append(mask)
-    return d, examined, pruned, len(sd_masks), sd_masks
-
-
-def _mask_to_intset(mask: int) -> IntSet:
-    els = []
-    while mask:
-        lsb = mask & -mask
-        els.append(lsb.bit_length() - 1)
-        mask ^= lsb
-    return IntSet(tuple(els))
-
-
-def _mask_sum_diff_sizes(mask: int) -> tuple[int, int]:
-    sums = 0
-    diffs = mask
-    m = mask
-    while m:
-        lsb = m & -m
-        i = lsb.bit_length() - 1
-        sums |= mask << i
-        diffs |= mask >> i
-        m ^= lsb
-    return sums.bit_count(), 2 * diffs.bit_count() - 1
+    return examined, sd_masks
 
 
 def _partition_id(d: int, j: int) -> str:
     return f"{d}/{j}"
 
 
-def _load_checkpoint(path: str) -> dict:
+def _record_line(rec: dict) -> bytes:
+    return json.dumps(rec, separators=(",", ":")).encode() + b"\n"
+
+
+def _load_checkpoint(path: str, header: dict) -> dict:
+    """Completed partition records of a checkpoint, keyed by partition id.
+
+    The first record must equal ``header``; anything else raises ValueError.
+    A final line that is unparseable or lacks its newline was torn by a
+    crash mid-write: it is cut off the file, so its partition is scanned
+    again.  A bad line anywhere else raises ValueError.  A new or empty file
+    gets the header written.
+    """
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+    except FileNotFoundError:
+        lines = []
     records = {}
-    if path and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rec = json.loads(line)
-                    records[rec["partition_id"]] = rec
+    intact = 0  # bytes of whole records
+    for i, line in enumerate(lines):
+        try:
+            rec = json.loads(line)
+            whole = line.endswith(b"\n")
+        except ValueError:
+            whole = False
+        if not whole:
+            if i == len(lines) - 1:
+                break
+            raise ValueError(f"checkpoint {path}: line {i + 1} is not a record")
+        if i == 0:
+            if rec != header:
+                raise ValueError(
+                    f"checkpoint {path} was written for another search "
+                    f"(first record {rec}, want {header}); use a new file"
+                )
+        else:
+            records[rec["partition_id"]] = rec
+        intact += len(line)
+    with open(path, "ab") as fh:
+        fh.truncate(intact)
+        if intact == 0:
+            fh.write(_record_line(header))
     return records
 
 
-def scan_sum_dominant(
-    config: SearchConfig,
-) -> tuple[int, int, dict, list[IntSet]]:
+def scan_sum_dominant(config: SearchConfig) -> tuple[int, dict, list[IntSet]]:
     """Scan the canonical space and collect every sum-dominant set.
 
-    Returns (sets_examined, sets_pruned, per-diameter tallies, sum-dominant
-    sets sorted by diameter then elements).  Honors workers and checkpoint.
+    Returns (sets_examined, per-diameter tallies, sum-dominant sets sorted by
+    diameter then elements).  Honors workers and checkpoint.
     """
     size_lo, size_hi = config.size_range()
-    done = _load_checkpoint(config.checkpoint_path) if config.checkpoint_path else {}
+    path = config.checkpoint_path
+    done = {}
+    if path:
+        header = {"format": CHECKPOINT_FORMAT, "config": config.space_json_dict()}
+        done = _load_checkpoint(path, header)
 
     todo = []
-    results = []  # (d, j, examined, pruned, sd_count, sd_masks) in partition order
+    results = []  # (d, examined, sum-dominant IntSets)
     for d, j, p in _partitions(config):
-        pid = _partition_id(d, j)
-        if pid in done:
-            t = done[pid]["tallies"]
-            masks = [IntSet.parse(s).mask()[0] for s in t["sum_dominant"]]
-            results.append((d, j, t["examined"], t["pruned"], len(masks), masks))
+        rec = done.get(_partition_id(d, j))
+        if rec is not None:
+            t = rec["tallies"]
+            sets = [IntSet.parse(s) for s in t["sum_dominant"]]
+            results.append((d, t["examined"], sets))
         else:
-            todo.append((d, j, p, size_lo, size_hi,
-                         config.prune_symmetric, config.prune_ap_plus_two))
+            todo.append((d, j, p, size_lo, size_hi))
 
     # results stream back in partition order; checkpoint records are appended
     # as they arrive so an interrupted sweep loses at most one partition
     pool = None
-    if config.workers > 1 and len(todo) > 1:
-        pool = ProcessPoolExecutor(max_workers=config.workers)
-        chunk = max(1, len(todo) // (config.workers * 4))
-        fresh = pool.map(_scan_partition, todo, chunksize=chunk)
-    else:
-        fresh = map(_scan_partition, todo)
     ckpt = None
-    if config.checkpoint_path:
-        ckpt = open(config.checkpoint_path, "a", encoding="utf-8")
     try:
-        for (d, j, *_), (rd, examined, pruned, sd_count, sd_masks) in zip(todo, fresh):
-            results.append((rd, j, examined, pruned, sd_count, sd_masks))
+        if config.workers > 1 and len(todo) > 1:
+            pool = ProcessPoolExecutor(max_workers=config.workers)
+            chunk = max(1, len(todo) // (config.workers * 4))
+            fresh = pool.map(_scan_partition, todo, chunksize=chunk)
+        else:
+            fresh = map(_scan_partition, todo)
+        if path:
+            ckpt = open(path, "ab")
+        for (d, j, *_), (examined, sd_masks) in zip(todo, fresh):
+            sets = [IntSet(tuple(_bit_indices(m))) for m in sd_masks]
+            results.append((d, examined, sets))
             if ckpt is not None:
-                rec = {
+                ckpt.write(_record_line({
                     "partition_id": _partition_id(d, j),
                     "diameter": d,
                     "tallies": {
                         "examined": examined,
-                        "pruned": pruned,
-                        "sum_dominant": [
-                            str(_mask_to_intset(m)) for m in sd_masks
-                        ],
+                        "sum_dominant": [str(a) for a in sets],
                     },
-                }
-                ckpt.write(json.dumps(rec, separators=(",", ":")) + "\n")
+                }))
                 ckpt.flush()
     finally:
         if ckpt is not None:
@@ -340,39 +293,32 @@ def scan_sum_dominant(
             pool.shutdown()
 
     per_diameter: dict[int, dict] = {}
-    total_examined = total_pruned = 0
+    total_examined = 0
     found: list[IntSet] = []
-    for d, _j, examined, pruned, sd_count, sd_masks in results:
-        tally = per_diameter.setdefault(
-            d, {"examined": 0, "pruned": 0, "sum_dominant": 0}
-        )
+    for d, examined, sets in results:
+        tally = per_diameter.setdefault(d, {"examined": 0, "sum_dominant": 0})
         tally["examined"] += examined
-        tally["pruned"] += pruned
-        tally["sum_dominant"] += sd_count
+        tally["sum_dominant"] += len(sets)
         total_examined += examined
-        total_pruned += pruned
-        found.extend(_mask_to_intset(m) for m in sd_masks)
+        found.extend(sets)
 
     found.sort(key=lambda w: (w.diameter, w.elements))
-    return total_examined, total_pruned, per_diameter, found
+    return total_examined, per_diameter, found
 
 
 def find_min_mstd(config: SearchConfig) -> SearchResult:
     """Exhaustively locate the smallest sum-dominant sets in the search space.
 
     Reports the minimum cardinality attained, every canonical witness of that
-    cardinality, and per-diameter tallies.  Pruning flags (sound by the
-    AP-plus-two theorem and the symmetric-implies-balanced lemma) affect only
-    the pruned tally, never the witnesses.
+    cardinality, and per-diameter tallies.
     """
-    examined, pruned, per_diameter, found = scan_sum_dominant(config)
+    examined, per_diameter, found = scan_sum_dominant(config)
     min_size = min((len(w) for w in found), default=None)
     best = [w for w in found if len(w) == min_size]
     return SearchResult(
         min_mstd_size=min_size,
         witnesses=[(w, profile(w)) for w in best],
         sets_examined=examined,
-        sets_pruned=pruned,
         per_diameter=per_diameter,
         config=config,
     )

@@ -32,6 +32,15 @@ class SetClass(enum.Enum):
     BALANCED = "balanced"
     DIFFERENCE_DOMINANT = "difference-dominant"
 
+    @classmethod
+    def from_sizes(cls, nsum: int, ndiff: int) -> "SetClass":
+        """The class of a set with |A+A| = nsum and |A-A| = ndiff."""
+        if nsum > ndiff:
+            return cls.SUM_DOMINANT
+        if nsum < ndiff:
+            return cls.DIFFERENCE_DOMINANT
+        return cls.BALANCED
+
 
 @dataclass(frozen=True)
 class IntSet:
@@ -305,12 +314,7 @@ def diffset(a: IntSet) -> IntSet:
 
 def classify(a: IntSet) -> SetClass:
     """Compare |A+A| against |A-A|."""
-    nsum, ndiff = sum_diff_sizes(a)
-    if nsum > ndiff:
-        return SetClass.SUM_DOMINANT
-    if nsum < ndiff:
-        return SetClass.DIFFERENCE_DOMINANT
-    return SetClass.BALANCED
+    return SetClass.from_sizes(*sum_diff_sizes(a))
 
 
 def is_symmetric(a: IntSet) -> Optional[int]:
@@ -341,17 +345,11 @@ def profile(a: IntSet) -> SetProfile:
     from .structure import equal_diff_pairs, equal_sum_pairs
 
     nsum, ndiff = sum_diff_sizes(a)
-    if nsum > ndiff:
-        cls = SetClass.SUM_DOMINANT
-    elif nsum < ndiff:
-        cls = SetClass.DIFFERENCE_DOMINANT
-    else:
-        cls = SetClass.BALANCED
     return SetProfile(
         size=len(a),
         sum_size=nsum,
         diff_size=ndiff,
-        set_class=cls,
+        set_class=SetClass.from_sizes(nsum, ndiff),
         equal_sum_pairs=equal_sum_pairs(a),
         equal_diff_pairs=equal_diff_pairs(a),
         diameter=a.diameter,

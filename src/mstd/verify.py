@@ -122,7 +122,7 @@ def verify_small_cardinality(
     config = SearchConfig(
         diameter_max=max_diameter, size_max=max_size, workers=workers
     )
-    examined, _pruned, _per_d, sd_sets = scan_sum_dominant(config)
+    examined, _per_d, sd_sets = scan_sum_dominant(config)
     report = VerificationReport(
         check="small-cardinality",
         grid=f"size<={max_size}, diameter<={max_diameter}",
@@ -140,6 +140,64 @@ def _rational_grid(lo: int, hi: int, q_max: int) -> list[Fraction]:
     return sorted(vals)
 
 
+def _segment_with(n: int, xs: Sequence[Fraction]) -> IntSet:
+    """I_n together with the rationals xs, scaled to integers."""
+    ints, _ = scale_to_integers(RationalSet.from_fractions([*range(n), *xs]))
+    return ints
+
+
+def ap_plus_two_violation(n: int, x: Fraction, y: Fraction) -> Optional[IntSet]:
+    """I_n with x and y inserted, if that set is sum-dominant (a counterexample).
+
+    The claim covers every n >= 1 and every pair of rationals; x = y and
+    points inside I_n are allowed.
+    """
+    if n < 1:
+        raise ValueError(f"ap-plus-two needs n >= 1, got n={n}")
+    a = _segment_with(n, (x, y))
+    return a if classify(a) is SetClass.SUM_DOMINANT else None
+
+
+_HALF = Fraction(1, 2)
+
+
+def in_deficit_domain(n: int, x: Fraction) -> bool:
+    """n >= 2, x not congruent to 1/2 mod 1, and x not an integer in [-1, n]."""
+    return (
+        n >= 2
+        and (x - _HALF).denominator != 1
+        and not (x.denominator == 1 and -1 <= x <= n)
+    )
+
+
+def insertion_deficit_violation(n: int, x: Fraction) -> Optional[IntSet]:
+    """I_n with x inserted, if that set has |A-A| < |A+A| + 1 (a counterexample)."""
+    if not in_deficit_domain(n, x):
+        raise ValueError(
+            f"insertion-deficit claims nothing at n={n}, x={x}: it needs n >= 2, "
+            "x not congruent to 1/2 mod 1 and x not an integer in [-1, n]"
+        )
+    a = _segment_with(n, (x,))
+    nsum, ndiff = sum_diff_sizes(a)
+    return a if ndiff < nsum + 1 else None
+
+
+def verify_points(check: str, grid: str, predicate, points) -> VerificationReport:
+    """Apply a point predicate to (n, x[, y]) grid points, recording violations.
+
+    The grid verifiers below and the CLI's explicit ``--case`` points share it.
+    """
+    report = VerificationReport(check=check, grid=grid)
+    t0 = time.perf_counter()
+    for point in points:
+        report.cases += 1
+        witness = predicate(*point)
+        if witness is not None:
+            names = " ".join(f"{k}={v}" for k, v in zip("xy", point[1:]))
+            report.add_violation(witness, f"n={point[0]} {names}")
+    return _timed(report, t0)
+
+
 def verify_ap_plus_two(
     n_max: int, window: Optional[tuple[int, int]] = None, q_max: int = 2
 ) -> VerificationReport:
@@ -152,24 +210,21 @@ def verify_ap_plus_two(
     if n_max < 1 or q_max < 1:
         raise ValueError("need n_max >= 1 and q_max >= 1")
     wdesc = f"[{window[0]},{window[1]}]" if window else "[-2n,3n]"
-    report = VerificationReport(
-        check="ap-plus-two",
-        grid=f"n<={n_max}, x,y in {wdesc} with denominator<={q_max}",
+
+    def points():
+        for n in range(1, n_max + 1):
+            lo, hi = window if window else (-2 * n, 3 * n)
+            vals = _rational_grid(lo, hi, q_max)
+            for i, x in enumerate(vals):
+                for y in vals[i:]:
+                    yield n, x, y
+
+    return verify_points(
+        "ap-plus-two",
+        f"n<={n_max}, x,y in {wdesc} with denominator<={q_max}",
+        ap_plus_two_violation,
+        points(),
     )
-    t0 = time.perf_counter()
-    for n in range(1, n_max + 1):
-        lo, hi = window if window else (-2 * n, 3 * n)
-        base = [Fraction(i) for i in range(n)]
-        vals = _rational_grid(lo, hi, q_max)
-        for i, x in enumerate(vals):
-            for y in vals[i:]:
-                ints, _ = scale_to_integers(
-                    RationalSet.from_fractions(base + [x, y])
-                )
-                report.cases += 1
-                if classify(ints) is SetClass.SUM_DOMINANT:
-                    report.add_violation(ints, f"n={n} x={x} y={y}")
-    return _timed(report, t0)
 
 
 def verify_insertion_deficit(
@@ -184,27 +239,21 @@ def verify_insertion_deficit(
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     wdesc = f"[{window[0]},{window[1]}]" if window else "[-2n,3n]"
-    report = VerificationReport(
-        check="insertion-deficit",
-        grid=f"2<=n<={n_max}, x in {wdesc} with denominator<={q_max}, "
+
+    def points():
+        for n in range(2, n_max + 1):
+            lo, hi = window if window else (-2 * n, 3 * n)
+            for x in _rational_grid(lo, hi, q_max):
+                if in_deficit_domain(n, x):
+                    yield n, x
+
+    return verify_points(
+        "insertion-deficit",
+        f"2<=n<={n_max}, x in {wdesc} with denominator<={q_max}, "
         f"x-1/2 not integral, x not in I_n+{{-1,n}}",
+        insertion_deficit_violation,
+        points(),
     )
-    t0 = time.perf_counter()
-    half = Fraction(1, 2)
-    for n in range(2, n_max + 1):
-        lo, hi = window if window else (-2 * n, 3 * n)
-        base = [Fraction(i) for i in range(n)]
-        for x in _rational_grid(lo, hi, q_max):
-            if (x - half).denominator == 1:
-                continue
-            if x.denominator == 1 and -1 <= x <= n:
-                continue
-            ints, _ = scale_to_integers(RationalSet.from_fractions(base + [x]))
-            report.cases += 1
-            nsum, ndiff = sum_diff_sizes(ints)
-            if ndiff < nsum + 1:
-                report.add_violation(ints, f"n={n} x={x}")
-    return _timed(report, t0)
 
 
 def verify_proposition2(n_max: int) -> VerificationReport:

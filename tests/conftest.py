@@ -6,6 +6,8 @@ loops over element lists, and quadruple loops for collision counts.
 
 from __future__ import annotations
 
+from math import gcd
+
 import pytest
 
 A1 = (0, 2, 3, 4, 7, 11, 12, 14)
@@ -52,6 +54,34 @@ def naive_equal_sum_pairs(xs):
         for b in range(a + 1, len(pairs))
         if pairs[a][0] == pairs[b][0]
     )
+
+
+def lex_canonical_classes(d_min, d_max, size_lo, size_hi):
+    """Canonical affine classes as element tuples, by a plain tuple DFS.
+
+    Subsets of [0, d] holding 0 and d, with element gcd 1, no larger than
+    their reflection; diameter ascending, then lexicographic.
+    """
+    for d in range(d_min, d_max + 1):
+        if d == 0:
+            if size_lo <= 1 <= size_hi:
+                yield (0,)
+            continue
+        yield from _lex_dfs((0,), 0, d, size_lo, size_hi)
+
+
+def _lex_dfs(prefix, g, d, size_lo, size_hi):
+    # g carries the running gcd of the prefix elements
+    for e in range(prefix[-1] + 1, d + 1):
+        ge = gcd(g, e)
+        if e == d:
+            n = len(prefix) + 1
+            if size_lo <= n <= size_hi and ge == 1:
+                els = prefix + (d,)
+                if els <= tuple(d - x for x in reversed(els)):
+                    yield els
+        elif len(prefix) + 2 <= size_hi:
+            yield from _lex_dfs(prefix + (e,), ge, d, size_lo, size_hi)
 
 
 @pytest.fixture

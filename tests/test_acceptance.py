@@ -62,12 +62,11 @@ def payload_thm1(workers=1):
 
 
 def payload_sizes67(workers=1):
-    examined, pruned, per_d, sd = scan_sum_dominant(
+    examined, per_d, sd = scan_sum_dominant(
         SearchConfig(diameter_max=20, size_min=6, size_max=7, workers=workers)
     )
     payload = {
         "examined": examined,
-        "pruned": pruned,
         "per_diameter": {str(d): t for d, t in sorted(per_d.items())},
         "sum_dominant": [str(w) for w in sd],
     }

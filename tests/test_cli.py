@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from mstd.cli import main
 from mstd.reports import render_json
@@ -89,6 +92,29 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["violations"] == []
 
+    @pytest.mark.parametrize("case", ["5,1/2", "5,-3/2", "5,-1", "5,0", "5,5", "1,3/4"])
+    def test_deficit_case_outside_the_claim_is_usage_error(self, capsys, case):
+        code, out, err = run_cli(
+            capsys, "verify", "deficit", "--case", "4,3/4", "--case", case
+        )
+        assert code == 2 and out == ""
+        assert "claims nothing" in err
+
+    def test_thm2_case_needs_a_segment(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "thm2", "--case", "0,1,2")
+        assert code == 2 and "n >= 1" in err
+
+    def test_case_path_uses_the_grid_predicate(self, capsys, monkeypatch):
+        from mstd import IntSet, verify
+
+        monkeypatch.setattr(
+            verify, "insertion_deficit_violation", lambda n, x: IntSet((0, 1))
+        )
+        code, out, _ = run_cli(capsys, "--json", "verify", "deficit", "--case", "4,3/4")
+        assert code == 1
+        assert json.loads(out)["violations"][0]["context"] == "n=4 x=3/4"
+        assert not verify.verify_insertion_deficit(2, window=(3, 3), q_max=1).passed
+
     def test_size5(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "verify", "size5")
         payload = json.loads(out)
@@ -142,6 +168,27 @@ class TestSearchCommand:
         code, out, _ = run_cli(capsys, "search", "--diameter-max", "13")
         assert code == 0
         assert "no sum-dominant set" in out
+
+    def test_checkpoint_of_another_config_exits_2(self, capsys, tmp_path):
+        path = str(tmp_path / "ck.jsonl")
+        argv = ["--checkpoint", path, "search", "--diameter-max", "10"]
+        assert run_cli(capsys, *argv, "--size-max", "5")[0] == 0
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "another search" in err
+
+    def test_run_sweep_script(self):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_sweep.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--diameter-max", "10"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["config"]["diameter_max"] == 10
+        assert payload["min_mstd_size"] is None
+        assert payload["sets_examined"] == sum(
+            t["examined"] for t in payload["per_diameter"].values()
+        )
 
 
 class TestExploreCommand:

@@ -3,18 +3,24 @@ from math import comb
 
 import pytest
 
-from mstd import APSpec, IntSet, SetClass, classify, is_symmetric
+from mstd import (
+    APSpec,
+    IntSet,
+    SetClass,
+    ap_plus_two_decomposition,
+    classify,
+    is_symmetric,
+)
 from mstd.reports import render_json
 from mstd.search import (
     SearchConfig,
-    enumerate_normalized,
     explore_min_additions,
     explore_two_ap_unions,
     find_min_mstd,
     iter_normalized,
     scan_sum_dominant,
 )
-from conftest import A1
+from conftest import A1, lex_canonical_classes
 
 
 class TestEnumeration:
@@ -37,11 +43,17 @@ class TestEnumeration:
         )
         assert raw == comb(13, 6) == 1716
 
-    def test_visitor_counts_match_iterator(self):
-        config = SearchConfig(0, 9)
-        seen = []
-        counts = enumerate_normalized(config, seen.append)
-        assert counts["visited"] == len(seen) == len(list(iter_normalized(config)))
+    @pytest.mark.parametrize(
+        "bounds", [(0, 12, None, None), (3, 12, 3, 5)], ids=["all", "size3to5"]
+    )
+    def test_matches_tuple_dfs_oracle(self, bounds):
+        d_lo, d_hi, size_min, size_max = bounds
+        config = SearchConfig(d_lo, d_hi, size_min=size_min, size_max=size_max)
+        seen = [a.elements for a in iter_normalized(config)]
+        want = list(lex_canonical_classes(
+            d_lo, d_hi, size_min or 1, size_max or d_hi + 1
+        ))
+        assert seen == want
 
     def test_canonical_uniqueness(self):
         # no two visited sets may share an affine class
@@ -80,12 +92,12 @@ class TestEnumeration:
         config = SearchConfig(0, 12, size_min=6, size_max=7)
         sizes = {len(a) for a in iter_normalized(config)}
         assert sizes <= {6, 7}
-        examined, _, _, _ = scan_sum_dominant(config)
+        examined, _, _ = scan_sum_dominant(config)
         assert examined == len(list(iter_normalized(config)))
 
     def test_scan_matches_iterator_counts(self):
         for config in (SearchConfig(0, 11), SearchConfig(3, 9, size_max=4)):
-            examined, _, per_d, _ = scan_sum_dominant(config)
+            examined, per_d, _ = scan_sum_dominant(config)
             by_d = {}
             for a in iter_normalized(config):
                 by_d[a.diameter] = by_d.get(a.diameter, 0) + 1
@@ -109,17 +121,14 @@ class TestFindMinMstd:
         result = find_min_mstd(SearchConfig(diameter_max=14, size_max=7))
         assert result.min_mstd_size is None
 
-    def test_prune_soundness(self):
-        plain = find_min_mstd(SearchConfig(diameter_max=14))
-        pruned = find_min_mstd(
-            SearchConfig(diameter_max=14, prune_ap_plus_two=True, prune_symmetric=True)
-        )
-        assert plain.min_mstd_size == pruned.min_mstd_size
-        assert [w.elements for w, _ in plain.witnesses] == [
-            w.elements for w, _ in pruned.witnesses
-        ]
-        assert plain.sets_examined == pruned.sets_examined
-        assert plain.sets_pruned == 0 < pruned.sets_pruned
+    def test_sum_dominant_sets_are_not_ap_plus_two_or_symmetric(self):
+        # the AP-plus-two theorem and the symmetric-implies-balanced lemma,
+        # checked on every sum-dominant class the scan finds
+        _, _, found = scan_sum_dominant(SearchConfig(diameter_max=20))
+        assert len(found) == 189
+        for a in found:
+            assert ap_plus_two_decomposition(a) is None, a
+            assert is_symmetric(a) is None, a
 
     @pytest.mark.parametrize("workers", [2, 8])
     def test_workers_do_not_change_results(self, workers):
@@ -132,9 +141,12 @@ class TestFindMinMstd:
     def test_json_schema(self):
         d = find_min_mstd(SearchConfig(diameter_max=8)).to_json_dict()
         assert list(d) == [
-            "config", "min_mstd_size", "witnesses",
-            "sets_examined", "sets_pruned", "per_diameter",
+            "config", "min_mstd_size", "witnesses", "sets_examined", "per_diameter",
         ]
+        assert list(d["config"]) == [
+            "diameter_min", "diameter_max", "size_min", "size_max",
+        ]
+        assert list(d["per_diameter"]["8"]) == ["examined", "sum_dominant"]
         assert render_json(json.loads(render_json(d))) == render_json(d)
 
     def test_invalid_config(self):
@@ -170,10 +182,65 @@ class TestCheckpoint:
     def test_record_schema(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
         find_min_mstd(SearchConfig(diameter_max=5, checkpoint_path=path))
-        for line in open(path).read().splitlines():
+        header, *records = open(path).read().splitlines()
+        assert json.loads(header) == {
+            "format": 2,
+            "config": {
+                "diameter_min": 0, "diameter_max": 5,
+                "size_min": None, "size_max": None,
+            },
+        }
+        assert len(records) == 6
+        for line in records:
             rec = json.loads(line)
             assert list(rec) == ["partition_id", "diameter", "tallies"]
-            assert set(rec["tallies"]) == {"examined", "pruned", "sum_dominant"}
+            assert list(rec["tallies"]) == ["examined", "sum_dominant"]
+
+    def test_checkpoint_of_another_config_is_refused(self, tmp_path):
+        path = str(tmp_path / "ck.jsonl")
+        find_min_mstd(SearchConfig(diameter_max=14, size_max=5, checkpoint_path=path))
+        written = open(path).read()
+        with pytest.raises(ValueError, match="another search"):
+            find_min_mstd(SearchConfig(diameter_max=14, checkpoint_path=path))
+        assert open(path).read() == written
+        # a file without the header (the record layout before it) is refused too
+        with open(path, "w") as fh:
+            fh.write("\n".join(written.splitlines()[1:]) + "\n")
+        with pytest.raises(ValueError, match="another search"):
+            find_min_mstd(SearchConfig(diameter_max=14, size_max=5, checkpoint_path=path))
+
+    def test_worker_count_is_not_part_of_the_header(self, tmp_path):
+        path = str(tmp_path / "ck.jsonl")
+        first = find_min_mstd(SearchConfig(diameter_max=17, checkpoint_path=path))
+        lines = open(path).read().splitlines()
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines[:10]) + "\n")
+        resumed = find_min_mstd(
+            SearchConfig(diameter_max=17, workers=2, checkpoint_path=path)
+        )
+        assert render_json(resumed.to_json_dict()) == render_json(first.to_json_dict())
+        assert open(path).read().splitlines() == lines
+
+    def test_torn_final_record_is_rescanned(self, tmp_path):
+        path = str(tmp_path / "ck.jsonl")
+        fresh = find_min_mstd(SearchConfig(diameter_max=12))
+        find_min_mstd(SearchConfig(diameter_max=12, checkpoint_path=path))
+        complete = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(complete[:-20])
+        resumed = find_min_mstd(SearchConfig(diameter_max=12, checkpoint_path=path))
+        assert render_json(resumed.to_json_dict()) == render_json(fresh.to_json_dict())
+        assert open(path, "rb").read() == complete
+
+    def test_bad_line_before_the_end_raises(self, tmp_path):
+        path = str(tmp_path / "ck.jsonl")
+        find_min_mstd(SearchConfig(diameter_max=8, checkpoint_path=path))
+        lines = open(path).read().splitlines()
+        lines[3] = lines[3][:-5]
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 4"):
+            find_min_mstd(SearchConfig(diameter_max=8, checkpoint_path=path))
 
 
 class TestTwoApUnions:
