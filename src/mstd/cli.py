@@ -18,15 +18,9 @@ from .setcore import IntSet, SetClass, SetLiteralError, profile, sum_diff_sizes
 
 WORKERS_ENV = "MSTD_WORKERS"
 
-FIB13_TERMS = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233)
-GEO10_TERMS = tuple(5**k * 3 ** (9 - k) for k in range(10))
-
-GROWTH_PRESETS = {
-    "fib13": (FIB13_TERMS, 3, 2, 5),  # terms, r, n, ell
-    "geo10": (GEO10_TERMS, 2, 2, 4),
-}
-
-VERIFY_CHECKS = ("thm1", "thm2", "thm3", "prop2", "obs6", "lemma3", "deficit", "size5")
+VERIFY_CHECKS = (
+    "thm1", "thm2", "thm3", "prop2", "obs6", "lemma3", "deficit", "size5", "all"
+)
 EXPLORERS = ("two-ap", "min-additions")
 
 
@@ -40,6 +34,11 @@ def _default_workers() -> int:
 def _window(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
     return int(lo), int(hi)
+
+
+def _ap(text: str) -> setcore.APSpec:
+    first, step, length = (int(t) for t in text.split(","))
+    return setcore.APSpec(first, step, length)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,35 +71,44 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size-min", type=int)
     p.add_argument("--size-max", type=int)
 
-    p = sub.add_parser("verify", help="run one verification check")
-    p.add_argument("check", help=f"one of {', '.join(VERIFY_CHECKS)}")
-    p.add_argument("--max-size", type=int, default=5)
-    p.add_argument("--max-diameter", type=int, default=30)
-    p.add_argument("--n-max", type=int, help="thm2/deficit default 8, prop2 default 20")
+    # Verify and explore options default to None: only the options the user
+    # sets are passed on, so each verifier's signature holds its default grid.
+    p = sub.add_parser("verify", help="run one verification check, or all of them")
+    p.add_argument("check", choices=VERIFY_CHECKS)
+    p.add_argument("--max-size", type=int)
+    p.add_argument("--max-diameter", type=int)
+    p.add_argument("--n-max", type=int)
     p.add_argument("--q-max", type=int)
     p.add_argument("--window", type=_window, help="interval LO:HI")
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=int)
     p.add_argument(
         "--case", action="append", default=[],
         help="explicit grid point 'n,x[,y]' with rational x,y (thm2/deficit only)",
     )
-    p.add_argument("--preset", choices=sorted(GROWTH_PRESETS), help="thm3 sequence")
+    p.add_argument(
+        "--preset", choices=sorted(verify.GROWTH_PRESETS), help="thm3 sequence"
+    )
     p.add_argument("--terms", help="thm3 custom terms as a set literal")
     p.add_argument("--r", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--ell", type=int)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--subset-budget", type=int, default=50)
+    p.add_argument("--m", type=int)
+    p.add_argument("--subset-budget", type=int)
 
     p = sub.add_parser("explore", help="run an open-question explorer")
-    p.add_argument("explorer", help=f"one of {', '.join(EXPLORERS)}")
-    p.add_argument("--max-len", type=int, default=6)
-    p.add_argument("--max-step", type=int, default=5)
-    p.add_argument("--max-shift", type=int, default=40)
-    p.add_argument("--ap", default="3,4,3", help="first,step,length")
-    p.add_argument("--k-max", type=int, default=5)
-    p.add_argument("--window", type=_window, default=(0, 14), help="interval LO:HI")
+    p.add_argument("explorer", choices=EXPLORERS)
+    p.add_argument("--max-len", type=int)
+    p.add_argument("--max-step", type=int)
+    p.add_argument("--max-shift", type=int)
+    p.add_argument("--ap", type=_ap, help="first,step,length")
+    p.add_argument("--k-max", type=int)
+    p.add_argument("--window", type=_window, help="interval LO:HI")
     return top
+
+
+def _given(args, *names: str) -> dict:
+    """The named options the user set, as keyword arguments."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
 
 
 def _emit_report(report, as_json: bool) -> int:
@@ -209,9 +217,15 @@ def _parse_cases(raw_cases, want_pair: bool):
 
 def _cmd_verify(args) -> int:
     check = args.check
+    if check == "all":
+        reports = verify.verify_all(seed=args.seed, workers=args.workers)
+        if args.json:
+            print(render_json({"reports": [r.to_json_dict() for r in reports]}))
+            return 0 if all(r.passed for r in reports) else 1
+        return max([_emit_report(r, False) for r in reports])
     if check == "thm1":
         report = verify.verify_small_cardinality(
-            args.max_size, args.max_diameter, workers=args.workers
+            **_given(args, "max_size", "max_diameter"), workers=args.workers
         )
     elif check == "thm2":
         if args.case:
@@ -221,7 +235,7 @@ def _cmd_verify(args) -> int:
             )
         else:
             report = verify.verify_ap_plus_two(
-                args.n_max or 8, args.window, args.q_max or 2
+                **_given(args, "n_max", "window", "q_max")
             )
     elif check == "deficit":
         if args.case:
@@ -231,17 +245,17 @@ def _cmd_verify(args) -> int:
             )
         else:
             report = verify.verify_insertion_deficit(
-                args.n_max or 8, args.window, args.q_max or 4
+                **_given(args, "n_max", "window", "q_max")
             )
     elif check == "prop2":
-        report = verify.verify_proposition2(args.n_max or 20)
+        report = verify.verify_proposition2(**_given(args, "n_max"))
     elif check == "obs6":
-        report = verify.verify_observation6(args.trials, seed=args.seed)
+        report = verify.verify_observation6(**_given(args, "trials"), seed=args.seed)
     elif check == "lemma3":
-        report = verify.verify_symmetric_balanced(args.max_diameter)
+        report = verify.verify_symmetric_balanced(**_given(args, "max_diameter"))
     elif check == "thm3":
         if args.preset:
-            terms, r, n, ell = GROWTH_PRESETS[args.preset]
+            terms, r, n, ell = verify.GROWTH_PRESETS[args.preset]
         else:
             if not (args.terms and args.r is not None
                     and args.n is not None and args.ell is not None):
@@ -253,69 +267,46 @@ def _cmd_verify(args) -> int:
             terms = tuple(IntSet.parse(args.terms).elements)
             r, n, ell = args.r, args.n, args.ell
         seq = verify.GrowthSequence(terms, r)
-        params = verify.Theorem3Params(
-            r=r, n=n, ell=ell, m=args.m, window=args.window or (-50, 100)
-        )
+        params = verify.Theorem3Params(r, n, ell, **_given(args, "m", "window"))
         report = verify.verify_growth_criterion(
-            seq, params, subset_budget=args.subset_budget, seed=args.seed
+            seq, params, **_given(args, "subset_budget"), seed=args.seed
         )
-    elif check == "size5":
-        report = verify.verify_size5_witnesses()
     else:
-        print(
-            f"unknown check {check!r}; valid checks: {', '.join(VERIFY_CHECKS)}",
-            file=sys.stderr,
-        )
-        return 2
+        report = verify.verify_size5_witnesses()
     return _emit_report(report, args.json)
 
 
 def _cmd_explore(args) -> int:
     if args.explorer == "two-ap":
         report = search.explore_two_ap_unions(
-            args.max_len, args.max_step, args.max_shift
-        )
-    elif args.explorer == "min-additions":
-        first, step, length = (int(t) for t in args.ap.split(","))
-        report = search.explore_min_additions(
-            setcore.APSpec(first, step, length), args.k_max, args.window
+            **_given(args, "max_len", "max_step", "max_shift")
         )
     else:
-        print(
-            f"unknown explorer {args.explorer!r}; valid: {', '.join(EXPLORERS)}",
-            file=sys.stderr,
-        )
-        return 2
+        report = search.explore_min_additions(**_given(args, "ap", "k_max", "window"))
     return _emit_report(report, args.json)
 
 
+COMMANDS = {
+    "classify": _cmd_classify,
+    "profile": _cmd_profile,
+    "explain": _cmd_explain,
+    "search": _cmd_search,
+    "verify": _cmd_verify,
+    "explore": _cmd_explore,
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "profile":
-            return _cmd_profile(args)
-        if args.command == "explain":
-            return _cmd_explain(args)
-        if args.command == "search":
-            return _cmd_search(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "explore":
-            return _cmd_explore(args)
-        parser.error(f"unknown command {args.command!r}")
-    except SetLiteralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return COMMANDS[args.command](args)
     except ValueError as exc:
+        # SetLiteralError is a ValueError: parse errors exit 2 like usage errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -325,7 +325,7 @@ def find_min_mstd(config: SearchConfig) -> SearchResult:
 
 
 def explore_two_ap_unions(
-    max_len: int, max_step: int, max_shift: int
+    max_len: int = 6, max_step: int = 5, max_shift: int = 40
 ) -> VerificationReport:
     """Classify every union of two arithmetic progressions on the grid.
 
@@ -360,7 +360,7 @@ def explore_two_ap_unions(
 
 
 def explore_min_additions(
-    ap: APSpec, k_max: int, window: tuple[int, int]
+    ap: APSpec = APSpec(3, 4, 3), k_max: int = 5, window: tuple[int, int] = (0, 14)
 ) -> VerificationReport:
     """Search for the fewest window integers whose insertion makes an AP sum-dominant.
 
@@ -372,6 +372,8 @@ def explore_min_additions(
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     lo, hi = window
+    if lo > hi:
+        raise ValueError(f"empty window [{lo},{hi}]")
     base = ap.elements()
     candidates = [x for x in range(lo, hi + 1) if x not in base]
     report = VerificationReport(

@@ -16,7 +16,12 @@ from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from .reports import DEFAULT_SEED, VerificationReport
-from .search import SearchConfig, scan_sum_dominant
+from .search import (
+    SearchConfig,
+    explore_min_additions,
+    explore_two_ap_unions,
+    scan_sum_dominant,
+)
 from .setcore import (
     IntSet,
     RationalSet,
@@ -29,6 +34,12 @@ from .structure import insertion_delta
 
 RANDOM_SET_MAX_SIZE = 12
 RANDOM_SET_WINDOW = (0, 64)
+
+GROWTH_PRESETS = {
+    # name: (terms, r, n, ell)
+    "fib13": ((0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233), 3, 2, 5),
+    "geo10": (tuple(5**k * 3 ** (9 - k) for k in range(10)), 2, 2, 4),
+}
 
 
 def _I(n: int) -> IntSet:
@@ -69,8 +80,8 @@ class Theorem3Params:
     r: int
     n: int
     ell: int
-    m: int
-    window: tuple[int, int]
+    m: int = 1
+    window: tuple[int, int] = (-50, 100)
 
     def __post_init__(self):
         if self.r < 1 or self.n < 0 or self.ell < 0 or self.m < 0:
@@ -110,7 +121,7 @@ def _timed(report: VerificationReport, t0: float) -> VerificationReport:
 
 
 def verify_small_cardinality(
-    max_size: int, max_diameter: int, workers: int = 1
+    max_size: int = 5, max_diameter: int = 30, workers: int = 1
 ) -> VerificationReport:
     """Exhaust all canonical sets with |A| <= max_size and bounded diameter.
 
@@ -198,8 +209,18 @@ def verify_points(check: str, grid: str, predicate, points) -> VerificationRepor
     return _timed(report, t0)
 
 
+def _window_desc(window: Optional[tuple[int, int]]) -> str:
+    """Grid label for an explicit window, or for the default [-2n, 3n] per n."""
+    if window is None:
+        return "[-2n,3n]"
+    lo, hi = window
+    if lo > hi:
+        raise ValueError(f"empty window [{lo},{hi}]")
+    return f"[{lo},{hi}]"
+
+
 def verify_ap_plus_two(
-    n_max: int, window: Optional[tuple[int, int]] = None, q_max: int = 2
+    n_max: int = 8, window: Optional[tuple[int, int]] = None, q_max: int = 2
 ) -> VerificationReport:
     """Check that I_n plus at most two bounded-denominator rationals never turns sum-dominant.
 
@@ -209,7 +230,7 @@ def verify_ap_plus_two(
     """
     if n_max < 1 or q_max < 1:
         raise ValueError("need n_max >= 1 and q_max >= 1")
-    wdesc = f"[{window[0]},{window[1]}]" if window else "[-2n,3n]"
+    wdesc = _window_desc(window)
 
     def points():
         for n in range(1, n_max + 1):
@@ -228,7 +249,7 @@ def verify_ap_plus_two(
 
 
 def verify_insertion_deficit(
-    n_max: int, window: Optional[tuple[int, int]] = None, q_max: int = 4
+    n_max: int = 8, window: Optional[tuple[int, int]] = None, q_max: int = 4
 ) -> VerificationReport:
     """Check |A-A| >= |A+A| + 1 for A = I_n with one rational inserted.
 
@@ -236,9 +257,9 @@ def verify_insertion_deficit(
     is a genuinely new element (x outside I_n and not the AP-extending values
     -1 or n, all of which give balanced sets).
     """
-    if n_max < 2:
-        raise ValueError("need n_max >= 2")
-    wdesc = f"[{window[0]},{window[1]}]" if window else "[-2n,3n]"
+    if n_max < 2 or q_max < 1:
+        raise ValueError("need n_max >= 2 and q_max >= 1")
+    wdesc = _window_desc(window)
 
     def points():
         for n in range(2, n_max + 1):
@@ -256,7 +277,7 @@ def verify_insertion_deficit(
     )
 
 
-def verify_proposition2(n_max: int) -> VerificationReport:
+def verify_proposition2(n_max: int = 20) -> VerificationReport:
     """Exact insertion deltas for x = (n-1)+k into I_n: k+1 sums, k differences."""
     if n_max < 2:
         raise ValueError("need n_max >= 2")
@@ -301,7 +322,7 @@ def random_corpus(
 
 
 def verify_observation6(
-    trials: int, seed: int = DEFAULT_SEED, max_diameter: int = 12
+    trials: int = 100_000, seed: int = DEFAULT_SEED, max_diameter: int = 12
 ) -> VerificationReport:
     """Check 2 * equal_sum_pairs >= equal_diff_pairs, exhaustively then randomly."""
     if trials < 1:
@@ -344,7 +365,7 @@ def symmetric_sets(max_diameter: int) -> Iterator[IntSet]:
                 yield IntSet.from_iterable([0, d] + chosen + mirrored + list(c))
 
 
-def verify_symmetric_balanced(max_diameter: int) -> VerificationReport:
+def verify_symmetric_balanced(max_diameter: int = 30) -> VerificationReport:
     """Every generated symmetric set must classify as balanced."""
     if max_diameter < 0:
         raise ValueError("need max_diameter >= 0")
@@ -456,3 +477,30 @@ def verify_size5_witnesses() -> VerificationReport:
         if not (nsum == ndiff == 11):
             report.add_violation(a, f"sizes ({nsum},{ndiff}) != (11,11)")
     return _timed(report, t0)
+
+
+def verify_all(seed: int = DEFAULT_SEED, workers: int = 1) -> list[VerificationReport]:
+    """The twelve reports of ``mstd verify all``, in a fixed order.
+
+    Every check and explorer runs on its default grid and thm3 on each growth
+    preset; thm1 adds a second slice (size <= 7, diameter <= 20), and lemma3
+    runs at diameter <= 20.
+    """
+    return [
+        verify_small_cardinality(workers=workers),
+        verify_small_cardinality(7, 20, workers=workers),
+        verify_ap_plus_two(),
+        verify_insertion_deficit(),
+        verify_proposition2(),
+        verify_observation6(seed=seed),
+        verify_symmetric_balanced(20),
+        *(
+            verify_growth_criterion(
+                GrowthSequence(terms, r), Theorem3Params(r, n, ell), seed=seed
+            )
+            for terms, r, n, ell in GROWTH_PRESETS.values()
+        ),
+        verify_size5_witnesses(),
+        explore_two_ap_unions(),
+        explore_min_additions(),
+    ]

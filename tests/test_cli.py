@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -142,6 +144,59 @@ class TestVerifyCommand:
         _, out, _ = run_cli(capsys, "--json", "verify", "prop2")
         assert render_json(json.loads(out)) == out.strip()
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "prop2", "--n-max", "0"],
+        ["verify", "thm2", "--q-max", "0"],
+        ["verify", "thm2", "--n-max", "0", "--window", "0:1"],
+        ["verify", "deficit", "--q-max", "0"],
+        ["verify", "thm2", "--window", "10:0"],
+        ["verify", "deficit", "--window", "10:0"],
+        ["explore", "min-additions", "--window", "14:0"],
+    ], ids=" ".join)
+    def test_empty_grid_is_usage_error(self, capsys, argv):
+        # explicit zeros reach the verifier instead of falling back to its
+        # default, and a window with lo > hi is refused rather than passing
+        # over 0 cases
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+    def test_no_flags_run_the_default_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "--json", "verify", "lemma3")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["grid"].endswith("diameter<=30")
+        assert payload["cases"] == 98_302
+
+    def test_verify_all(self, capsys):
+        code, out, _ = run_cli(capsys, "--json", "verify", "all")
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert [r["check"] for r in reports] == [
+            "small-cardinality", "small-cardinality", "ap-plus-two",
+            "insertion-deficit", "insertion-delta-exactness",
+            "equal-pair-inequality", "symmetric-balanced", "growth-criterion",
+            "growth-criterion", "size5-witnesses", "two-ap-unions", "min-additions",
+        ]
+        assert [r["cases"] for r in reports] == [
+            14_891, 29_982, 10_748, 833, 190, 104_096,
+            3_070, 7_250, 999, 2, 43_740, 940,
+        ]
+        assert all(r["violations"] == [] for r in reports)
+
+    def test_verify_all_fails_if_any_report_fails(self, capsys, monkeypatch):
+        from mstd import IntSet, verify
+        from mstd.reports import VerificationReport
+
+        clean = VerificationReport(check="clean", grid="g", cases=1)
+        dirty = VerificationReport(check="dirty", grid="g", cases=1)
+        dirty.add_violation(IntSet((0, 2, 3, 4, 7, 11, 12, 14)), "forced")
+        monkeypatch.setattr(verify, "verify_all", lambda seed, workers: [clean, dirty])
+        code, out, _ = run_cli(capsys, "verify", "all")
+        assert code == 1
+        summaries = [l for l in out.splitlines() if not l.startswith(" ")]
+        assert summaries == [clean.summary_line(), dirty.summary_line()]
+
     def test_exit_code_is_pure_function_of_report(self, capsys):
         from mstd import IntSet
         from mstd.cli import _emit_report
@@ -175,20 +230,6 @@ class TestSearchCommand:
         assert run_cli(capsys, *argv, "--size-max", "5")[0] == 0
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and "another search" in err
-
-    def test_run_sweep_script(self):
-        script = Path(__file__).resolve().parent.parent / "scripts" / "run_sweep.py"
-        proc = subprocess.run(
-            [sys.executable, str(script), "--diameter-max", "10"],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        payload = json.loads(proc.stdout)
-        assert payload["config"]["diameter_max"] == 10
-        assert payload["min_mstd_size"] is None
-        assert payload["sets_examined"] == sum(
-            t["examined"] for t in payload["per_diameter"].values()
-        )
 
 
 class TestExploreCommand:
@@ -242,6 +283,31 @@ class TestUsage:
         )
         assert code == 0
         assert "[-5,10]" in json.loads(out)["grid"]
+
+    def test_readme_commands_parse(self):
+        # every shell line in the README is pip, pytest or an mstd command
+        # that the parser accepts; nothing is run
+        from mstd.cli import _build_parser
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+        lines = [
+            line for block in blocks for line in block.splitlines()
+            if line.strip() and not line.lstrip().startswith("#")
+        ]
+        parser = _build_parser()
+        commands = 0
+        for line in lines:
+            prog, *argv = shlex.split(line, comments=True)
+            if prog in ("pip", "pytest"):
+                continue
+            assert prog == "mstd", f"README runs {prog!r}: {line}"
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
+            commands += 1
+        assert commands >= 10
 
     def test_search_json_identical_across_processes(self):
         cmd = [sys.executable, "-m", "mstd", "--json", "search", "--diameter-max", "12"]
