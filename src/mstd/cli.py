@@ -18,10 +18,25 @@ from .setcore import IntSet, SetClass, SetLiteralError, profile, sum_diff_sizes
 
 WORKERS_ENV = "MSTD_WORKERS"
 
-VERIFY_CHECKS = (
-    "thm1", "thm2", "thm3", "prop2", "obs6", "lemma3", "deficit", "size5", "all"
-)
-EXPLORERS = ("two-ap", "min-additions")
+# The options each verify check and explorer takes.  _given passes the ones
+# the user set and refuses the rest, so no option is dropped silently.
+OPTIONS = {
+    "verify": {
+        "thm1": ("max_size", "max_diameter"),
+        "thm2": ("n_max", "window", "q_max", "case"),
+        "thm3": ("preset", "terms", "r", "n", "ell", "m", "window", "subset_budget"),
+        "prop2": ("n_max",),
+        "obs6": ("trials",),
+        "lemma3": ("max_diameter",),
+        "deficit": ("n_max", "window", "q_max", "case"),
+        "size5": (),
+        "all": (),
+    },
+    "explore": {
+        "two-ap": ("max_len", "max_step", "max_shift"),
+        "min-additions": ("ap", "k_max", "window"),
+    },
+}
 
 
 def _default_workers() -> int:
@@ -74,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # Verify and explore options default to None: only the options the user
     # sets are passed on, so each verifier's signature holds its default grid.
     p = sub.add_parser("verify", help="run one verification check, or all of them")
-    p.add_argument("check", choices=VERIFY_CHECKS)
+    p.add_argument("check", choices=OPTIONS["verify"])
     p.add_argument("--max-size", type=int)
     p.add_argument("--max-diameter", type=int)
     p.add_argument("--n-max", type=int)
@@ -82,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_window, help="interval LO:HI")
     p.add_argument("--trials", type=int)
     p.add_argument(
-        "--case", action="append", default=[],
+        "--case", action="append",
         help="explicit grid point 'n,x[,y]' with rational x,y (thm2/deficit only)",
     )
     p.add_argument(
@@ -96,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset-budget", type=int)
 
     p = sub.add_parser("explore", help="run an open-question explorer")
-    p.add_argument("explorer", choices=EXPLORERS)
+    p.add_argument("explorer", choices=OPTIONS["explore"])
     p.add_argument("--max-len", type=int)
     p.add_argument("--max-step", type=int)
     p.add_argument("--max-shift", type=int)
@@ -106,9 +121,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _given(args, *names: str) -> dict:
-    """The named options the user set, as keyword arguments."""
-    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+def _flags(names) -> str:
+    return ", ".join("--" + k.replace("_", "-") for k in names)
+
+
+def _given(args, choice: str) -> dict:
+    """The options the user set, as keyword arguments for ``choice``.
+
+    An option that ``choice`` does not take is a usage error that names it.
+    """
+    table = OPTIONS[args.command]
+    names = dict.fromkeys(k for opts in table.values() for k in opts)
+    given = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    foreign = [k for k in given if k not in table[choice]]
+    if foreign:
+        raise ValueError(f"{args.command} {choice} does not take {_flags(foreign)}")
+    return given
 
 
 def _emit_report(report, as_json: bool) -> int:
@@ -217,72 +245,73 @@ def _parse_cases(raw_cases, want_pair: bool):
 
 def _cmd_verify(args) -> int:
     check = args.check
+    opts = _given(args, check)
     if check == "all":
         reports = verify.verify_all(seed=args.seed, workers=args.workers)
         if args.json:
             print(render_json({"reports": [r.to_json_dict() for r in reports]}))
             return 0 if all(r.passed for r in reports) else 1
         return max([_emit_report(r, False) for r in reports])
+    cases = opts.pop("case", None)
+    if cases and opts:
+        raise ValueError(f"--case does not combine with {_flags(opts)}")
     if check == "thm1":
-        report = verify.verify_small_cardinality(
-            **_given(args, "max_size", "max_diameter"), workers=args.workers
-        )
+        report = verify.verify_small_cardinality(**opts, workers=args.workers)
     elif check == "thm2":
-        if args.case:
+        if cases:
             report = verify.verify_points(
-                "ap-plus-two", f"{len(args.case)} explicit cases",
-                verify.ap_plus_two_violation, _parse_cases(args.case, True),
+                "ap-plus-two", f"{len(cases)} explicit cases",
+                verify.ap_plus_two_violation, _parse_cases(cases, True),
             )
         else:
-            report = verify.verify_ap_plus_two(
-                **_given(args, "n_max", "window", "q_max")
-            )
+            report = verify.verify_ap_plus_two(**opts)
     elif check == "deficit":
-        if args.case:
+        if cases:
             report = verify.verify_points(
-                "insertion-deficit", f"{len(args.case)} explicit cases",
-                verify.insertion_deficit_violation, _parse_cases(args.case, False),
+                "insertion-deficit", f"{len(cases)} explicit cases",
+                verify.insertion_deficit_violation, _parse_cases(cases, False),
             )
         else:
-            report = verify.verify_insertion_deficit(
-                **_given(args, "n_max", "window", "q_max")
-            )
+            report = verify.verify_insertion_deficit(**opts)
     elif check == "prop2":
-        report = verify.verify_proposition2(**_given(args, "n_max"))
+        report = verify.verify_proposition2(**opts)
     elif check == "obs6":
-        report = verify.verify_observation6(**_given(args, "trials"), seed=args.seed)
+        report = verify.verify_observation6(**opts, seed=args.seed)
     elif check == "lemma3":
-        report = verify.verify_symmetric_balanced(**_given(args, "max_diameter"))
+        report = verify.verify_symmetric_balanced(**opts)
     elif check == "thm3":
-        if args.preset:
-            terms, r, n, ell = verify.GROWTH_PRESETS[args.preset]
-        else:
-            if not (args.terms and args.r is not None
-                    and args.n is not None and args.ell is not None):
-                print(
-                    "thm3 needs --preset or all of --terms/--r/--n/--ell",
-                    file=sys.stderr,
-                )
-                return 2
-            terms = tuple(IntSet.parse(args.terms).elements)
-            r, n, ell = args.r, args.n, args.ell
-        seq = verify.GrowthSequence(terms, r)
-        params = verify.Theorem3Params(r, n, ell, **_given(args, "m", "window"))
-        report = verify.verify_growth_criterion(
-            seq, params, **_given(args, "subset_budget"), seed=args.seed
-        )
+        report = _run_thm3(opts, args.seed)
     else:
         report = verify.verify_size5_witnesses()
     return _emit_report(report, args.json)
 
 
-def _cmd_explore(args) -> int:
-    if args.explorer == "two-ap":
-        report = search.explore_two_ap_unions(
-            **_given(args, "max_len", "max_step", "max_shift")
-        )
+def _run_thm3(opts: dict, seed: int):
+    preset = opts.pop("preset", None)
+    own = {k: opts.pop(k) for k in ("terms", "r", "n", "ell") if k in opts}
+    if preset and own:
+        raise ValueError(f"--preset does not combine with {_flags(own)}")
+    if preset:
+        terms, r, n, ell = verify.GROWTH_PRESETS[preset]
+    elif len(own) == 4:
+        terms = IntSet.parse(own["terms"]).elements
+        r, n, ell = own["r"], own["n"], own["ell"]
     else:
-        report = search.explore_min_additions(**_given(args, "ap", "k_max", "window"))
+        raise ValueError("thm3 needs --preset or all of --terms/--r/--n/--ell")
+    params = verify.Theorem3Params(
+        r, n, ell, **{k: opts.pop(k) for k in ("m", "window") if k in opts}
+    )
+    return verify.verify_growth_criterion(
+        verify.GrowthSequence(terms, r), params, **opts, seed=seed
+    )
+
+
+def _cmd_explore(args) -> int:
+    opts = _given(args, args.explorer)
+    if args.explorer == "two-ap":
+        report = search.explore_two_ap_unions(**opts)
+    else:
+        report = search.explore_min_additions(**opts)
     return _emit_report(report, args.json)
 
 

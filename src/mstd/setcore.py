@@ -4,14 +4,20 @@ Sets are immutable, sorted tuples of integers.  Sumset/difference-set
 cardinalities are computed on a dense bitmask over the set's window (a Python
 int doubles as an arbitrary-width machine bitset), falling back to hashed
 pairwise enumeration when the window is enormous relative to the set size.
+Equal-sum and equal-difference pair counts likewise convolve the window by
+big-int multiplication (Kronecker substitution) or count the pairs.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Optional
 
 
@@ -277,6 +283,119 @@ def _sum_diff_masks(mask: int) -> tuple[int, int]:
     return sums, diffs
 
 
+# The pair-count kernel convolves while the window is small next to the |A|^2
+# pairs the Counter path visits.  The products grow faster than the window
+# (Karatsuba), so the gate compares diameter^2 with |A|^3; wider windows, and
+# their allocations, go pairwise.  Constants from a measured crossover.
+_CONV_PAIR_FACTOR = 8
+_CONV_SLACK = 4096
+# Up to this many bits built (|A| shifts into a window of b-bit digits), three
+# products read off their middle digits; past it, reading every digit of A*A
+# and A*(-A) costs less.
+_MIDDLE_DIGIT_BITS = 12_000
+_DIGIT_TYPECODES = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+
+
+def _use_convolution(size: int, diameter: int) -> bool:
+    return diameter * diameter <= _CONV_PAIR_FACTOR * size**3 + _CONV_SLACK
+
+
+def _pair_sums_pairwise(els: tuple[int, ...]) -> tuple[int, int, int]:
+    sums = Counter([x + y for i, x in enumerate(els) for y in els[i:]])
+    diffs = Counter([y - x for i, x in enumerate(els) for y in els[i + 1 :]])
+    return (
+        sum(c * c for c in sums.values()),
+        sum(c * c for c in diffs.values()),
+        sum(sums[2 * x] for x in els),
+    )
+
+
+def _pair_sums_by_products(els: tuple[int, ...], b: int) -> tuple[int, int, int]:
+    # digit e of p is [min A + e in A]; r, p2, r2 mirror it and double its spacing
+    lo = els[0]
+    db = (els[-1] - lo) * b
+    p = r = p2 = r2 = 0
+    for x in els:
+        e = (x - lo) * b
+        f = db - e
+        p += 1 << e
+        r += 1 << f
+        p2 += 1 << 2 * e
+        r2 += 1 << 2 * f
+    u = (p * p + p2) >> 1  # digit s: unordered pairs {x <= y} with sum 2 min A + s
+    pr = p * r  # digit d + k: ordered pairs at difference k
+    mid, digit = 2 * db, (1 << b) - 1
+    return (
+        (u * ((r * r + r2) >> 1) >> mid) & digit,
+        (((pr * pr >> mid) & digit) - len(els) ** 2) // 2,
+        (u * r2 >> mid) & digit,
+    )
+
+
+def _pair_sums_by_digits(els: tuple[int, ...]) -> tuple[int, int, int]:
+    n = len(els)
+    lo = els[0]
+    d = els[-1] - lo
+    # every digit read out is at most n (D_0 = n), so n < 256^width
+    width, code = next(wc for wc in _DIGIT_TYPECODES if n < 256 ** wc[0])
+    one = bytearray((d + 1) * width)
+    for x in els:
+        one[(x - lo) * width] = 1
+    two = bytearray((2 * d + 1) * width)
+    two[:: 2 * width] = one[::width]
+    p = int.from_bytes(one, "little")
+    p2 = int.from_bytes(two, "little")
+    one[::width] = one[-width::-width]
+    r = int.from_bytes(one, "little")
+
+    def digits(x: int) -> array:
+        out = array(code, x.to_bytes((2 * d + 1) * width, "little"))
+        if sys.byteorder == "big":
+            out.byteswap()
+        return out
+
+    u = digits((p * p + p2) >> 1)
+    diffs = digits(p * r)
+    return (
+        sum(map(mul, u, u)),
+        (sum(map(mul, diffs, diffs)) - n * n) // 2,
+        sum([u[2 * (x - lo)] for x in els]),
+    )
+
+
+def equal_pair_counts(a: IntSet) -> tuple[int, int, int]:
+    """(equal-sum pairs, equal-difference pairs, midpoint triples) of A.
+
+    Equal-sum pairs: unordered pairs of index multisets {i <= j} that share a
+    sum.  Equal-difference pairs: unordered pairs of index pairs (i < j) that
+    share a positive difference.  Midpoint triples: T = #{(x, y, a) in A^3 :
+    x + y = 2a}.  Each comes from its own representation function, never from
+    another through the additive-energy identity: with u_s the pairs {x <= y}
+    summing to s and D_k the pairs x < y at difference k, the kernel sums
+    u_s^2, D_k^2 and u_2a over a in A, from one Counter pass over the pairs
+    or, for a small window, by Kronecker substitution: A - min A becomes
+    p = sum 2^(b*e), so p*p and p*mirror(p) hold the counts as b-bit digits.
+    """
+    a._require_nonempty()
+    els = a.elements
+    n = len(els)
+    d = els[-1] - els[0]
+    b = (n * n * n + 1).bit_length()  # every digit is <= max(n^3, n + 1)
+    if not _use_convolution(n, d):
+        sq_sums, sq_diffs, doubles = _pair_sums_pairwise(els)
+    elif n * d * b <= _MIDDLE_DIGIT_BITS:
+        sq_sums, sq_diffs, doubles = _pair_sums_by_products(els, b)
+    else:
+        sq_sums, sq_diffs, doubles = _pair_sums_by_digits(els)
+    # sum u_s = n(n+1)/2 and sum D_k = n(n-1)/2; the u_2a - 1 pairs x < y with
+    # midpoint a give two ordered triples each, and (a, a, a) one more
+    return (
+        (sq_sums - n * (n + 1) // 2) // 2,
+        (sq_diffs - n * (n - 1) // 2) // 2,
+        2 * doubles - n,
+    )
+
+
 def sum_diff_sizes(a: IntSet) -> tuple[int, int]:
     """(|A+A|, |A-A|) without materializing either set."""
     a._require_nonempty()
@@ -342,16 +461,15 @@ def detect_ap(a: IntSet) -> Optional[APSpec]:
 
 def profile(a: IntSet) -> SetProfile:
     """Aggregate classification, pair counts, symmetry and AP structure."""
-    from .structure import equal_diff_pairs, equal_sum_pairs
-
     nsum, ndiff = sum_diff_sizes(a)
+    esp, edp, _ = equal_pair_counts(a)
     return SetProfile(
         size=len(a),
         sum_size=nsum,
         diff_size=ndiff,
         set_class=SetClass.from_sizes(nsum, ndiff),
-        equal_sum_pairs=equal_sum_pairs(a),
-        equal_diff_pairs=equal_diff_pairs(a),
+        equal_sum_pairs=esp,
+        equal_diff_pairs=edp,
         diameter=a.diameter,
         symmetry_center=is_symmetric(a),
         ap=detect_ap(a),

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .setcore import IntSet, sum_diff_sizes
+from .setcore import IntSet, equal_pair_counts, sum_diff_sizes
 
 
 @dataclass(frozen=True)
@@ -91,22 +90,12 @@ def difference_table(a: IntSet) -> DifferenceTable:
 
 def equal_diff_pairs(a: IntSet) -> int:
     """Number of unordered pairs of index pairs (i<j) sharing a positive difference."""
-    a._require_nonempty()
-    els = a.elements
-    counts = Counter(
-        els[j] - els[i] for i in range(len(els)) for j in range(i + 1, len(els))
-    )
-    return sum(c * (c - 1) // 2 for c in counts.values())
+    return equal_pair_counts(a)[1]
 
 
 def equal_sum_pairs(a: IntSet) -> int:
     """Number of unordered pairs of index multisets {i<=j} sharing a sum."""
-    a._require_nonempty()
-    els = a.elements
-    counts = Counter(
-        els[i] + els[j] for i in range(len(els)) for j in range(i, len(els))
-    )
-    return sum(c * (c - 1) // 2 for c in counts.values())
+    return equal_pair_counts(a)[0]
 
 
 def cardinality_bounds(n: int) -> tuple[int, int]:

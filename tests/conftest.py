@@ -1,7 +1,8 @@
 """Shared fixtures and independent brute-force oracles.
 
 The oracles deliberately avoid every production code path: plain double
-loops over element lists, and quadruple loops for collision counts.
+loops over element lists, triple loops for midpoint triples and quadruple
+loops for collision counts.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ def naive_equal_sum_pairs(xs):
         for b in range(a + 1, len(pairs))
         if pairs[a][0] == pairs[b][0]
     )
+
+
+def naive_midpoint_triples(xs):
+    """Ordered triples (x, y, a) of elements with x + y = 2a."""
+    return sum(1 for x in xs for y in xs for a in xs if x + y == 2 * a)
 
 
 def lex_canonical_classes(d_min, d_max, size_lo, size_hi):

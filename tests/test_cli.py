@@ -17,6 +17,19 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+# options the chosen check or explorer does not take, and the refusal for each
+FOREIGN_OPTIONS = [
+    (["--json", "verify", "size5", "--n-max", "3", "--trials", "0"],
+     "verify size5 does not take --n-max, --trials"),
+    (["verify", "all", "--max-size", "7"], "verify all does not take --max-size"),
+    (["explore", "two-ap", "--k-max", "3"], "explore two-ap does not take --k-max"),
+    (["verify", "thm2", "--case", "5,6,6", "--n-max", "3"],
+     "--case does not combine with --n-max"),
+    (["verify", "thm3", "--preset", "fib13", "--r", "2"],
+     "--preset does not combine with --r"),
+]
+
+
 class TestClassify:
     def test_sum_dominant_line(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "0,2,3,4,7,11,12,14")
@@ -160,6 +173,14 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv,refusal", FOREIGN_OPTIONS, ids=[" ".join(a) for a, _ in FOREIGN_OPTIONS]
+    )
+    def test_option_the_check_does_not_take_is_usage_error(self, capsys, argv, refusal):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {refusal}\n"
 
     def test_no_flags_run_the_default_grid(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "verify", "lemma3")

@@ -1,7 +1,9 @@
 """Property-based invariants plus the bulk bit-parallel-vs-naive oracle run."""
 
+import random
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +17,7 @@ from mstd import (
     detect_ap,
     diffset,
     equal_diff_pairs,
+    equal_pair_counts,
     equal_sum_pairs,
     insertion_delta,
     is_symmetric,
@@ -23,12 +26,32 @@ from mstd import (
     sum_diff_sizes,
     sumset,
 )
+from mstd.setcore import (
+    _pair_sums_by_digits,
+    _pair_sums_by_products,
+    _pair_sums_pairwise,
+    _use_convolution,
+    _use_dense,
+)
 from mstd.verify import random_corpus, symmetric_sets
-from conftest import naive_diffset, naive_sumset
+from conftest import (
+    naive_diffset,
+    naive_equal_diff_pairs,
+    naive_equal_sum_pairs,
+    naive_midpoint_triples,
+    naive_sumset,
+)
 
 int_sets = st.builds(
     IntSet.from_iterable,
     st.lists(st.integers(-64, 64), min_size=1, max_size=12, unique=True),
+)
+# |elements| up to 2^30: a dilated small set plus -2^30, so the window is at
+# least 2^29 wide (past both kernels' dense gates) and sums still collide
+wide_sets = st.builds(
+    lambda xs, c: IntSet.from_iterable([-(1 << 30), *(x * c for x in xs)]),
+    st.lists(st.integers(-64, 64), min_size=1, max_size=11, unique=True),
+    st.integers(1 << 16, 1 << 23),
 )
 small_sets = st.builds(
     IntSet.from_iterable,
@@ -40,6 +63,70 @@ small_sets = st.builds(
 def test_bit_parallel_matches_naive(a):
     assert list(sumset(a)) == naive_sumset(a.elements)
     assert list(diffset(a)) == naive_diffset(a.elements)
+
+
+@given(wide_sets)
+def test_sparse_path_matches_naive(a):
+    assert not _use_dense(len(a), a.diameter)
+    sums, diffs = naive_sumset(a.elements), naive_diffset(a.elements)
+    assert list(sumset(a)) == sums
+    assert list(diffset(a)) == diffs
+    assert sum_diff_sizes(a) == (len(sums), len(diffs))
+
+
+def _naive_pair_counts(xs):
+    return (
+        naive_equal_sum_pairs(xs),
+        naive_equal_diff_pairs(xs),
+        naive_midpoint_triples(xs),
+    )
+
+
+@given(int_sets)
+def test_pair_counts_match_naive(a):
+    # |A| <= 12 on [-64, 64] falls on both sides of the convolution gate
+    assert equal_pair_counts(a) == _naive_pair_counts(a.elements)
+
+
+@given(wide_sets)
+def test_pair_counts_pairwise_path_matches_naive(a):
+    assert not _use_convolution(len(a), a.diameter)
+    assert equal_pair_counts(a) == _naive_pair_counts(a.elements)
+
+
+@given(int_sets)
+def test_pair_count_paths_agree(a):
+    els = a.elements
+    b = (len(els) ** 3 + 1).bit_length()
+    want = _pair_sums_pairwise(els)
+    assert _pair_sums_by_products(els, b) == want
+    assert _pair_sums_by_digits(els) == want
+
+
+@pytest.mark.parametrize("n", [255, 256])
+def test_digit_width_holds_every_count(n):
+    # one byte per digit holds the counts of an AP of 255 elements, not 256
+    els = tuple(range(n))
+    assert _pair_sums_by_digits(els) == _pair_sums_pairwise(els)
+
+
+def test_pair_count_paths_agree_at_size_256():
+    # the interactive size class: 256 elements on a window of 1024
+    els = tuple(sorted(random.Random(256).sample(range(1024), 256)))
+    want = _pair_sums_pairwise(els)
+    assert _pair_sums_by_digits(els) == want
+    assert _pair_sums_by_products(els, (256**3 + 1).bit_length()) == want
+    esp, edp, t = equal_pair_counts(IntSet(els))
+    doubles = {2 * z for z in els}
+    assert t == sum(1 for x in els for y in els if x + y in doubles)
+    assert 2 * (2 * esp - edp) == t - 256
+
+
+def test_pair_count_gate():
+    # the perfbench sparse class stays pairwise; dense windows convolve
+    assert not _use_convolution(32, 1 << 24)
+    assert _use_convolution(12, 64)
+    assert _use_convolution(256, 1023)
 
 
 def test_bit_parallel_matches_naive_bulk():
@@ -117,9 +204,12 @@ def test_reflect_canonical_idempotent(a):
 
 @given(int_sets)
 def test_observation_inequality_and_bounds(a):
+    # the identity 2*ESP - EDP = (T - |A|)/2 implies the inequality: T >= |A|
     n = len(a)
     esp, edp = equal_sum_pairs(a), equal_diff_pairs(a)
-    assert 2 * esp >= edp
+    t = naive_midpoint_triples(a.elements)
+    assert 2 * (2 * esp - edp) == t - n
+    assert t >= n and 2 * esp >= edp
     nsum, ndiff = sum_diff_sizes(a)
     max_sum, max_diff = cardinality_bounds(n)
     assert nsum <= max_sum and ndiff <= max_diff

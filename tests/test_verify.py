@@ -17,7 +17,7 @@ from mstd.verify import (
     verify_small_cardinality,
     verify_symmetric_balanced,
 )
-from conftest import FIB13, GEO10
+from conftest import FIB13, GEO10, naive_midpoint_triples
 
 
 class TestSmallCardinality:
@@ -109,6 +109,33 @@ class TestObservation6:
         assert report.passed
         assert report.cases == 4096 + 2000
         assert report.seed == 7
+
+    def test_note_sums_midpoint_triples(self):
+        report = verify_observation6(2000, seed=7)
+        corpus = [*exhaustive_translation_corpus(12), *random_corpus(2000, seed=7)]
+        total = sum(naive_midpoint_triples(a.elements) for a in corpus)
+        assert report.notes == [
+            f"exact on every set: 2*ESP - EDP = (T - |A|)/2, sum of T = {total}"
+        ]
+
+    def test_one_extra_equal_sum_pair_fails(self, monkeypatch):
+        # the inequality alone would pass this set; the identity does not
+        from mstd import verify
+
+        target = IntSet((0, 1, 2, 4))
+        real = verify.equal_pair_counts
+
+        def skewed(a):
+            esp, edp, t = real(a)
+            return (esp + 1 if a == target else esp), edp, t
+
+        esp, edp, _ = real(target)
+        assert 2 * (esp + 1) >= edp
+        monkeypatch.setattr(verify, "equal_pair_counts", skewed)
+        report = verify_observation6(1, seed=7)
+        assert not report.passed
+        assert [v["set"] for v in report.violations] == ["0,1,2,4"]
+        assert report.violations[0]["context"].startswith("exhaustive #")
 
     def test_same_seed_same_corpus(self):
         a = [s.elements for s in random_corpus(50, seed=123)]
