@@ -13,6 +13,18 @@ partitioned by (diameter, membership of the elements 1..log2 p); partitions
 are independent work units whose tallies merge by addition, so results do
 not depend on scheduling.  A checkpoint file of line-delimited JSON records
 lets long sweeps resume.
+
+The walk skips subtrees that hold no canonical class, by one lemma.  Let A
+be canonical of diameter d with an element strictly between 0 and d, and
+let k be its least positive element.  The mask comparison visits the pairs
+(i, d - i) from the outside in, i = 1, 2, ...: bit d - i of A's mask is
+[d - i in A], that of its mirror is [i in A].  For i < k the mirror's bit is
+0, so A's must be 0 as well, or A would exceed its mirror.  Hence A has no
+element in (d - k, d), and since k itself is not in that interval,
+k <= d - k.  So the walk never adds an element >= lim, an exclusive bound
+that is d // 2 + 1 while the node holds no positive element and d - k + 1
+once k is known.  Dropping whole subtrees does not reorder the ones that
+remain, so each partition still yields its classes in lexicographic order.
 """
 
 from __future__ import annotations
@@ -108,8 +120,18 @@ def _canonical_classes(
     """Yield (mask, |A+A|, |A-A|) for each canonical class in one partition.
 
     The partition holds the sets of diameter d whose elements 1..log2(p)
-    are present exactly where j has a bit set.  Classes come out in
-    lexicographic order of their element tuples.
+    are present exactly where j has a bit set; it needs
+    p.bit_length() <= d, so that those elements lie below d.  Classes come
+    out in lexicographic order of their element tuples: a node closes (adds
+    d) after all its extensions, and A + {x, ...} + {d} sorts before A + {d}.
+
+    By the lemma in the module docstring, the walk adds no element at or
+    past ``lim``: d - k + 1 with k the least positive element, from the
+    fixed elements or from the first one added, and d // 2 + 1 at the
+    root {0}.  That drops whole subtrees, so the rest keep their order.
+    Below the root, the child that adds lim - 1 has no children; it is
+    closed from its parent's masks, with no push and pop.  The tests
+    ``full <= mirror`` and gcd 1 still decide every class.
     """
     if d == 0:
         if j == 0 and size_lo <= 1 <= size_hi:
@@ -128,19 +150,33 @@ def _canonical_classes(
         g = gcd(g, e)
     n = a.bit_count()
     x = p.bit_length()  # first element the walk may add
+    # exclusive bound on the elements the walk may add
+    lim = d - (j & -j).bit_length() + 1 if j else d // 2 + 1
     stack = []
     while True:
-        if x < d and n + 2 <= size_hi:
-            # descend: add x, the smallest untried element
-            stack.append((a, m, s, p_diffs, g, n, x))
-            s |= (a << x) | (1 << (2 * x))
-            p_diffs |= (m << x) >> d  # the new differences x - e
-            a |= 1 << x
-            m |= top >> x
-            g = gcd(g, x)
-            n += 1
-            x += 1
-            continue
+        if x < lim and n + 2 <= size_hi:
+            if x + 1 < lim or n == 1:
+                # descend: add x, the smallest untried element
+                stack.append((a, m, s, p_diffs, g, n, x, lim))
+                if n == 1:
+                    lim = d - x + 1  # x is the least positive element
+                s |= (a << x) | (1 << (2 * x))
+                p_diffs |= (m << x) >> d  # the new differences x - e
+                a |= 1 << x
+                m |= top >> x
+                g = gcd(g, x)
+                n += 1
+                x += 1
+                continue
+            # the last child, A + {x}, has no children: close it with d here
+            # (x = d - k and g divides k, so x leaves the gcd test unchanged)
+            ax = a | (1 << x)
+            full = ax | top
+            mx = m | (top >> x)
+            if full <= mx | 1 and size_lo <= n + 2 and gcd(g, d) == 1:
+                nsum = (s | (ax << x) | (ax << d) | top2).bit_count()
+                ndiff = (p_diffs | ((m << x) >> d) | mx).bit_count()
+                yield full, nsum, 2 * ndiff + 1
         # every extension of this node is done: close it with d
         full = a | top
         if full <= m | 1 and size_lo <= n + 1 and gcd(g, d) == 1:
@@ -148,7 +184,7 @@ def _canonical_classes(
             yield full, nsum, 2 * (p_diffs | m).bit_count() + 1
         if not stack:
             return
-        a, m, s, p_diffs, g, n, x = stack.pop()
+        a, m, s, p_diffs, g, n, x, lim = stack.pop()
         x += 1
 
 
@@ -194,14 +230,29 @@ def _record_line(rec: dict) -> bytes:
     return json.dumps(rec, separators=(",", ":")).encode() + b"\n"
 
 
+def _is_partition_record(rec) -> bool:
+    """Whether ``rec`` has the shape of the records `scan_sum_dominant` writes."""
+    if not isinstance(rec, dict) or not isinstance(rec.get("tallies"), dict):
+        return False
+    t = rec["tallies"]
+    return (
+        isinstance(rec.get("partition_id"), str)
+        and type(rec.get("diameter")) is int
+        and type(t.get("examined")) is int
+        and isinstance(t.get("sum_dominant"), list)
+        and all(isinstance(a, str) for a in t["sum_dominant"])
+    )
+
+
 def _load_checkpoint(path: str, header: dict) -> dict:
     """Completed partition records of a checkpoint, keyed by partition id.
 
     The first record must equal ``header``; anything else raises ValueError.
     A final line that is unparseable or lacks its newline was torn by a
     crash mid-write: it is cut off the file, so its partition is scanned
-    again.  A bad line anywhere else raises ValueError.  A new or empty file
-    gets the header written.
+    again.  A bad line anywhere else, or a later record without the shape
+    of a partition record, raises ValueError.  A new or empty file gets the
+    header written.
     """
     try:
         with open(path, "rb") as fh:
@@ -226,8 +277,12 @@ def _load_checkpoint(path: str, header: dict) -> dict:
                     f"checkpoint {path} was written for another search "
                     f"(first record {rec}, want {header}); use a new file"
                 )
-        else:
+        elif _is_partition_record(rec):
             records[rec["partition_id"]] = rec
+        else:
+            raise ValueError(
+                f"checkpoint {path}: line {i + 1} is not a partition record"
+            )
         intact += len(line)
     with open(path, "ab") as fh:
         fh.truncate(intact)

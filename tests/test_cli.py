@@ -252,6 +252,18 @@ class TestSearchCommand:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and "another search" in err
 
+    @pytest.mark.parametrize("bad", ['{"oops": 1}', "5"], ids=["no-fields", "int"])
+    def test_malformed_checkpoint_record_exits_2(self, capsys, tmp_path, bad):
+        path = tmp_path / "ck.jsonl"
+        argv = ["--checkpoint", str(path), "search", "--diameter-max", "6"]
+        assert run_cli(capsys, *argv)[0] == 0
+        lines = path.read_text().splitlines()
+        lines[2] = bad
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "error: checkpoint" in err and "line 3 is not a partition record" in err
+
 
 class TestExploreCommand:
     def test_min_additions(self, capsys):

@@ -14,13 +14,16 @@ from mstd import (
 from mstd.reports import render_json
 from mstd.search import (
     SearchConfig,
+    _canonical_classes,
+    _scan_partition,
     explore_min_additions,
     explore_two_ap_unions,
     find_min_mstd,
     iter_normalized,
     scan_sum_dominant,
 )
-from conftest import A1, lex_canonical_classes
+from mstd.setcore import _bit_indices
+from conftest import A1, lex_canonical_classes, naive_diffset, naive_sumset
 
 
 class TestEnumeration:
@@ -54,6 +57,61 @@ class TestEnumeration:
             d_lo, d_hi, size_min or 1, size_max or d_hi + 1
         ))
         assert seen == want
+
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    @pytest.mark.parametrize(
+        "size_range", [None, (3, 5)], ids=["all", "size3to5"]
+    )
+    def test_partitions_match_tuple_dfs_oracle(self, p, size_range):
+        # the fixed elements 1..log2(p) set the walk's bound in each partition
+        for d in range(p.bit_length(), 14):
+            size_lo, size_hi = size_range or (1, d + 1)
+            union = []
+            for j in range(p):
+                part = []
+                for mask, nsum, ndiff in _canonical_classes(
+                    d, j, p, size_lo, size_hi
+                ):
+                    els = tuple(_bit_indices(mask))
+                    assert nsum == len(naive_sumset(els)), els
+                    assert ndiff == len(naive_diffset(els)), els
+                    part.append(els)
+                assert part == sorted(part), (d, j)
+                union += part
+            want = list(lex_canonical_classes(d, d, size_lo, size_hi))
+            assert sorted(union) == want, d
+
+    def test_canonical_classes_skip_the_outer_band(self):
+        # the lemma the walk's bound rests on, checked on the oracle: with k
+        # the least positive element, k <= d - k and nothing lies in (d - k, d)
+        checked = 0
+        for els in lex_canonical_classes(1, 14, 1, 15):
+            d = els[-1]
+            if len(els) < 3:
+                continue  # {0, d}: no element strictly inside
+            k = els[1]
+            assert k <= d - k, els
+            assert not [e for e in els if d - k < e < d], els
+            checked += 1
+        assert checked == 8_288
+
+    @pytest.mark.parametrize(
+        "part, tallies",
+        [
+            ((17, 0, 2), (8_255, 0)),
+            ((17, 1, 2), (24_640, 8)),
+            ((18, 0, 4), (4_107, 0)),
+            ((18, 1, 4), (20_544, 2)),
+            ((18, 2, 4), (12_252, 3)),
+            ((18, 3, 4), (28_736, 16)),
+        ],
+    )
+    def test_partition_tallies(self, part, tallies):
+        # checkpoint records are per partition: a resume only reaches the right
+        # totals if no class moves between partitions
+        d, j, p = part
+        examined, sd_masks = _scan_partition((d, j, p, 1, d + 1))
+        assert (examined, len(sd_masks)) == tallies
 
     def test_canonical_uniqueness(self):
         # no two visited sets may share an affine class
@@ -241,6 +299,35 @@ class TestCheckpoint:
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="line 4"):
             find_min_mstd(SearchConfig(diameter_max=8, checkpoint_path=path))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"oops": 1}',
+            "5",
+            "[]",
+            '{"partition_id": "ID", "diameter": 2, "tallies": 3}',
+            '{"partition_id": "ID", "diameter": 2,'
+            ' "tallies": {"examined": "1", "sum_dominant": []}}',
+            '{"partition_id": "ID", "diameter": 2,'
+            ' "tallies": {"examined": 1, "sum_dominant": 0}}',
+            '{"partition_id": "ID", "diameter": 2,'
+            ' "tallies": {"examined": 1, "sum_dominant": [0]}}',
+        ],
+        ids=[
+            "no-fields", "int", "list", "tallies-int", "examined-str",
+            "sum-dominant-int", "sum-dominant-of-ints",
+        ],
+    )
+    def test_record_of_another_shape_raises(self, tmp_path, bad):
+        path = str(tmp_path / "ck.jsonl")
+        find_min_mstd(SearchConfig(diameter_max=6, checkpoint_path=path))
+        lines = open(path).read().splitlines()
+        lines[3] = bad.replace("ID", json.loads(lines[3])["partition_id"])
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 4 is not a partition record"):
+            find_min_mstd(SearchConfig(diameter_max=6, checkpoint_path=path))
 
 
 class TestTwoApUnions:
