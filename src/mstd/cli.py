@@ -8,15 +8,12 @@ on stdout.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
 from . import search, setcore, structure, verify
 from .reports import DEFAULT_SEED, render_json
 from .setcore import IntSet, SetClass, SetLiteralError, profile, sum_diff_sizes
-
-WORKERS_ENV = "MSTD_WORKERS"
 
 # The options each verify check and explorer takes.  _given passes the ones
 # the user set and refuses the rest, so no option is dropped silently.
@@ -39,13 +36,6 @@ OPTIONS = {
 }
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def _window(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
     return int(lo), int(hi)
@@ -62,8 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--json", action="store_true", help="emit JSON instead of text")
     top.add_argument(
-        "--workers", type=int, default=_default_workers(),
-        help=f"parallel workers (default ${WORKERS_ENV} or 1)",
+        "--workers", type=int, default=1, help="parallel workers (default 1)"
     )
     top.add_argument("--seed", type=int, default=DEFAULT_SEED)
     top.add_argument("--checkpoint", help="checkpoint file for search resume")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -61,6 +62,12 @@ class VerificationReport:
             f"{self.check}: {status} — {self.cases} cases over {self.grid} "
             f"in {self.elapsed_ms} ms"
         )
+
+
+def timed(report: VerificationReport, t0: float) -> VerificationReport:
+    """Set ``elapsed_ms`` to the wall time since ``t0`` (a perf_counter reading)."""
+    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    return report
 
 
 def render_json(payload: dict) -> str:

@@ -37,7 +37,7 @@ from itertools import combinations
 from math import gcd
 from typing import Iterator, Optional
 
-from .reports import VerificationReport
+from .reports import VerificationReport, timed
 from .setcore import (
     APSpec,
     IntSet,
@@ -244,15 +244,16 @@ def _is_partition_record(rec) -> bool:
     )
 
 
-def _load_checkpoint(path: str, header: dict) -> dict:
+def _load_checkpoint(path: str, header: dict, diameters: dict) -> dict:
     """Completed partition records of a checkpoint, keyed by partition id.
 
     The first record must equal ``header``; anything else raises ValueError.
     A final line that is unparseable or lacks its newline was torn by a
     crash mid-write: it is cut off the file, so its partition is scanned
-    again.  A bad line anywhere else, or a later record without the shape
-    of a partition record, raises ValueError.  A new or empty file gets the
-    header written.
+    again.  A bad line anywhere else raises ValueError, and so does a later
+    record that is not a partition record, not of a partition in
+    ``diameters`` (id -> diameter), or a second one of its partition.  A new
+    or empty file gets the header written.
     """
     try:
         with open(path, "rb") as fh:
@@ -262,6 +263,7 @@ def _load_checkpoint(path: str, header: dict) -> dict:
     records = {}
     intact = 0  # bytes of whole records
     for i, line in enumerate(lines):
+        where = f"checkpoint {path}: line {i + 1}"
         try:
             rec = json.loads(line)
             whole = line.endswith(b"\n")
@@ -270,19 +272,21 @@ def _load_checkpoint(path: str, header: dict) -> dict:
         if not whole:
             if i == len(lines) - 1:
                 break
-            raise ValueError(f"checkpoint {path}: line {i + 1} is not a record")
+            raise ValueError(f"{where} is not a record")
         if i == 0:
             if rec != header:
                 raise ValueError(
                     f"checkpoint {path} was written for another search "
                     f"(first record {rec}, want {header}); use a new file"
                 )
-        elif _is_partition_record(rec):
-            records[rec["partition_id"]] = rec
+        elif not _is_partition_record(rec):
+            raise ValueError(f"{where} is not a partition record")
+        elif diameters.get(rec["partition_id"]) != rec["diameter"]:
+            raise ValueError(f"{where} is not a partition of this search")
+        elif rec["partition_id"] in records:
+            raise ValueError(f"{where} repeats partition {rec['partition_id']}")
         else:
-            raise ValueError(
-                f"checkpoint {path}: line {i + 1} is not a partition record"
-            )
+            records[rec["partition_id"]] = rec
         intact += len(line)
     with open(path, "ab") as fh:
         fh.truncate(intact)
@@ -298,15 +302,17 @@ def scan_sum_dominant(config: SearchConfig) -> tuple[int, dict, list[IntSet]]:
     diameter then elements).  Honors workers and checkpoint.
     """
     size_lo, size_hi = config.size_range()
+    parts = _partitions(config)
     path = config.checkpoint_path
     done = {}
     if path:
         header = {"format": CHECKPOINT_FORMAT, "config": config.space_json_dict()}
-        done = _load_checkpoint(path, header)
+        diameters = {_partition_id(d, j): d for d, j, _ in parts}
+        done = _load_checkpoint(path, header, diameters)
 
     todo = []
     results = []  # (d, examined, sum-dominant IntSets)
-    for d, j, p in _partitions(config):
+    for d, j, p in parts:
         rec = done.get(_partition_id(d, j))
         if rec is not None:
             t = rec["tallies"]
@@ -410,8 +416,7 @@ def explore_two_ap_unions(
                                 u,
                                 f"AP(0,{d1},{n1}) + AP({a2},{d2},{n2})",
                             )
-    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return report
+    return timed(report, t0)
 
 
 def explore_min_additions(
@@ -454,5 +459,4 @@ def explore_min_additions(
             )
             if k <= 2:
                 report.add_violation(u, f"k={k} additions {added}")
-    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return report
+    return timed(report, t0)

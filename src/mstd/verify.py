@@ -13,9 +13,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from .reports import DEFAULT_SEED, VerificationReport
+from .reports import DEFAULT_SEED, VerificationReport, timed
 from .search import (
     SearchConfig,
     explore_min_additions,
@@ -24,11 +25,9 @@ from .search import (
 )
 from .setcore import (
     IntSet,
-    RationalSet,
     SetClass,
     classify,
     equal_pair_counts,
-    scale_to_integers,
     sum_diff_sizes,
 )
 from .structure import insertion_delta
@@ -116,11 +115,6 @@ def check_growth_condition(terms: Sequence[int], r: int) -> bool:
     )
 
 
-def _timed(report: VerificationReport, t0: float) -> VerificationReport:
-    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return report
-
-
 def verify_small_cardinality(
     max_size: int = 5, max_diameter: int = 30, workers: int = 1
 ) -> VerificationReport:
@@ -142,20 +136,27 @@ def verify_small_cardinality(
     )
     for w in sd_sets:
         report.add_violation(w, f"size={len(w)} diameter={w.diameter}")
-    return _timed(report, t0)
+    return timed(report, t0)
 
 
-def _rational_grid(lo: int, hi: int, q_max: int) -> list[Fraction]:
-    vals = {
-        Fraction(p, q) for q in range(1, q_max + 1) for p in range(lo * q, hi * q + 1)
-    }
-    return sorted(vals)
+def _grids(n_min: int, n_max: int, window: Optional[tuple[int, int]], q_max: int):
+    """Each n with the rationals of denominator <= q_max in window or [-2n, 3n]."""
+    for n in range(n_min, n_max + 1):
+        lo, hi = window or (-2 * n, 3 * n)
+        qs = range(1, q_max + 1)
+        yield n, sorted({Fraction(p, q) for q in qs for p in range(lo * q, hi * q + 1)})
 
 
 def _segment_with(n: int, xs: Sequence[Fraction]) -> IntSet:
-    """I_n together with the rationals xs, scaled to integers."""
-    ints, _ = scale_to_integers(RationalSet.from_fractions([*range(n), *xs]))
-    return ints
+    """I_n together with the rationals xs, times L = lcm of their denominators.
+
+    A dilation keeps the class.  No gcd is left to divide out: each prime
+    power r^a exactly dividing L exactly divides some denominator q of an
+    x = p/q, and r divides neither p nor L/q, so r does not divide p*L/q.
+    """
+    den = lcm(*(x.denominator for x in xs))
+    inserted = [x.numerator * (den // x.denominator) for x in xs]
+    return IntSet.from_iterable([*range(0, n * den, den), *inserted])
 
 
 def ap_plus_two_violation(n: int, x: Fraction, y: Fraction) -> Optional[IntSet]:
@@ -170,14 +171,11 @@ def ap_plus_two_violation(n: int, x: Fraction, y: Fraction) -> Optional[IntSet]:
     return a if classify(a) is SetClass.SUM_DOMINANT else None
 
 
-_HALF = Fraction(1, 2)
-
-
 def in_deficit_domain(n: int, x: Fraction) -> bool:
     """n >= 2, x not congruent to 1/2 mod 1, and x not an integer in [-1, n]."""
     return (
         n >= 2
-        and (x - _HALF).denominator != 1
+        and x.denominator != 2
         and not (x.denominator == 1 and -1 <= x <= n)
     )
 
@@ -207,7 +205,7 @@ def verify_points(check: str, grid: str, predicate, points) -> VerificationRepor
         if witness is not None:
             names = " ".join(f"{k}={v}" for k, v in zip("xy", point[1:]))
             report.add_violation(witness, f"n={point[0]} {names}")
-    return _timed(report, t0)
+    return timed(report, t0)
 
 
 def _window_desc(window: Optional[tuple[int, int]]) -> str:
@@ -233,19 +231,17 @@ def verify_ap_plus_two(
         raise ValueError("need n_max >= 1 and q_max >= 1")
     wdesc = _window_desc(window)
 
-    def points():
-        for n in range(1, n_max + 1):
-            lo, hi = window if window else (-2 * n, 3 * n)
-            vals = _rational_grid(lo, hi, q_max)
-            for i, x in enumerate(vals):
-                for y in vals[i:]:
-                    yield n, x, y
-
+    points = (
+        (n, x, y)
+        for n, vals in _grids(1, n_max, window, q_max)
+        for i, x in enumerate(vals)
+        for y in vals[i:]
+    )
     return verify_points(
         "ap-plus-two",
         f"n<={n_max}, x,y in {wdesc} with denominator<={q_max}",
         ap_plus_two_violation,
-        points(),
+        points,
     )
 
 
@@ -262,19 +258,18 @@ def verify_insertion_deficit(
         raise ValueError("need n_max >= 2 and q_max >= 1")
     wdesc = _window_desc(window)
 
-    def points():
-        for n in range(2, n_max + 1):
-            lo, hi = window if window else (-2 * n, 3 * n)
-            for x in _rational_grid(lo, hi, q_max):
-                if in_deficit_domain(n, x):
-                    yield n, x
-
+    points = (
+        (n, x)
+        for n, vals in _grids(2, n_max, window, q_max)
+        for x in vals
+        if in_deficit_domain(n, x)
+    )
     return verify_points(
         "insertion-deficit",
         f"2<=n<={n_max}, x in {wdesc} with denominator<={q_max}, "
         f"x-1/2 not integral, x not in I_n+{{-1,n}}",
         insertion_deficit_violation,
-        points(),
+        points,
     )
 
 
@@ -296,7 +291,7 @@ def verify_proposition2(n_max: int = 20) -> VerificationReport:
                     base.with_element((n - 1) + k),
                     f"n={n} k={k} got {delta.as_tuple()} want ({k + 1},{k})",
                 )
-    return _timed(report, t0)
+    return timed(report, t0)
 
 
 def exhaustive_translation_corpus(max_diameter: int) -> Iterator[IntSet]:
@@ -357,7 +352,7 @@ def verify_observation6(
     report.notes.append(
         f"exact on every set: 2*ESP - EDP = (T - |A|)/2, sum of T = {total_t}"
     )
-    return _timed(report, t0)
+    return timed(report, t0)
 
 
 def symmetric_sets(max_diameter: int) -> Iterator[IntSet]:
@@ -390,7 +385,7 @@ def verify_symmetric_balanced(max_diameter: int = 30) -> VerificationReport:
         report.cases += 1
         if classify(a) is not SetClass.BALANCED:
             report.add_violation(a, f"diameter={a.diameter}")
-    return _timed(report, t0)
+    return timed(report, t0)
 
 
 def verify_growth_criterion(
@@ -476,7 +471,7 @@ def verify_growth_criterion(
     if params.m >= 1:
         rel = "=" if lhs == rhs else "<"
         report.notes.append(f"admissibility m*|S|+m(m+1)/2 = {lhs} {rel} {rhs}")
-    return _timed(report, t0)
+    return timed(report, t0)
 
 
 def verify_size5_witnesses() -> VerificationReport:
@@ -489,7 +484,7 @@ def verify_size5_witnesses() -> VerificationReport:
         nsum, ndiff = sum_diff_sizes(a)
         if not (nsum == ndiff == 11):
             report.add_violation(a, f"sizes ({nsum},{ndiff}) != (11,11)")
-    return _timed(report, t0)
+    return timed(report, t0)
 
 
 def verify_all(seed: int = DEFAULT_SEED, workers: int = 1) -> list[VerificationReport]:

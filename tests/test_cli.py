@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shlex
@@ -28,6 +29,10 @@ FOREIGN_OPTIONS = [
     (["verify", "thm3", "--preset", "fib13", "--r", "2"],
      "--preset does not combine with --r"),
 ]
+
+
+def _examine_100_more(rec):
+    rec["tallies"]["examined"] += 100
 
 
 class TestClassify:
@@ -204,6 +209,14 @@ class TestVerifyCommand:
             3_070, 7_250, 999, 2, 43_740, 940,
         ]
         assert all(r["violations"] == [] for r in reports)
+        # pins every grid, note and seed: the sha256 of the document without
+        # elapsed_ms, recorded while thm2 and deficit scaled through RationalSet
+        for r in reports:
+            del r["elapsed_ms"]
+        doc = render_json({"reports": reports}).encode()
+        assert hashlib.sha256(doc).hexdigest() == (
+            "98ada159fed7bc22ae24e7c3ff26e8e8da4e6c3624c7e38ef13c05b286b985eb"
+        )
 
     def test_verify_all_fails_if_any_report_fails(self, capsys, monkeypatch):
         from mstd import IntSet, verify
@@ -264,6 +277,29 @@ class TestSearchCommand:
         assert code == 2
         assert "error: checkpoint" in err and "line 3 is not a partition record" in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_examine_100_more, "line 9 repeats partition 6/0"),
+            (lambda rec: rec.update(partition_id="99/0"),
+             "line 9 is not a partition of this search"),
+        ],
+        ids=["repeated", "foreign"],
+    )
+    def test_checkpoint_record_of_no_new_partition_exits_2(
+        self, capsys, tmp_path, edit, message
+    ):
+        path = tmp_path / "ck.jsonl"
+        argv = ["--json", "--checkpoint", str(path), "search", "--diameter-max", "6"]
+        assert run_cli(capsys, *argv)[0] == 0
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[-1])
+        edit(rec)
+        path.write_text("\n".join([*lines, json.dumps(rec)]) + "\n")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"error: checkpoint {path}: {message}" in err
+
 
 class TestExploreCommand:
     def test_min_additions(self, capsys):
@@ -299,15 +335,11 @@ class TestUsage:
         assert proc.returncode == 0
         assert "difference-dominant" in proc.stdout
 
-    def test_workers_env_default(self, monkeypatch):
+    def test_workers_default_ignores_the_environment(self, monkeypatch):
         from mstd.cli import _build_parser
 
         monkeypatch.setenv("MSTD_WORKERS", "4")
-        args = _build_parser().parse_args(["classify", "0,1"])
-        assert args.workers == 4
-        monkeypatch.setenv("MSTD_WORKERS", "junk")
-        args = _build_parser().parse_args(["classify", "0,1"])
-        assert args.workers == 1
+        assert _build_parser().parse_args(["classify", "0,1"]).workers == 1
 
     def test_negative_window_token(self, capsys):
         code, out, _ = run_cli(

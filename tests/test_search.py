@@ -329,6 +329,37 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="line 4 is not a partition record"):
             find_min_mstd(SearchConfig(diameter_max=6, checkpoint_path=path))
 
+    def _with_extra_record(self, tmp_path, edit):
+        """A whole d <= 6 checkpoint, plus an edited copy of its last record."""
+        path = str(tmp_path / "ck.jsonl")
+        find_min_mstd(SearchConfig(diameter_max=6, checkpoint_path=path))
+        lines = open(path).read().splitlines()
+        rec = json.loads(lines[-1])
+        edit(rec)
+        with open(path, "a") as fh:
+            fh.write(json.dumps(rec) + "\n")
+        return path, len(lines) + 1
+
+    def test_second_record_of_a_partition_raises(self, tmp_path):
+        path, line = self._with_extra_record(
+            tmp_path, lambda rec: rec["tallies"].update(examined=0)
+        )
+        with pytest.raises(ValueError, match=f"line {line} repeats partition 6/0"):
+            find_min_mstd(SearchConfig(diameter_max=6, checkpoint_path=path))
+
+    @pytest.mark.parametrize(
+        "field, value", [("partition_id", "99/0"), ("diameter", 5)],
+        ids=["foreign-id", "other-diameter"],
+    )
+    def test_record_of_another_partition_raises(self, tmp_path, field, value):
+        path, line = self._with_extra_record(
+            tmp_path, lambda rec: rec.update({field: value})
+        )
+        with pytest.raises(
+            ValueError, match=f"line {line} is not a partition of this search"
+        ):
+            find_min_mstd(SearchConfig(diameter_max=6, checkpoint_path=path))
+
 
 class TestTwoApUnions:
     def test_disjoint_translates_balanced(self):

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from mstd import IntSet, SetClass, classify
+from mstd import IntSet, RationalSet, SetClass, classify, scale_to_integers, verify
 from mstd.verify import (
     GrowthSequence,
     Theorem3Params,
@@ -91,6 +93,61 @@ class TestInsertionDeficit:
     def test_default_grid(self):
         report = verify_insertion_deficit(6)
         assert report.passed
+
+
+def _grid_points(monkeypatch, name, run):
+    """The points a default grid run hands to the predicate ``name``."""
+    seen = []
+    monkeypatch.setattr(verify, name, lambda *point: seen.append(point))
+    run()
+    return seen
+
+
+def _via_rational_set(n, xs):
+    """The set build before the direct one: a gcd-normalised RationalSet."""
+    ints, _ = scale_to_integers(RationalSet.from_fractions([*range(n), *xs]))
+    return ints
+
+
+# the README's --case points: thm2 (n, x, y) and deficit (n, x)
+README_CASES = [
+    (5, Fraction(6), Fraction(6)),
+    (3, Fraction(1, 2), Fraction(3, 2)),
+    (4, Fraction(3, 4)),
+]
+
+
+class TestSetBuild:
+    def test_direct_build_matches_rational_set_on_the_default_grids(self, monkeypatch):
+        thm2 = _grid_points(monkeypatch, "ap_plus_two_violation", verify_ap_plus_two)
+        deficit = _grid_points(
+            monkeypatch, "insertion_deficit_violation", verify_insertion_deficit
+        )
+        assert (len(thm2), len(deficit)) == (10_748, 833)
+        for n, *xs in thm2 + deficit + README_CASES:
+            assert verify._segment_with(n, xs) == _via_rational_set(n, xs)
+
+    def test_direct_build_matches_rational_set_across_denominators(self):
+        # denominators up to 6, so lcm(q1, q2) differs from max(q1, q2)
+        # on pairs like 1/4 and 1/6
+        for n, vals in verify._grids(1, 4, (-1, 2), 6):
+            for i, x in enumerate(vals):
+                for y in vals[i:]:
+                    assert verify._segment_with(n, (x, y)) == _via_rational_set(
+                        n, (x, y)
+                    )
+
+    def test_deficit_domain_matches_the_half_offset_form(self):
+        half = Fraction(1, 2)
+        for grid in (verify._grids(1, 8, None, 2), verify._grids(0, 8, None, 4)):
+            for n, vals in grid:
+                for x in vals:
+                    old = (
+                        n >= 2
+                        and (x - half).denominator != 1
+                        and not (x.denominator == 1 and -1 <= x <= n)
+                    )
+                    assert verify.in_deficit_domain(n, x) == old
 
 
 class TestProposition2:
