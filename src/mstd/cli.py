@@ -41,6 +41,13 @@ def _window(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
+def _workers(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _ap(text: str) -> setcore.APSpec:
     first, step, length = (int(t) for t in text.split(","))
     return setcore.APSpec(first, step, length)
@@ -52,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--json", action="store_true", help="emit JSON instead of text")
     top.add_argument(
-        "--workers", type=int, default=1, help="parallel workers (default 1)"
+        "--workers", type=_workers, default=1, help="parallel workers (default 1)"
     )
     top.add_argument("--seed", type=int, default=DEFAULT_SEED)
     top.add_argument("--checkpoint", help="checkpoint file for search resume")

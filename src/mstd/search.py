@@ -45,7 +45,9 @@ from .setcore import (
     _bit_indices,
     _sum_diff_masks,
     classify,
+    mask_sizes,
     profile,
+    sizes_of,
 )
 
 # Default diameter ceiling for open-ended sweeps; an engineering choice,
@@ -197,7 +199,7 @@ def iter_normalized(config: SearchConfig) -> Iterator[IntSet]:
     size_lo, size_hi = config.size_range()
     for d in range(config.diameter_min, config.diameter_max + 1):
         for mask, _, _ in _canonical_classes(d, 0, 1, size_lo, size_hi):
-            yield IntSet(tuple(_bit_indices(mask)))
+            yield IntSet.from_mask(mask)
 
 
 def _partitions(config: SearchConfig) -> list[tuple[int, int, int]]:
@@ -244,16 +246,42 @@ def _is_partition_record(rec) -> bool:
     )
 
 
+def _record_tallies(rec: dict, where: str) -> tuple[int, list[IntSet]]:
+    """(examined, sum-dominant sets) of a partition record, each set re-checked.
+
+    Every listed set must parse, have the record's diameter and classify as
+    sum-dominant, and ``examined`` must count at least the sets listed.
+    """
+    d, t = rec["diameter"], rec["tallies"]
+    sets = []
+    for text in t["sum_dominant"]:
+        try:
+            a = IntSet.parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{where} lists {text!r}: {exc}") from None
+        if a.diameter != d or classify(a) is not SetClass.SUM_DOMINANT:
+            raise ValueError(
+                f"{where} lists {text!r}, not a sum-dominant set of diameter {d}"
+            )
+        sets.append(a)
+    if t["examined"] < len(sets):
+        raise ValueError(
+            f"{where} examined {t['examined']} sets but lists {len(sets)}"
+        )
+    return t["examined"], sets
+
+
 def _load_checkpoint(path: str, header: dict, diameters: dict) -> dict:
-    """Completed partition records of a checkpoint, keyed by partition id.
+    """(examined, sum-dominant sets) of each completed partition, by partition id.
 
     The first record must equal ``header``; anything else raises ValueError.
     A final line that is unparseable or lacks its newline was torn by a
     crash mid-write: it is cut off the file, so its partition is scanned
     again.  A bad line anywhere else raises ValueError, and so does a later
     record that is not a partition record, not of a partition in
-    ``diameters`` (id -> diameter), or a second one of its partition.  A new
-    or empty file gets the header written.
+    ``diameters`` (id -> diameter), a second one of its partition, or one
+    whose tallies fail ``_record_tallies``.  A new or empty file gets the
+    header written.
     """
     try:
         with open(path, "rb") as fh:
@@ -286,7 +314,7 @@ def _load_checkpoint(path: str, header: dict, diameters: dict) -> dict:
         elif rec["partition_id"] in records:
             raise ValueError(f"{where} repeats partition {rec['partition_id']}")
         else:
-            records[rec["partition_id"]] = rec
+            records[rec["partition_id"]] = _record_tallies(rec, where)
         intact += len(line)
     with open(path, "ab") as fh:
         fh.truncate(intact)
@@ -313,11 +341,9 @@ def scan_sum_dominant(config: SearchConfig) -> tuple[int, dict, list[IntSet]]:
     todo = []
     results = []  # (d, examined, sum-dominant IntSets)
     for d, j, p in parts:
-        rec = done.get(_partition_id(d, j))
-        if rec is not None:
-            t = rec["tallies"]
-            sets = [IntSet.parse(s) for s in t["sum_dominant"]]
-            results.append((d, t["examined"], sets))
+        tallies = done.get(_partition_id(d, j))
+        if tallies is not None:
+            results.append((d, *tallies))
         else:
             todo.append((d, j, p, size_lo, size_hi))
 
@@ -335,7 +361,7 @@ def scan_sum_dominant(config: SearchConfig) -> tuple[int, dict, list[IntSet]]:
         if path:
             ckpt = open(path, "ab")
         for (d, j, *_), (examined, sd_masks) in zip(todo, fresh):
-            sets = [IntSet(tuple(_bit_indices(m))) for m in sd_masks]
+            sets = [IntSet.from_mask(m) for m in sd_masks]
             results.append((d, examined, sets))
             if ckpt is not None:
                 ckpt.write(_record_line({
@@ -402,20 +428,29 @@ def explore_two_ap_unions(
         grid=f"lengths<={max_len}, steps<={max_step}, |shift|<={max_shift}",
     )
     t0 = time.perf_counter()
-    for n1 in range(1, max_len + 1):
-        for d1 in range(1, max_step + 1):
-            first = APSpec(0, d1, n1).elements()
-            for n2 in range(1, max_len + 1):
-                for d2 in range(d1, max_step + 1):
-                    for a2 in range(-max_shift, max_shift + 1):
-                        second = APSpec(a2, d2, n2).elements()
-                        u = IntSet.from_iterable(first + second)
-                        report.cases += 1
-                        if classify(u) is SetClass.SUM_DOMINANT:
-                            report.add_violation(
-                                u,
-                                f"AP(0,{d1},{n1}) + AP({a2},{d2},{n2})",
-                            )
+    # one mask per progression AP(0, d, n), keyed in grid order: n, then d
+    aps = {
+        (n, d): APSpec(0, d, n).mask()
+        for n in range(1, max_len + 1)
+        for d in range(1, max_step + 1)
+    }
+    for (n1, d1), first in aps.items():
+        for (n2, d2), second in aps.items():
+            if d2 < d1:
+                continue
+            for a2 in range(-max_shift, max_shift + 1):
+                # the union's mask, shifted so that bit 0 is its min
+                if a2 >= 0:
+                    u = first | (second << a2)
+                else:
+                    u = (first << -a2) | second
+                report.cases += 1
+                nsum, ndiff = mask_sizes(u)
+                if nsum > ndiff:
+                    report.add_violation(
+                        IntSet.from_mask(u, min(0, a2)),
+                        f"AP(0,{d1},{n1}) + AP({a2},{d2},{n2})",
+                    )
     return timed(report, t0)
 
 
@@ -444,10 +479,10 @@ def explore_min_additions(
     for k in range(1, k_max + 1):
         hit = None
         for extra in combinations(candidates, k):
-            u = IntSet.from_iterable(base + extra)
             report.cases += 1
-            if classify(u) is SetClass.SUM_DOMINANT:
-                hit = (extra, u)
+            nsum, ndiff = sizes_of(base + extra)
+            if nsum > ndiff:
+                hit = (extra, IntSet.from_iterable(base + extra))
                 break
         if hit is None:
             report.notes.append(f"k={k}: no sum-dominant superset")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class EmptySetError(ValueError):
@@ -62,6 +62,11 @@ class IntSet:
     @classmethod
     def from_iterable(cls, xs: Iterable[int]) -> "IntSet":
         return cls(tuple(sorted(set(int(x) for x in xs))))
+
+    @classmethod
+    def from_mask(cls, mask: int, lo: int = 0) -> "IntSet":
+        """The set {lo + i : bit i of mask is set}; the inverse of ``mask``."""
+        return cls(tuple(lo + i for i in _bit_indices(mask)))
 
     @classmethod
     def parse(cls, text: str) -> "IntSet":
@@ -145,6 +150,10 @@ class APSpec:
 
     def to_intset(self) -> IntSet:
         return IntSet(self.elements())
+
+    def mask(self) -> int:
+        """Dense bitmask of the progression less its first term."""
+        return sum(1 << (i * self.step) for i in range(self.length))
 
     def to_json_dict(self) -> dict:
         return {"first": self.first, "step": self.step, "length": self.length}
@@ -396,16 +405,44 @@ def equal_pair_counts(a: IntSet) -> tuple[int, int, int]:
     )
 
 
-def sum_diff_sizes(a: IntSet) -> tuple[int, int]:
-    """(|A+A|, |A-A|) without materializing either set."""
-    a._require_nonempty()
-    els = a.elements
-    if _use_dense(len(els), a.diameter):
-        sums, diffs = _sum_diff_masks(a.mask()[0])
-        return sums.bit_count(), 2 * diffs.bit_count() - 1
+def _pairwise_sizes(els: Iterable[int]) -> tuple[int, int]:
+    els = tuple(els)
     nsums = len({x + y for x in els for y in els})
     npos = len({y - x for x in els for y in els if y > x})
     return nsums, 2 * npos + 1
+
+
+def mask_sizes(mask: int) -> tuple[int, int]:
+    """(|A+A|, |A-A|) of A = {i : bit i of mask is set}; bit 0 must be set.
+
+    The verifier grids build each set as such a mask and classify it here,
+    with no IntSet.  A window too wide for the dense kernel goes pairwise.
+    """
+    if not _use_dense(mask.bit_count(), mask.bit_length() - 1):
+        return _pairwise_sizes(_bit_indices(mask))
+    sums, diffs = _sum_diff_masks(mask)
+    return sums.bit_count(), 2 * diffs.bit_count() - 1
+
+
+def sizes_of(xs: Sequence[int]) -> tuple[int, int]:
+    """(|A+A|, |A-A|) of the set of the integers xs, in any order, repeats allowed.
+
+    The dense gate is checked before any mask is built, so a window too wide
+    for the dense kernel costs no big int.
+    """
+    lo = min(xs)
+    if not _use_dense(len(xs), max(xs) - lo):
+        return _pairwise_sizes(xs)
+    mask = 0
+    for x in xs:
+        mask |= 1 << (x - lo)
+    return mask_sizes(mask)
+
+
+def sum_diff_sizes(a: IntSet) -> tuple[int, int]:
+    """(|A+A|, |A-A|) without materializing either set."""
+    a._require_nonempty()
+    return sizes_of(a.elements)
 
 
 def sumset(a: IntSet) -> IntSet:

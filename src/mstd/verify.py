@@ -24,10 +24,11 @@ from .search import (
     scan_sum_dominant,
 )
 from .setcore import (
+    APSpec,
     IntSet,
-    SetClass,
-    classify,
     equal_pair_counts,
+    mask_sizes,
+    sizes_of,
     sum_diff_sizes,
 )
 from .structure import insertion_delta
@@ -153,10 +154,37 @@ def _segment_with(n: int, xs: Sequence[Fraction]) -> IntSet:
     A dilation keeps the class.  No gcd is left to divide out: each prime
     power r^a exactly dividing L exactly divides some denominator q of an
     x = p/q, and r divides neither p nor L/q, so r does not divide p*L/q.
+    The grids build the same set as a mask, from the mask of I_n times L
+    made once per n and L.  An explicit point is built as this IntSet, so
+    the dense gate is checked before any mask: its L can be too large for
+    one.
     """
     den = lcm(*(x.denominator for x in xs))
     inserted = [x.numerator * (den // x.denominator) for x in xs]
     return IntSet.from_iterable([*range(0, n * den, den), *inserted])
+
+
+def _with_inserted(base: int, xs: Sequence[int]) -> tuple[int, int]:
+    """Mask and min of the set of ``base`` (bit 0 set) with the integers xs added.
+
+    The mask is shifted so that its bit 0 is the new min, as ``mask_sizes``
+    needs.
+    """
+    lo = min(0, *xs)
+    mask = base << -lo
+    for x in xs:
+        mask |= 1 << (x - lo)
+    return mask, lo
+
+
+def _sum_dominant(nsum: int, ndiff: int) -> bool:
+    """The ap-plus-two claim test on (|A+A|, |A-A|): is A sum-dominant?"""
+    return nsum > ndiff
+
+
+def _deficit_below_one(nsum: int, ndiff: int) -> bool:
+    """The insertion-deficit claim test on (|A+A|, |A-A|): |A-A| < |A+A| + 1?"""
+    return ndiff < nsum + 1
 
 
 def ap_plus_two_violation(n: int, x: Fraction, y: Fraction) -> Optional[IntSet]:
@@ -168,7 +196,7 @@ def ap_plus_two_violation(n: int, x: Fraction, y: Fraction) -> Optional[IntSet]:
     if n < 1:
         raise ValueError(f"ap-plus-two needs n >= 1, got n={n}")
     a = _segment_with(n, (x, y))
-    return a if classify(a) is SetClass.SUM_DOMINANT else None
+    return a if _sum_dominant(*sum_diff_sizes(a)) else None
 
 
 def in_deficit_domain(n: int, x: Fraction) -> bool:
@@ -188,14 +216,15 @@ def insertion_deficit_violation(n: int, x: Fraction) -> Optional[IntSet]:
             "x not congruent to 1/2 mod 1 and x not an integer in [-1, n]"
         )
     a = _segment_with(n, (x,))
-    nsum, ndiff = sum_diff_sizes(a)
-    return a if ndiff < nsum + 1 else None
+    return a if _deficit_below_one(*sum_diff_sizes(a)) else None
 
 
 def verify_points(check: str, grid: str, predicate, points) -> VerificationReport:
-    """Apply a point predicate to (n, x[, y]) grid points, recording violations.
+    """Apply a point predicate to explicit (n, x[, y]) points, recording violations.
 
-    The grid verifiers below and the CLI's explicit ``--case`` points share it.
+    The CLI's ``--case`` points go through it; the grids below build the
+    same sets as masks and reach the same claim tests, with the same
+    context.
     """
     report = VerificationReport(check=check, grid=grid)
     t0 = time.perf_counter()
@@ -203,9 +232,12 @@ def verify_points(check: str, grid: str, predicate, points) -> VerificationRepor
         report.cases += 1
         witness = predicate(*point)
         if witness is not None:
-            names = " ".join(f"{k}={v}" for k, v in zip("xy", point[1:]))
-            report.add_violation(witness, f"n={point[0]} {names}")
+            report.add_violation(witness, _point_context(*point))
     return timed(report, t0)
+
+
+def _point_context(n: int, *xs: Fraction) -> str:
+    return f"n={n} " + " ".join(f"{k}={v}" for k, v in zip("xy", xs))
 
 
 def _window_desc(window: Optional[tuple[int, int]]) -> str:
@@ -231,18 +263,28 @@ def verify_ap_plus_two(
         raise ValueError("need n_max >= 1 and q_max >= 1")
     wdesc = _window_desc(window)
 
-    points = (
-        (n, x, y)
-        for n, vals in _grids(1, n_max, window, q_max)
-        for i, x in enumerate(vals)
-        for y in vals[i:]
+    report = VerificationReport(
+        check="ap-plus-two",
+        grid=f"n<={n_max}, x,y in {wdesc} with denominator<={q_max}",
     )
-    return verify_points(
-        "ap-plus-two",
-        f"n<={n_max}, x,y in {wdesc} with denominator<={q_max}",
-        ap_plus_two_violation,
-        points,
-    )
+    qs = range(1, q_max + 1)
+    dens = {lcm(q, s) for q in qs for s in qs}
+    t0 = time.perf_counter()
+    for n, vals in _grids(1, n_max, window, q_max):
+        pq = [(x.numerator, x.denominator) for x in vals]
+        bases = {den: APSpec(0, den, n).mask() for den in dens}  # I_n times den
+        for i, (p, q) in enumerate(pq):
+            for j in range(i, len(pq)):
+                r, s = pq[j]
+                den = lcm(q, s)
+                inserted = (p * (den // q), r * (den // s))
+                mask, lo = _with_inserted(bases[den], inserted)
+                report.cases += 1
+                if _sum_dominant(*mask_sizes(mask)):
+                    report.add_violation(
+                        IntSet.from_mask(mask, lo), _point_context(n, vals[i], vals[j])
+                    )
+    return timed(report, t0)
 
 
 def verify_insertion_deficit(
@@ -258,19 +300,23 @@ def verify_insertion_deficit(
         raise ValueError("need n_max >= 2 and q_max >= 1")
     wdesc = _window_desc(window)
 
-    points = (
-        (n, x)
-        for n, vals in _grids(2, n_max, window, q_max)
-        for x in vals
-        if in_deficit_domain(n, x)
-    )
-    return verify_points(
-        "insertion-deficit",
-        f"2<=n<={n_max}, x in {wdesc} with denominator<={q_max}, "
+    report = VerificationReport(
+        check="insertion-deficit",
+        grid=f"2<=n<={n_max}, x in {wdesc} with denominator<={q_max}, "
         f"x-1/2 not integral, x not in I_n+{{-1,n}}",
-        insertion_deficit_violation,
-        points,
     )
+    t0 = time.perf_counter()
+    for n, vals in _grids(2, n_max, window, q_max):
+        bases = {q: APSpec(0, q, n).mask() for q in range(1, q_max + 1)}
+        for x in vals:
+            if not in_deficit_domain(n, x):
+                continue
+            q = x.denominator
+            mask, lo = _with_inserted(bases[q], (x.numerator,))
+            report.cases += 1
+            if _deficit_below_one(*mask_sizes(mask)):
+                report.add_violation(IntSet.from_mask(mask, lo), _point_context(n, x))
+    return timed(report, t0)
 
 
 def verify_proposition2(n_max: int = 20) -> VerificationReport:
@@ -355,22 +401,31 @@ def verify_observation6(
     return timed(report, t0)
 
 
-def symmetric_sets(max_diameter: int) -> Iterator[IntSet]:
-    """All symmetric sets with min 0 and diameter <= max_diameter.
+def _symmetric_masks(max_diameter: int) -> Iterator[int]:
+    """Masks of all symmetric sets with min 0 and diameter <= max_diameter.
 
-    Built from mirrored halves: any subset of the positions strictly left of
-    the center, its mirror image, the endpoints, and (for even diameter) an
-    optional center.
+    Built from mirrored halves: any subset of the h positions strictly left
+    of the center, its mirror image, the endpoints, and (for even diameter)
+    an optional center.  Bit i of a half's mirror is bit h - 1 - i of the
+    half, so the mirror table fills from the half shifted right by one.
     """
-    yield IntSet((0,))
+    yield 1
     for d in range(1, max_diameter + 1):
-        half = list(range(1, (d + 1) // 2))
-        centers = ((), (d // 2,)) if d % 2 == 0 and d > 0 else ((),)
-        for bits in range(1 << len(half)):
-            chosen = [half[i] for i in range(len(half)) if (bits >> i) & 1]
-            mirrored = [d - x for x in chosen]
+        h = (d + 1) // 2 - 1
+        centers = (0, 1 << (d // 2)) if d % 2 == 0 else (0,)
+        mirror = [0] * (1 << h)
+        for bits in range(1, 1 << h):
+            mirror[bits] = (mirror[bits >> 1] >> 1) | ((bits & 1) << (h - 1))
+        ends = 1 | (1 << d)
+        for bits in range(1 << h):
+            half = ends | (bits << 1) | (mirror[bits] << (d - h))
             for c in centers:
-                yield IntSet.from_iterable([0, d] + chosen + mirrored + list(c))
+                yield half | c
+
+
+def symmetric_sets(max_diameter: int) -> Iterator[IntSet]:
+    """All symmetric sets with min 0 and diameter <= max_diameter."""
+    return map(IntSet.from_mask, _symmetric_masks(max_diameter))
 
 
 def verify_symmetric_balanced(max_diameter: int = 30) -> VerificationReport:
@@ -381,10 +436,13 @@ def verify_symmetric_balanced(max_diameter: int = 30) -> VerificationReport:
         check="symmetric-balanced", grid=f"mirrored halves, diameter<={max_diameter}"
     )
     t0 = time.perf_counter()
-    for a in symmetric_sets(max_diameter):
+    for mask in _symmetric_masks(max_diameter):
         report.cases += 1
-        if classify(a) is not SetClass.BALANCED:
-            report.add_violation(a, f"diameter={a.diameter}")
+        nsum, ndiff = mask_sizes(mask)
+        if nsum != ndiff:
+            report.add_violation(
+                IntSet.from_mask(mask), f"diameter={mask.bit_length() - 1}"
+            )
     return timed(report, t0)
 
 
@@ -428,9 +486,9 @@ def verify_growth_criterion(
     for k in range(1, small_cap + 1):
         for sub in combinations(seq.terms, k):
             report.cases += 1
-            a = IntSet(sub)
-            if classify(a) is SetClass.SUM_DOMINANT:
-                report.add_violation(a, f"hypothesis subset size={k}")
+            nsum, ndiff = sizes_of(sub)
+            if nsum > ndiff:
+                report.add_violation(IntSet(sub), f"hypothesis subset size={k}")
 
     rng = random.Random(seed)
     subjects = [IntSet(seq.terms[:size])]
@@ -463,9 +521,11 @@ def verify_growth_criterion(
             )
         for bs in tuples:
             report.cases += 1
-            star = IntSet.from_iterable(s.elements + bs)
-            if classify(star) is SetClass.SUM_DOMINANT:
-                report.add_violation(star, f"{label} + {list(bs)}")
+            nsum, ndiff = sizes_of(s.elements + bs)
+            if nsum > ndiff:
+                report.add_violation(
+                    IntSet.from_iterable(s.elements + bs), f"{label} + {list(bs)}"
+                )
 
     lhs, rhs = params.admissibility()
     if params.m >= 1:

@@ -90,6 +90,25 @@ def _lex_dfs(prefix, g, d, size_lo, size_hi):
             yield from _lex_dfs(prefix + (e,), ge, d, size_lo, size_hi)
 
 
+def record_kernel(monkeypatch, module, entry="mask_sizes", force=False):
+    """What a grid in ``module`` hands the kernel entry ``entry``, in order.
+
+    ``entry`` is ``mask_sizes`` (a mask) or ``sizes_of`` (a tuple of
+    integers).  With ``force`` every case gets the sizes (1, 0):
+    sum-dominant, unbalanced and below the deficit bound, so each case is a
+    violation.
+    """
+    seen = []
+    real = getattr(module, entry)
+
+    def record(arg):
+        seen.append(arg)
+        return (1, 0) if force else real(arg)
+
+    monkeypatch.setattr(module, entry, record)
+    return seen
+
+
 @pytest.fixture
 def a1_set():
     from mstd import IntSet

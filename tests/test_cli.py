@@ -125,14 +125,14 @@ class TestVerifyCommand:
         assert code == 2 and "n >= 1" in err
 
     def test_case_path_uses_the_grid_predicate(self, capsys, monkeypatch):
-        from mstd import IntSet, verify
+        # the --case path and the grid reach one claim test
+        from mstd import verify
 
-        monkeypatch.setattr(
-            verify, "insertion_deficit_violation", lambda n, x: IntSet((0, 1))
-        )
+        monkeypatch.setattr(verify, "_deficit_below_one", lambda nsum, ndiff: True)
         code, out, _ = run_cli(capsys, "--json", "verify", "deficit", "--case", "4,3/4")
         assert code == 1
-        assert json.loads(out)["violations"][0]["context"] == "n=4 x=3/4"
+        violation = json.loads(out)["violations"][0]
+        assert (violation["set"], violation["context"]) == ("0,3,4,8,12", "n=4 x=3/4")
         assert not verify.verify_insertion_deficit(2, window=(3, 3), q_max=1).passed
 
     def test_size5(self, capsys):
@@ -301,6 +301,31 @@ class TestSearchCommand:
         assert f"error: checkpoint {path}: {message}" in err
 
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t.update(sum_dominant=["0,1,2"]),
+             "line 8 lists '0,1,2', not a sum-dominant set of diameter 6"),
+            (lambda t: t.update(examined=-30), "line 8 examined -30 sets but lists 0"),
+            (lambda t: t.update(sum_dominant=["x"]), "line 8 lists 'x': invalid token"),
+        ],
+        ids=["balanced-set", "negative-examined", "unparseable-set"],
+    )
+    def test_checkpoint_record_with_unsound_tallies_exits_2(
+        self, capsys, tmp_path, edit, message
+    ):
+        path = tmp_path / "ck.jsonl"
+        argv = ["--json", "--checkpoint", str(path), "search", "--diameter-max", "6"]
+        assert run_cli(capsys, *argv)[0] == 0
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[-1])
+        edit(rec["tallies"])
+        path.write_text("\n".join([*lines[:-1], json.dumps(rec)]) + "\n")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"error: checkpoint {path}: {message}" in err
+
+
 class TestExploreCommand:
     def test_min_additions(self, capsys):
         code, out, _ = run_cli(
@@ -340,6 +365,16 @@ class TestUsage:
 
         monkeypatch.setenv("MSTD_WORKERS", "4")
         assert _build_parser().parse_args(["classify", "0,1"]).workers == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", "0,1"], ["verify", "size5"], ["search", "--diameter-max", "3"]],
+        ids=" ".join,
+    )
+    def test_workers_below_1_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "--workers", "0", *argv)
+        assert code == 2 and out == ""
+        assert "argument --workers: must be >= 1, got 0" in err
 
     def test_negative_window_token(self, capsys):
         code, out, _ = run_cli(

@@ -1,4 +1,6 @@
 import json
+import re
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -11,6 +13,7 @@ from mstd import (
     classify,
     is_symmetric,
 )
+from mstd import search
 from mstd.reports import render_json
 from mstd.search import (
     SearchConfig,
@@ -23,7 +26,13 @@ from mstd.search import (
     scan_sum_dominant,
 )
 from mstd.setcore import _bit_indices
-from conftest import A1, lex_canonical_classes, naive_diffset, naive_sumset
+from conftest import (
+    A1,
+    lex_canonical_classes,
+    naive_diffset,
+    naive_sumset,
+    record_kernel,
+)
 
 
 class TestEnumeration:
@@ -361,7 +370,85 @@ class TestCheckpoint:
             find_min_mstd(SearchConfig(diameter_max=6, checkpoint_path=path))
 
 
+    @pytest.mark.parametrize(
+        "listed, examined, message",
+        [
+            (["0,1,2"], 16, "lists '0,1,2', not a sum-dominant set of diameter 6"),
+            (["0,6"], 16, "lists '0,6', not a sum-dominant set of diameter 6"),
+            (["x"], 16, "lists 'x': invalid token 'x'"),
+            ([], -30, "examined -30 sets but lists 0"),
+        ],
+        ids=["other-diameter", "balanced", "unparseable", "negative"],
+    )
+    def test_record_with_unsound_tallies_raises(
+        self, tmp_path, listed, examined, message
+    ):
+        path = str(tmp_path / "ck.jsonl")
+        find_min_mstd(SearchConfig(diameter_max=6, checkpoint_path=path))
+        lines = open(path).read().splitlines()
+        rec = json.loads(lines[-1])
+        rec["tallies"].update(examined=examined, sum_dominant=listed)
+        lines[-1] = json.dumps(rec)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line {len(lines)} {re.escape(message)}"):
+            find_min_mstd(SearchConfig(diameter_max=6, checkpoint_path=path))
+
+    def test_record_listing_its_sum_dominant_sets_resumes(self, tmp_path):
+        path = str(tmp_path / "ck.jsonl")
+        first = find_min_mstd(SearchConfig(diameter_max=14, checkpoint_path=path))
+        assert '"0,2,3,4,7,11,12,14"' in open(path).read()  # A1, in record 14/0
+        second = find_min_mstd(SearchConfig(diameter_max=14, checkpoint_path=path))
+        assert render_json(second.to_json_dict()) == render_json(first.to_json_dict())
+
+
+def _two_ap_unions(max_len, max_step, max_shift):
+    """The two-ap grid's unions as its IntSet path built them, with contexts."""
+    for n1 in range(1, max_len + 1):
+        for d1 in range(1, max_step + 1):
+            first = APSpec(0, d1, n1).elements()
+            for n2 in range(1, max_len + 1):
+                for d2 in range(d1, max_step + 1):
+                    for a2 in range(-max_shift, max_shift + 1):
+                        second = APSpec(a2, d2, n2).elements()
+                        yield (
+                            IntSet.from_iterable(first + second),
+                            f"AP(0,{d1},{n1}) + AP({a2},{d2},{n2})",
+                        )
+
+
+def _min_additions_tried(ap, k_max, window):
+    """Each superset the IntSet path tried, up to each k's first sum-dominant one."""
+    base = ap.elements()
+    candidates = [x for x in range(window[0], window[1] + 1) if x not in base]
+    tried = []
+    for k in range(1, k_max + 1):
+        for extra in combinations(candidates, k):
+            tried.append(IntSet.from_iterable(base + extra))
+            if classify(tried[-1]) is SetClass.SUM_DOMINANT:
+                break
+    return tried
+
+
 class TestTwoApUnions:
+    @pytest.mark.parametrize(
+        # wide: {0, a2} with |a2| >= 256 fails the dense gate and goes pairwise
+        "grid", [(6, 5, 40), (3, 2, 300)], ids=["default", "wide"]
+    )
+    def test_masks_match_the_intset_build(self, monkeypatch, grid):
+        seen = record_kernel(monkeypatch, search)
+        report = explore_two_ap_unions(*grid)
+        sets = [a for a, _ in _two_ap_unions(*grid)]
+        assert report.passed and report.cases == len(sets)
+        assert seen == [a.mask()[0] for a in sets]
+
+    def test_forced_violations_keep_their_format(self, monkeypatch):
+        record_kernel(monkeypatch, search, force=True)
+        report = explore_two_ap_unions(3, 2, 5)
+        assert [(v["set"], v["context"]) for v in report.violations] == [
+            (str(a), context) for a, context in _two_ap_unions(3, 2, 5)
+        ]
+
     def test_disjoint_translates_balanced(self):
         u = IntSet.from_iterable((0, 1, 2, 10, 11, 12))
         assert classify(u) is SetClass.BALANCED
@@ -397,6 +484,32 @@ class TestMinAdditions:
             "k=3: no sum-dominant superset",
             "k=4: no sum-dominant superset",
             "k=5: first sum-dominant superset 0,2,3,4,7,11,12,14 (added 0,2,4,12,14)",
+        ]
+
+    @pytest.mark.parametrize(
+        "args",
+        [(APSpec(3, 4, 3), 5, (0, 14)), (APSpec(5, 3, 4), 4, (-3, 9))],
+        ids=["default", "other"],
+    )
+    def test_tuples_match_the_intset_build(self, monkeypatch, args):
+        seen = record_kernel(monkeypatch, search, "sizes_of")
+        report = explore_min_additions(*args)
+        tried = _min_additions_tried(*args)
+        assert report.passed and report.cases == len(tried)
+        assert [IntSet.from_iterable(xs) for xs in seen] == tried
+
+    def test_forced_hits_keep_their_format(self, monkeypatch):
+        # every k hits at its first k-subset of the candidates 0,1,2,4,...
+        record_kernel(monkeypatch, search, "sizes_of", force=True)
+        report = explore_min_additions(APSpec(3, 4, 3), 3, (0, 14))
+        assert report.notes == [
+            "k=1: first sum-dominant superset 0,3,7,11 (added 0)",
+            "k=2: first sum-dominant superset 0,1,3,7,11 (added 0,1)",
+            "k=3: first sum-dominant superset 0,1,2,3,7,11 (added 0,1,2)",
+        ]
+        assert [(v["set"], v["context"]) for v in report.violations] == [
+            ("0,3,7,11", "k=1 additions 0"),
+            ("0,1,3,7,11", "k=2 additions 0,1"),
         ]
 
     def test_small_k_never_hits(self):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from mstd import (
     scale_to_integers,
     sumset,
 )
+from mstd.setcore import _use_dense, mask_sizes, sizes_of
 from conftest import A1, naive_diffset, naive_sumset
 
 
@@ -85,6 +87,29 @@ class TestSumDiff:
         a = IntSet((0, 1, 10**9))
         assert list(sumset(a).elements) == naive_sumset(a.elements)
         assert list(diffset(a).elements) == naive_diffset(a.elements)
+
+
+class TestMaskEntry:
+    def test_sizes_match_naive_on_both_paths(self):
+        rng = random.Random(3)
+        paths = set()
+        for _ in range(400):
+            els = sorted(rng.sample(range(rng.choice((24, 3000))), rng.randint(1, 8)))
+            a = IntSet(tuple(els))
+            want = (len(naive_sumset(els)), len(naive_diffset(els)))
+            paths.add(_use_dense(len(a), a.diameter))
+            assert mask_sizes(a.mask()[0]) == want
+            # any order, repeats allowed
+            assert sizes_of([*reversed(els), els[-1]]) == want
+        assert paths == {True, False}
+
+    def test_from_mask_inverts_mask(self, a1_set):
+        assert IntSet.from_mask(*a1_set.mask()) == a1_set
+        assert IntSet.from_mask(0b1011, -2).elements == (-2, -1, 1)
+
+    def test_ap_mask(self):
+        ap = APSpec(7, 3, 4)
+        assert ap.mask() == ap.to_intset().mask()[0] == 0b1001001001
 
 
 class TestClassify:

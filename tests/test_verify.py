@@ -1,8 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from mstd import IntSet, RationalSet, SetClass, classify, scale_to_integers, verify
+from mstd.search import explore_min_additions, explore_two_ap_unions
+from mstd.setcore import _use_dense
 from mstd.verify import (
     GrowthSequence,
     Theorem3Params,
@@ -19,7 +22,7 @@ from mstd.verify import (
     verify_small_cardinality,
     verify_symmetric_balanced,
 )
-from conftest import FIB13, GEO10, naive_midpoint_triples
+from conftest import FIB13, GEO10, naive_midpoint_triples, record_kernel
 
 
 class TestSmallCardinality:
@@ -95,18 +98,36 @@ class TestInsertionDeficit:
         assert report.passed
 
 
-def _grid_points(monkeypatch, name, run):
-    """The points a default grid run hands to the predicate ``name``."""
-    seen = []
-    monkeypatch.setattr(verify, name, lambda *point: seen.append(point))
-    run()
-    return seen
+def _thm2_points(n_max=8, window=None, q_max=2):
+    """The (n, x, y) of a thm2 grid, in grid order (default: the default grid)."""
+    return [
+        (n, x, y)
+        for n, vals in verify._grids(1, n_max, window, q_max)
+        for i, x in enumerate(vals)
+        for y in vals[i:]
+    ]
+
+
+def _deficit_points(n_max=8, window=None, q_max=4):
+    """The (n, x) of a deficit grid, in grid order (default: the default grid)."""
+    return [
+        (n, x)
+        for n, vals in verify._grids(2, n_max, window, q_max)
+        for x in vals
+        if verify.in_deficit_domain(n, x)
+    ]
 
 
 def _via_rational_set(n, xs):
     """The set build before the direct one: a gcd-normalised RationalSet."""
     ints, _ = scale_to_integers(RationalSet.from_fractions([*range(n), *xs]))
     return ints
+
+
+def _point_violation(n, *xs):
+    """(witness literal, context) of a grid point, as reports print them."""
+    context = " ".join([f"n={n}", *(f"{k}={v}" for k, v in zip("xy", xs))])
+    return str(_via_rational_set(n, xs)), context
 
 
 # the README's --case points: thm2 (n, x, y) and deficit (n, x)
@@ -118,11 +139,8 @@ README_CASES = [
 
 
 class TestSetBuild:
-    def test_direct_build_matches_rational_set_on_the_default_grids(self, monkeypatch):
-        thm2 = _grid_points(monkeypatch, "ap_plus_two_violation", verify_ap_plus_two)
-        deficit = _grid_points(
-            monkeypatch, "insertion_deficit_violation", verify_insertion_deficit
-        )
+    def test_direct_build_matches_rational_set_on_the_default_grids(self):
+        thm2, deficit = _thm2_points(), _deficit_points()
         assert (len(thm2), len(deficit)) == (10_748, 833)
         for n, *xs in thm2 + deficit + README_CASES:
             assert verify._segment_with(n, xs) == _via_rational_set(n, xs)
@@ -130,12 +148,19 @@ class TestSetBuild:
     def test_direct_build_matches_rational_set_across_denominators(self):
         # denominators up to 6, so lcm(q1, q2) differs from max(q1, q2)
         # on pairs like 1/4 and 1/6
-        for n, vals in verify._grids(1, 4, (-1, 2), 6):
-            for i, x in enumerate(vals):
-                for y in vals[i:]:
-                    assert verify._segment_with(n, (x, y)) == _via_rational_set(
-                        n, (x, y)
-                    )
+        for n, *xs in _thm2_points(4, (-1, 2), 6):
+            assert verify._segment_with(n, xs) == _via_rational_set(n, xs)
+
+    def test_inserting_moves_bit_0_to_the_new_min(self):
+        # {0, 2} plus 3 and -1 is {-1, 0, 2, 3}
+        assert verify._with_inserted(0b101, (3, -1)) == (0b11011, -1)
+        assert verify._with_inserted(0b101, (1, 1)) == (0b111, 0)
+
+    def test_explicit_point_with_a_huge_lcm_builds_no_mask(self):
+        # L ~ 10^12: a mask of I_5 times L would need ~4 * 10^12 bits
+        x, y = Fraction(1, 999_983), Fraction(1, 999_979)
+        assert verify.ap_plus_two_violation(5, x, y) is None
+        assert verify.insertion_deficit_violation(5, x) is None
 
     def test_deficit_domain_matches_the_half_offset_form(self):
         half = Fraction(1, 2)
@@ -148,6 +173,134 @@ class TestSetBuild:
                         and not (x.denominator == 1 and -1 <= x <= n)
                     )
                     assert verify.in_deficit_domain(n, x) == old
+
+
+def _mirrored_halves(max_diameter):
+    """Reference: lemma3's symmetric sets as IntSets from mirrored halves."""
+    yield IntSet((0,))
+    for d in range(1, max_diameter + 1):
+        half = list(range(1, (d + 1) // 2))
+        centers = ((), (d // 2,)) if d % 2 == 0 else ((),)
+        for bits in range(1 << len(half)):
+            chosen = [half[i] for i in range(len(half)) if (bits >> i) & 1]
+            for c in centers:
+                mirrored = [d - x for x in chosen]
+                yield IntSet.from_iterable([0, d, *chosen, *mirrored, *c])
+
+
+class TestMaskPaths:
+    """Each grid hands the kernel the mask of the set its IntSet path built."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [(8, None, 2), (8, (-1, 2), 6), (2, (250, 300), 1)],
+        # lcm: lcm(q1, q2) != max(q1, q2); wide: {0, x} with x >= 256 fails
+        # the dense gate and goes pairwise
+        ids=["default", "lcm", "wide"],
+    )
+    def test_thm2(self, monkeypatch, grid):
+        seen = record_kernel(monkeypatch, verify)
+        report = verify_ap_plus_two(*grid)
+        sets = [_via_rational_set(n, xs) for n, *xs in _thm2_points(*grid)]
+        assert report.passed and report.cases == len(sets)
+        assert seen == [a.mask()[0] for a in sets]
+        if grid[1] == (250, 300):
+            assert any(not _use_dense(m.bit_count(), m.bit_length() - 1) for m in seen)
+
+    def test_deficit(self, monkeypatch):
+        seen = record_kernel(monkeypatch, verify)
+        report = verify_insertion_deficit()
+        sets = [_via_rational_set(n, xs) for n, *xs in _deficit_points()]
+        assert report.passed and report.cases == len(sets) == 833
+        assert seen == [a.mask()[0] for a in sets]
+
+    def test_lemma3(self, monkeypatch):
+        seen = record_kernel(monkeypatch, verify)
+        report = verify_symmetric_balanced(16)
+        sets = list(_mirrored_halves(16))
+        assert list(symmetric_sets(16)) == sets
+        assert report.passed and report.cases == len(sets)
+        assert seen == [a.mask()[0] for a in sets]
+
+    def test_forced_thm2_violations_keep_their_format(self, monkeypatch):
+        monkeypatch.setattr(verify, "_sum_dominant", lambda nsum, ndiff: True)
+        grid = (3, (-1, 2), 4)
+        report = verify_ap_plus_two(*grid)
+        assert [(v["set"], v["context"]) for v in report.violations] == [
+            _point_violation(*p) for p in _thm2_points(*grid)
+        ]
+        case = verify.verify_points(
+            "ap-plus-two", "cases", verify.ap_plus_two_violation, README_CASES[:2]
+        )
+        assert [(v["set"], v["context"]) for v in case.violations] == [
+            _point_violation(*p) for p in README_CASES[:2]
+        ]
+
+    def test_forced_deficit_violations_keep_their_format(self, monkeypatch):
+        monkeypatch.setattr(verify, "_deficit_below_one", lambda nsum, ndiff: True)
+        report = verify_insertion_deficit()
+        cases = verify.verify_points(
+            "insertion-deficit", "cases", verify.insertion_deficit_violation,
+            README_CASES[2:],
+        )
+        got = [(v["set"], v["context"]) for v in report.violations + cases.violations]
+        points = _deficit_points() + README_CASES[2:]
+        assert got == [_point_violation(*p) for p in points]
+
+    def test_forced_lemma3_violations_keep_their_format(self, monkeypatch):
+        record_kernel(monkeypatch, verify, force=True)
+        report = verify_symmetric_balanced(12)
+        assert [(v["set"], v["context"]) for v in report.violations] == [
+            (str(a), f"diameter={a.diameter}") for a in _mirrored_halves(12)
+        ]
+
+    def test_forced_thm3_violations_keep_their_format(self, monkeypatch):
+        record_kernel(monkeypatch, verify, "sizes_of", force=True)
+        terms = (0, 1, 3, 7, 15, 31, 63)  # a_k > 2 a_(k-1): growth margin 1
+        params = Theorem3Params(r=1, n=2, ell=3, m=1, window=(-2, 3))
+        report = verify_growth_criterion(GrowthSequence(terms, 1), params)
+        want = [
+            (str(IntSet(sub)), f"hypothesis subset size={k}")
+            for k in range(1, 5)
+            for sub in combinations(terms, k)
+        ]
+        want += [
+            (str(IntSet.from_iterable(terms + (b,))), f"prefix + [{b}]")
+            for b in range(-2, 4)
+        ]
+        assert [(v["set"], v["context"]) for v in report.violations] == want
+
+
+class TestNoSetPerCase:
+    def test_default_grids_build_a_constant_number_of_sets(self, monkeypatch):
+        # a set per case would put an IntSet back in the hot loops; the ones
+        # left are the two thm3 prefixes and min-additions' first hit
+        built = []
+        real = IntSet.__post_init__
+
+        def counted(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(IntSet, "__post_init__", counted)
+        reports = [
+            verify_ap_plus_two(),
+            verify_insertion_deficit(),
+            verify_symmetric_balanced(),
+            *(
+                verify_growth_criterion(
+                    GrowthSequence(terms, r), Theorem3Params(r, n, ell)
+                )
+                for terms, r, n, ell in verify.GROWTH_PRESETS.values()
+            ),
+            explore_two_ap_unions(),
+            explore_min_additions(),
+        ]
+        assert all(r.passed for r in reports)
+        assert [r.cases for r in reports] == [
+            10_748, 833, 98_302, 7_250, 999, 43_740, 940,
+        ]
+        assert len(built) <= 3
 
 
 class TestProposition2:
