@@ -38,19 +38,30 @@ OPTIONS = {
 
 def _window(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
 
 
 def _workers(text: str) -> int:
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
 
 
 def _ap(text: str) -> setcore.APSpec:
-    first, step, length = (int(t) for t in text.split(","))
-    return setcore.APSpec(first, step, length)
+    try:
+        first, step, length = (int(t) for t in text.split(","))
+        return setcore.APSpec(first, step, length)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected FIRST,STEP,LENGTH with STEP, LENGTH >= 1, got {text!r}"
+        ) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

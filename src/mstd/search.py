@@ -45,8 +45,10 @@ from .setcore import (
     _bit_indices,
     _sum_diff_masks,
     classify,
+    is_normalized,
     mask_sizes,
     profile,
+    reflect_canonical,
     sizes_of,
 )
 
@@ -246,13 +248,18 @@ def _is_partition_record(rec) -> bool:
     )
 
 
-def _record_tallies(rec: dict, where: str) -> tuple[int, list[IntSet]]:
-    """(examined, sum-dominant sets) of a partition record, each set re-checked.
+def _record_tallies(
+    rec: dict, part: tuple[int, int, int], where: str
+) -> tuple[int, list[IntSet]]:
+    """(examined, sum-dominant sets) of a record of partition (d, j, p), re-checked.
 
-    Every listed set must parse, have the record's diameter and classify as
-    sum-dominant, and ``examined`` must count at least the sets listed.
+    Every listed set must parse, have diameter d, classify as sum-dominant
+    and be a canonical class of the partition: normalized, no larger than
+    its reflection, with elements 1..log2(p) present where j has a bit set.
+    The list must be strictly increasing, the order the walk writes, and
+    ``examined`` must count at least the sets listed.
     """
-    d, t = rec["diameter"], rec["tallies"]
+    (d, j, p), t = part, rec["tallies"]
     sets = []
     for text in t["sum_dominant"]:
         try:
@@ -263,6 +270,17 @@ def _record_tallies(rec: dict, where: str) -> tuple[int, list[IntSet]]:
             raise ValueError(
                 f"{where} lists {text!r}, not a sum-dominant set of diameter {d}"
             )
+        if (
+            not is_normalized(a)
+            or reflect_canonical(a) != a
+            or (a.mask()[0] >> 1) & (p - 1) != j
+        ):
+            raise ValueError(
+                f"{where} lists {text!r}, not a canonical class of partition "
+                f"{rec['partition_id']}"
+            )
+        if sets and sets[-1].elements >= a.elements:
+            raise ValueError(f"{where} lists {text!r} twice or out of order")
         sets.append(a)
     if t["examined"] < len(sets):
         raise ValueError(
@@ -271,7 +289,7 @@ def _record_tallies(rec: dict, where: str) -> tuple[int, list[IntSet]]:
     return t["examined"], sets
 
 
-def _load_checkpoint(path: str, header: dict, diameters: dict) -> dict:
+def _load_checkpoint(path: str, header: dict, parts: dict) -> dict:
     """(examined, sum-dominant sets) of each completed partition, by partition id.
 
     The first record must equal ``header``; anything else raises ValueError.
@@ -279,7 +297,7 @@ def _load_checkpoint(path: str, header: dict, diameters: dict) -> dict:
     crash mid-write: it is cut off the file, so its partition is scanned
     again.  A bad line anywhere else raises ValueError, and so does a later
     record that is not a partition record, not of a partition in
-    ``diameters`` (id -> diameter), a second one of its partition, or one
+    ``parts`` (id -> (d, j, p)), a second one of its partition, or one
     whose tallies fail ``_record_tallies``.  A new or empty file gets the
     header written.
     """
@@ -309,12 +327,14 @@ def _load_checkpoint(path: str, header: dict, diameters: dict) -> dict:
                 )
         elif not _is_partition_record(rec):
             raise ValueError(f"{where} is not a partition record")
-        elif diameters.get(rec["partition_id"]) != rec["diameter"]:
+        elif (part := parts.get(rec["partition_id"])) is None or (
+            part[0] != rec["diameter"]
+        ):
             raise ValueError(f"{where} is not a partition of this search")
         elif rec["partition_id"] in records:
             raise ValueError(f"{where} repeats partition {rec['partition_id']}")
         else:
-            records[rec["partition_id"]] = _record_tallies(rec, where)
+            records[rec["partition_id"]] = _record_tallies(rec, part, where)
         intact += len(line)
     with open(path, "ab") as fh:
         fh.truncate(intact)
@@ -335,8 +355,8 @@ def scan_sum_dominant(config: SearchConfig) -> tuple[int, dict, list[IntSet]]:
     done = {}
     if path:
         header = {"format": CHECKPOINT_FORMAT, "config": config.space_json_dict()}
-        diameters = {_partition_id(d, j): d for d, j, _ in parts}
-        done = _load_checkpoint(path, header, diameters)
+        by_id = {_partition_id(d, j): (d, j, p) for d, j, p in parts}
+        done = _load_checkpoint(path, header, by_id)
 
     todo = []
     results = []  # (d, examined, sum-dominant IntSets)

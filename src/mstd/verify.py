@@ -24,7 +24,6 @@ from .search import (
     scan_sum_dominant,
 )
 from .setcore import (
-    APSpec,
     IntSet,
     equal_pair_counts,
     mask_sizes,
@@ -148,43 +147,20 @@ def _grids(n_min: int, n_max: int, window: Optional[tuple[int, int]], q_max: int
         yield n, sorted({Fraction(p, q) for q in qs for p in range(lo * q, hi * q + 1)})
 
 
-def _segment_with(n: int, xs: Sequence[Fraction]) -> IntSet:
+def _segment_with(n: int, xs: Sequence[Fraction]) -> list[int]:
     """I_n together with the rationals xs, times L = lcm of their denominators.
 
     A dilation keeps the class.  No gcd is left to divide out: each prime
     power r^a exactly dividing L exactly divides some denominator q of an
     x = p/q, and r divides neither p nor L/q, so r does not divide p*L/q.
-    The grids build the same set as a mask, from the mask of I_n times L
-    made once per n and L.  An explicit point is built as this IntSet, so
-    the dense gate is checked before any mask: its L can be too large for
-    one.
+    Each inserted integer is listed once, so x = y leaves the dense gate
+    the set's own size; one landing on I_n times L is listed twice, which
+    ``sizes_of`` allows.  It checks that gate before any mask, as L can be
+    too large for one.
     """
-    den = lcm(*(x.denominator for x in xs))
-    inserted = [x.numerator * (den // x.denominator) for x in xs]
-    return IntSet.from_iterable([*range(0, n * den, den), *inserted])
-
-
-def _with_inserted(base: int, xs: Sequence[int]) -> tuple[int, int]:
-    """Mask and min of the set of ``base`` (bit 0 set) with the integers xs added.
-
-    The mask is shifted so that its bit 0 is the new min, as ``mask_sizes``
-    needs.
-    """
-    lo = min(0, *xs)
-    mask = base << -lo
-    for x in xs:
-        mask |= 1 << (x - lo)
-    return mask, lo
-
-
-def _sum_dominant(nsum: int, ndiff: int) -> bool:
-    """The ap-plus-two claim test on (|A+A|, |A-A|): is A sum-dominant?"""
-    return nsum > ndiff
-
-
-def _deficit_below_one(nsum: int, ndiff: int) -> bool:
-    """The insertion-deficit claim test on (|A+A|, |A-A|): |A-A| < |A+A| + 1?"""
-    return ndiff < nsum + 1
+    den = lcm(*[x.denominator for x in xs])
+    inserted = {x.numerator * (den // x.denominator) for x in xs}
+    return [*range(0, n * den, den), *inserted]
 
 
 def ap_plus_two_violation(n: int, x: Fraction, y: Fraction) -> Optional[IntSet]:
@@ -196,7 +172,8 @@ def ap_plus_two_violation(n: int, x: Fraction, y: Fraction) -> Optional[IntSet]:
     if n < 1:
         raise ValueError(f"ap-plus-two needs n >= 1, got n={n}")
     a = _segment_with(n, (x, y))
-    return a if _sum_dominant(*sum_diff_sizes(a)) else None
+    nsum, ndiff = sizes_of(a)
+    return IntSet.from_iterable(a) if nsum > ndiff else None
 
 
 def in_deficit_domain(n: int, x: Fraction) -> bool:
@@ -216,15 +193,14 @@ def insertion_deficit_violation(n: int, x: Fraction) -> Optional[IntSet]:
             "x not congruent to 1/2 mod 1 and x not an integer in [-1, n]"
         )
     a = _segment_with(n, (x,))
-    return a if _deficit_below_one(*sum_diff_sizes(a)) else None
+    nsum, ndiff = sizes_of(a)
+    return IntSet.from_iterable(a) if ndiff < nsum + 1 else None
 
 
 def verify_points(check: str, grid: str, predicate, points) -> VerificationReport:
-    """Apply a point predicate to explicit (n, x[, y]) points, recording violations.
+    """Apply a point predicate to (n, x[, y]) grid points, recording violations.
 
-    The CLI's ``--case`` points go through it; the grids below build the
-    same sets as masks and reach the same claim tests, with the same
-    context.
+    The grid verifiers below and the CLI's explicit ``--case`` points share it.
     """
     report = VerificationReport(check=check, grid=grid)
     t0 = time.perf_counter()
@@ -232,12 +208,9 @@ def verify_points(check: str, grid: str, predicate, points) -> VerificationRepor
         report.cases += 1
         witness = predicate(*point)
         if witness is not None:
-            report.add_violation(witness, _point_context(*point))
+            names = " ".join(f"{k}={v}" for k, v in zip("xy", point[1:]))
+            report.add_violation(witness, f"n={point[0]} {names}")
     return timed(report, t0)
-
-
-def _point_context(n: int, *xs: Fraction) -> str:
-    return f"n={n} " + " ".join(f"{k}={v}" for k, v in zip("xy", xs))
 
 
 def _window_desc(window: Optional[tuple[int, int]]) -> str:
@@ -263,28 +236,18 @@ def verify_ap_plus_two(
         raise ValueError("need n_max >= 1 and q_max >= 1")
     wdesc = _window_desc(window)
 
-    report = VerificationReport(
-        check="ap-plus-two",
-        grid=f"n<={n_max}, x,y in {wdesc} with denominator<={q_max}",
+    points = (
+        (n, x, y)
+        for n, vals in _grids(1, n_max, window, q_max)
+        for i, x in enumerate(vals)
+        for y in vals[i:]
     )
-    qs = range(1, q_max + 1)
-    dens = {lcm(q, s) for q in qs for s in qs}
-    t0 = time.perf_counter()
-    for n, vals in _grids(1, n_max, window, q_max):
-        pq = [(x.numerator, x.denominator) for x in vals]
-        bases = {den: APSpec(0, den, n).mask() for den in dens}  # I_n times den
-        for i, (p, q) in enumerate(pq):
-            for j in range(i, len(pq)):
-                r, s = pq[j]
-                den = lcm(q, s)
-                inserted = (p * (den // q), r * (den // s))
-                mask, lo = _with_inserted(bases[den], inserted)
-                report.cases += 1
-                if _sum_dominant(*mask_sizes(mask)):
-                    report.add_violation(
-                        IntSet.from_mask(mask, lo), _point_context(n, vals[i], vals[j])
-                    )
-    return timed(report, t0)
+    return verify_points(
+        "ap-plus-two",
+        f"n<={n_max}, x,y in {wdesc} with denominator<={q_max}",
+        ap_plus_two_violation,
+        points,
+    )
 
 
 def verify_insertion_deficit(
@@ -300,23 +263,19 @@ def verify_insertion_deficit(
         raise ValueError("need n_max >= 2 and q_max >= 1")
     wdesc = _window_desc(window)
 
-    report = VerificationReport(
-        check="insertion-deficit",
-        grid=f"2<=n<={n_max}, x in {wdesc} with denominator<={q_max}, "
-        f"x-1/2 not integral, x not in I_n+{{-1,n}}",
+    points = (
+        (n, x)
+        for n, vals in _grids(2, n_max, window, q_max)
+        for x in vals
+        if in_deficit_domain(n, x)
     )
-    t0 = time.perf_counter()
-    for n, vals in _grids(2, n_max, window, q_max):
-        bases = {q: APSpec(0, q, n).mask() for q in range(1, q_max + 1)}
-        for x in vals:
-            if not in_deficit_domain(n, x):
-                continue
-            q = x.denominator
-            mask, lo = _with_inserted(bases[q], (x.numerator,))
-            report.cases += 1
-            if _deficit_below_one(*mask_sizes(mask)):
-                report.add_violation(IntSet.from_mask(mask, lo), _point_context(n, x))
-    return timed(report, t0)
+    return verify_points(
+        "insertion-deficit",
+        f"2<=n<={n_max}, x in {wdesc} with denominator<={q_max}, "
+        f"x-1/2 not integral, x not in I_n+{{-1,n}}",
+        insertion_deficit_violation,
+        points,
+    )
 
 
 def verify_proposition2(n_max: int = 20) -> VerificationReport:
@@ -346,8 +305,7 @@ def exhaustive_translation_corpus(max_diameter: int) -> Iterator[IntSet]:
     for d in range(1, max_diameter + 1):
         ends = 1 | (1 << d)
         for interior in range(1 << (d - 1)):
-            mask = ends | (interior << 1)
-            yield IntSet(tuple(i for i in range(d + 1) if (mask >> i) & 1))
+            yield IntSet.from_mask(ends | (interior << 1))
 
 
 def random_corpus(

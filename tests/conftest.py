@@ -93,7 +93,7 @@ def _lex_dfs(prefix, g, d, size_lo, size_hi):
 def record_kernel(monkeypatch, module, entry="mask_sizes", force=False):
     """What a grid in ``module`` hands the kernel entry ``entry``, in order.
 
-    ``entry`` is ``mask_sizes`` (a mask) or ``sizes_of`` (a tuple of
+    ``entry`` is ``mask_sizes`` (a mask) or ``sizes_of`` (a sequence of
     integers).  With ``force`` every case gets the sizes (1, 0):
     sum-dominant, unbalanced and below the deficit bound, so each case is a
     violation.

@@ -10,6 +10,7 @@ import pytest
 
 from mstd.cli import main
 from mstd.reports import render_json
+from conftest import A1, record_kernel
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +30,10 @@ FOREIGN_OPTIONS = [
     (["verify", "thm3", "--preset", "fib13", "--r", "2"],
      "--preset does not combine with --r"),
 ]
+
+
+A1_TEXT = ",".join(map(str, A1))
+A1_REFLECTED = "0,2,3,7,10,11,12,14"
 
 
 def _examine_100_more(rec):
@@ -125,10 +130,11 @@ class TestVerifyCommand:
         assert code == 2 and "n >= 1" in err
 
     def test_case_path_uses_the_grid_predicate(self, capsys, monkeypatch):
-        # the --case path and the grid reach one claim test
+        # the --case path and the grid reach one predicate, which classifies
+        # with sizes_of: forcing it makes both report a violation
         from mstd import verify
 
-        monkeypatch.setattr(verify, "_deficit_below_one", lambda nsum, ndiff: True)
+        record_kernel(monkeypatch, verify, "sizes_of", force=True)
         code, out, _ = run_cli(capsys, "--json", "verify", "deficit", "--case", "4,3/4")
         assert code == 1
         violation = json.loads(out)["violations"][0]
@@ -325,6 +331,59 @@ class TestSearchCommand:
         assert code == 2 and out == ""
         assert f"error: checkpoint {path}: {message}" in err
 
+    @pytest.mark.parametrize(
+        "listed, message",
+        [
+            ([A1_TEXT, A1_TEXT, A1_REFLECTED],
+             f"line 16 lists '{A1_TEXT}' twice or out of order"),
+            ([A1_REFLECTED],
+             f"line 16 lists '{A1_REFLECTED}', not a canonical class of "
+             "partition 14/0"),
+        ],
+        ids=["duplicate", "reflection"],
+    )
+    def test_checkpoint_record_listing_a_set_the_walk_does_not_exits_2(
+        self, capsys, tmp_path, listed, message
+    ):
+        # each listed set is sum-dominant and of the record's diameter, but
+        # a resume that took them would count A1 more than once
+        path = tmp_path / "ck.jsonl"
+        argv = ["--json", "--checkpoint", str(path), "search", "--diameter-max", "14"]
+        assert run_cli(capsys, *argv)[0] == 0
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[-1])
+        assert rec["partition_id"] == "14/0"
+        assert A1_TEXT in rec["tallies"]["sum_dominant"]
+        rec["tallies"]["sum_dominant"] = listed
+        path.write_text("\n".join([*lines[:-1], json.dumps(rec)]) + "\n")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"error: checkpoint {path}: {message}" in err
+
+    def test_checkpoint_record_of_a_set_outside_its_partition_exits_2(
+        self, capsys, tmp_path
+    ):
+        # at d = 17 there are two partitions: 17/0 holds the classes without
+        # the element 1 and 17/1 those with it
+        listed = "0,1,2,3,5,6,11,14,15,16,17"  # sum-dominant, canonical
+        space = {"diameter_min": 17, "diameter_max": 17}
+        records = [
+            {"format": 2, "config": {**space, "size_min": None, "size_max": None}},
+            {"partition_id": "17/0", "diameter": 17,
+             "tallies": {"examined": 8255, "sum_dominant": [listed]}},
+        ]
+        path = tmp_path / "ck.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code, out, err = run_cli(
+            capsys, "--json", "--checkpoint", str(path),
+            "search", "--diameter-min", "17", "--diameter-max", "17",
+        )
+        assert code == 2 and out == ""
+        assert (
+            f"error: checkpoint {path}: line 2 lists '{listed}', "
+            "not a canonical class of partition 17/0"
+        ) in err
+
 
 class TestExploreCommand:
     def test_min_additions(self, capsys):
@@ -375,6 +434,21 @@ class TestUsage:
         code, out, err = run_cli(capsys, "--workers", "0", *argv)
         assert code == 2 and out == ""
         assert "argument --workers: must be >= 1, got 0" in err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["--workers", "x", "verify", "size5"], "--workers"),
+            (["verify", "thm2", "--window", "x"], "--window"),
+            (["explore", "min-additions", "--ap", "1,2"], "--ap"),
+        ],
+        ids=["workers", "window", "ap"],
+    )
+    def test_bad_option_value_names_the_option(self, capsys, argv, option):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"argument {option}: expected " in err
+        assert not any(name in err for name in ("_workers", "_window", "_ap"))
 
     def test_negative_window_token(self, capsys):
         code, out, _ = run_cli(

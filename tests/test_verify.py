@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -143,18 +144,15 @@ class TestSetBuild:
         thm2, deficit = _thm2_points(), _deficit_points()
         assert (len(thm2), len(deficit)) == (10_748, 833)
         for n, *xs in thm2 + deficit + README_CASES:
-            assert verify._segment_with(n, xs) == _via_rational_set(n, xs)
+            built = IntSet.from_iterable(verify._segment_with(n, xs))
+            assert built == _via_rational_set(n, xs)
 
     def test_direct_build_matches_rational_set_across_denominators(self):
         # denominators up to 6, so lcm(q1, q2) differs from max(q1, q2)
         # on pairs like 1/4 and 1/6
         for n, *xs in _thm2_points(4, (-1, 2), 6):
-            assert verify._segment_with(n, xs) == _via_rational_set(n, xs)
-
-    def test_inserting_moves_bit_0_to_the_new_min(self):
-        # {0, 2} plus 3 and -1 is {-1, 0, 2, 3}
-        assert verify._with_inserted(0b101, (3, -1)) == (0b11011, -1)
-        assert verify._with_inserted(0b101, (1, 1)) == (0b111, 0)
+            built = IntSet.from_iterable(verify._segment_with(n, xs))
+            assert built == _via_rational_set(n, xs)
 
     def test_explicit_point_with_a_huge_lcm_builds_no_mask(self):
         # L ~ 10^12: a mask of I_5 times L would need ~4 * 10^12 bits
@@ -189,7 +187,12 @@ def _mirrored_halves(max_diameter):
 
 
 class TestMaskPaths:
-    """Each grid hands the kernel the mask of the set its IntSet path built."""
+    """Each grid hands the kernel the set its old IntSet path built.
+
+    thm2 and deficit hand ``sizes_of`` the integers of each set, through
+    the point predicates the ``--case`` path calls; lemma3 hands
+    ``mask_sizes`` a mask.
+    """
 
     @pytest.mark.parametrize(
         "grid",
@@ -199,20 +202,20 @@ class TestMaskPaths:
         ids=["default", "lcm", "wide"],
     )
     def test_thm2(self, monkeypatch, grid):
-        seen = record_kernel(monkeypatch, verify)
+        seen = record_kernel(monkeypatch, verify, "sizes_of")
         report = verify_ap_plus_two(*grid)
         sets = [_via_rational_set(n, xs) for n, *xs in _thm2_points(*grid)]
         assert report.passed and report.cases == len(sets)
-        assert seen == [a.mask()[0] for a in sets]
+        assert [IntSet.from_iterable(xs) for xs in seen] == sets
         if grid[1] == (250, 300):
-            assert any(not _use_dense(m.bit_count(), m.bit_length() - 1) for m in seen)
+            assert any(not _use_dense(len(xs), max(xs) - min(xs)) for xs in seen)
 
     def test_deficit(self, monkeypatch):
-        seen = record_kernel(monkeypatch, verify)
+        seen = record_kernel(monkeypatch, verify, "sizes_of")
         report = verify_insertion_deficit()
         sets = [_via_rational_set(n, xs) for n, *xs in _deficit_points()]
         assert report.passed and report.cases == len(sets) == 833
-        assert seen == [a.mask()[0] for a in sets]
+        assert [IntSet.from_iterable(xs) for xs in seen] == sets
 
     def test_lemma3(self, monkeypatch):
         seen = record_kernel(monkeypatch, verify)
@@ -223,7 +226,7 @@ class TestMaskPaths:
         assert seen == [a.mask()[0] for a in sets]
 
     def test_forced_thm2_violations_keep_their_format(self, monkeypatch):
-        monkeypatch.setattr(verify, "_sum_dominant", lambda nsum, ndiff: True)
+        record_kernel(monkeypatch, verify, "sizes_of", force=True)
         grid = (3, (-1, 2), 4)
         report = verify_ap_plus_two(*grid)
         assert [(v["set"], v["context"]) for v in report.violations] == [
@@ -237,7 +240,7 @@ class TestMaskPaths:
         ]
 
     def test_forced_deficit_violations_keep_their_format(self, monkeypatch):
-        monkeypatch.setattr(verify, "_deficit_below_one", lambda nsum, ndiff: True)
+        record_kernel(monkeypatch, verify, "sizes_of", force=True)
         report = verify_insertion_deficit()
         cases = verify.verify_points(
             "insertion-deficit", "cases", verify.insertion_deficit_violation,
@@ -269,6 +272,29 @@ class TestMaskPaths:
             for b in range(-2, 4)
         ]
         assert [(v["set"], v["context"]) for v in report.violations] == want
+
+
+class TestOnePointPath:
+    def test_default_grids_call_the_point_predicates_once_per_case(
+        self, monkeypatch
+    ):
+        # the grids reach the claim through the predicates --case calls
+        calls = Counter()
+        for name in ("ap_plus_two_violation", "insertion_deficit_violation"):
+            real = getattr(verify, name)
+
+            def counted(*point, name=name, real=real):
+                calls[name] += 1
+                return real(*point)
+
+            monkeypatch.setattr(verify, name, counted)
+        reports = [verify_ap_plus_two(), verify_insertion_deficit()]
+        assert all(r.passed for r in reports)
+        assert [r.cases for r in reports] == [10_748, 833]
+        assert calls == {
+            "ap_plus_two_violation": 10_748,
+            "insertion_deficit_violation": 833,
+        }
 
 
 class TestNoSetPerCase:
