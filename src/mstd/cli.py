@@ -8,32 +8,12 @@ on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from fractions import Fraction
 
 from . import search, setcore, structure, verify
 from .reports import DEFAULT_SEED, render_json
 from .setcore import IntSet, SetClass, SetLiteralError, profile, sum_diff_sizes
-
-# The options each verify check and explorer takes.  _given passes the ones
-# the user set and refuses the rest, so no option is dropped silently.
-OPTIONS = {
-    "verify": {
-        "thm1": ("max_size", "max_diameter"),
-        "thm2": ("n_max", "window", "q_max", "case"),
-        "thm3": ("preset", "terms", "r", "n", "ell", "m", "window", "subset_budget"),
-        "prop2": ("n_max",),
-        "obs6": ("trials",),
-        "lemma3": ("max_diameter",),
-        "deficit": ("n_max", "window", "q_max", "case"),
-        "size5": (),
-        "all": (),
-    },
-    "explore": {
-        "two-ap": ("max_len", "max_step", "max_shift"),
-        "min-additions": ("ap", "k_max", "window"),
-    },
-}
 
 
 def _window(text: str) -> tuple[int, int]:
@@ -64,7 +44,58 @@ def _ap(text: str) -> setcore.APSpec:
         ) from None
 
 
+# add_argument keywords of each verify check and explorer option, by dest
+OPTION_SPECS = {
+    **dict.fromkeys(
+        ("max_size", "max_diameter", "n_max", "q_max", "trials", "r", "n", "ell",
+         "m", "subset_budget", "max_len", "max_step", "max_shift", "k_max"),
+        {"type": int},
+    ),
+    "window": {"type": _window, "help": "interval LO:HI"},
+    "case": {
+        "action": "append", "help": "explicit grid point n,x[,y]; x, y integers or p/q"
+    },
+    "preset": {"choices": sorted(verify.GROWTH_PRESETS), "help": "growth sequence"},
+    "terms": {"help": "custom growth terms as a set literal"},
+    "ap": {"type": _ap, "help": "first,step,length"},
+}
+
+# Each check and explorer: the options it takes, and what it runs given the
+# options the user set and the parsed arguments.  The lambdas look verify.*
+# and search.* up when they run.
+CHECKS = {
+    "thm1": (("max_size", "max_diameter"),
+             lambda o, a: verify.verify_small_cardinality(**o, workers=a.workers)),
+    "thm2": (("n_max", "window", "q_max", "case"),
+             lambda o, a: verify.verify_ap_plus_two(**o)),
+    "thm3": (("preset", "terms", "r", "n", "ell", "m", "window", "subset_budget"),
+             lambda o, a: _run_thm3(o, a.seed)),
+    "prop2": (("n_max",), lambda o, a: verify.verify_proposition2(**o)),
+    "obs6": (("trials",), lambda o, a: verify.verify_observation6(**o, seed=a.seed)),
+    "lemma3": (("max_diameter",), lambda o, a: verify.verify_symmetric_balanced(**o)),
+    "deficit": (("n_max", "window", "q_max", "case"),
+                lambda o, a: verify.verify_insertion_deficit(**o)),
+    "size5": ((), lambda o, a: verify.verify_size5_witnesses()),
+}
+EXPLORERS = {
+    "two-ap": (("max_len", "max_step", "max_shift"),
+               lambda o, a: search.explore_two_ap_unions(**o)),
+    "min-additions": (("ap", "k_max", "window"),
+                      lambda o, a: search.explore_min_additions(**o)),
+}
+# the checks that take --case: report name, point predicate, fields per case
+CASES = {
+    "thm2": ("ap-plus-two", verify.ap_plus_two_violation, 3),
+    "deficit": ("insertion-deficit", verify.insertion_deficit_violation, 2),
+}
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built at the first call and shared by every later one.
+
+    Callers only parse with it; one that added to it would change it for all.
+    """
     top = argparse.ArgumentParser(
         prog="mstd", description="Exact toolkit for sum-dominant (MSTD) set theory."
     )
@@ -76,14 +107,14 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--checkpoint", help="checkpoint file for search resume")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="classify a set literal")
-    p.add_argument("set")
-
-    p = sub.add_parser("profile", help="full profile of a set literal")
-    p.add_argument("set")
-
-    p = sub.add_parser("explain", help="gap vector and difference table")
-    p.add_argument("set")
+    for name, cmd, text in (
+        ("classify", _cmd_classify, "classify a set literal"),
+        ("profile", _cmd_profile, "full profile of a set literal"),
+        ("explain", _cmd_explain, "gap vector and difference table"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("set")
+        p.set_defaults(cmd=cmd)
 
     p = sub.add_parser("search", help="search for minimal sum-dominant sets")
     p.add_argument("--diameter-min", type=int, default=0)
@@ -92,58 +123,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--size-min", type=int)
     p.add_argument("--size-max", type=int)
+    p.set_defaults(cmd=_cmd_search)
 
-    # Verify and explore options default to None: only the options the user
-    # sets are passed on, so each verifier's signature holds its default grid.
     p = sub.add_parser("verify", help="run one verification check, or all of them")
-    p.add_argument("check", choices=OPTIONS["verify"])
-    p.add_argument("--max-size", type=int)
-    p.add_argument("--max-diameter", type=int)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--q-max", type=int)
-    p.add_argument("--window", type=_window, help="interval LO:HI")
-    p.add_argument("--trials", type=int)
-    p.add_argument(
-        "--case", action="append",
-        help="explicit grid point 'n,x[,y]' with rational x,y (thm2/deficit only)",
-    )
-    p.add_argument(
-        "--preset", choices=sorted(verify.GROWTH_PRESETS), help="thm3 sequence"
-    )
-    p.add_argument("--terms", help="thm3 custom terms as a set literal")
-    p.add_argument("--r", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--subset-budget", type=int)
-
+    checks = p.add_subparsers(dest="check", required=True)
+    _add_runs(checks, CHECKS)
+    checks.add_parser("all", allow_abbrev=False).set_defaults(cmd=_cmd_verify_all)
     p = sub.add_parser("explore", help="run an open-question explorer")
-    p.add_argument("explorer", choices=OPTIONS["explore"])
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--max-step", type=int)
-    p.add_argument("--max-shift", type=int)
-    p.add_argument("--ap", type=_ap, help="first,step,length")
-    p.add_argument("--k-max", type=int)
-    p.add_argument("--window", type=_window, help="interval LO:HI")
+    _add_runs(p.add_subparsers(dest="explorer", required=True), EXPLORERS)
     return top
+
+
+def _add_runs(sub, table: dict) -> None:
+    """One subcommand per entry of ``table``, declaring only its options.
+
+    Options default to None, and only the ones the user sets are passed on,
+    so each verifier's signature holds its default grid.  No abbreviations:
+    thm3's --n would otherwise be read as --n-max elsewhere.
+    """
+    for name, (options, run) in table.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        for opt in options:
+            p.add_argument("--" + opt.replace("_", "-"), **OPTION_SPECS[opt])
+        p.set_defaults(cmd=_cmd_run, options=options, run=run)
 
 
 def _flags(names) -> str:
     return ", ".join("--" + k.replace("_", "-") for k in names)
-
-
-def _given(args, choice: str) -> dict:
-    """The options the user set, as keyword arguments for ``choice``.
-
-    An option that ``choice`` does not take is a usage error that names it.
-    """
-    table = OPTIONS[args.command]
-    names = dict.fromkeys(k for opts in table.values() for k in opts)
-    given = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
-    foreign = [k for k in given if k not in table[choice]]
-    if foreign:
-        raise ValueError(f"{args.command} {choice} does not take {_flags(foreign)}")
-    return given
 
 
 def _emit_report(report, as_json: bool) -> int:
@@ -234,63 +240,44 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _parse_cases(raw_cases, want_pair: bool):
+def _parse_cases(raw_cases, arity: int) -> list[tuple]:
+    """Each case 'n,x[,y]' in the set-literal grammar: integers and p/q."""
     cases = []
     for text in raw_cases:
-        parts = [t.strip() for t in text.split(",")]
-        want = 3 if want_pair else 2
-        if len(parts) != want:
-            raise SetLiteralError(f"expected {want} fields in case {text!r}", 1)
         try:
-            n = int(parts[0])
-            xs = [Fraction(p) for p in parts[1:]]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SetLiteralError(f"bad case {text!r}: {exc}", 1) from None
-        cases.append((n, *xs))
+            case = setcore._parse_tokens(text, allow_rational=True)
+        except SetLiteralError as exc:
+            raise SetLiteralError(f"bad case {text!r}: {exc}", exc.position) from None
+        if len(case) != arity:
+            raise SetLiteralError(f"bad case {text!r}: expected {arity} fields", 1)
+        if not isinstance(case[0], int):
+            raise SetLiteralError(f"bad case {text!r}: n must be an integer", 1)
+        cases.append(tuple(case))
     return cases
 
 
-def _cmd_verify(args) -> int:
-    check = args.check
-    opts = _given(args, check)
-    if check == "all":
-        reports = verify.verify_all(seed=args.seed, workers=args.workers)
-        if args.json:
-            print(render_json({"reports": [r.to_json_dict() for r in reports]}))
-            return 0 if all(r.passed for r in reports) else 1
-        return max([_emit_report(r, False) for r in reports])
+def _cmd_run(args) -> int:
+    """Run a verify check or an explorer on the options the user set."""
+    opts = {k: getattr(args, k) for k in args.options if getattr(args, k) is not None}
     cases = opts.pop("case", None)
     if cases and opts:
         raise ValueError(f"--case does not combine with {_flags(opts)}")
-    if check == "thm1":
-        report = verify.verify_small_cardinality(**opts, workers=args.workers)
-    elif check == "thm2":
-        if cases:
-            report = verify.verify_points(
-                "ap-plus-two", f"{len(cases)} explicit cases",
-                verify.ap_plus_two_violation, _parse_cases(cases, True),
-            )
-        else:
-            report = verify.verify_ap_plus_two(**opts)
-    elif check == "deficit":
-        if cases:
-            report = verify.verify_points(
-                "insertion-deficit", f"{len(cases)} explicit cases",
-                verify.insertion_deficit_violation, _parse_cases(cases, False),
-            )
-        else:
-            report = verify.verify_insertion_deficit(**opts)
-    elif check == "prop2":
-        report = verify.verify_proposition2(**opts)
-    elif check == "obs6":
-        report = verify.verify_observation6(**opts, seed=args.seed)
-    elif check == "lemma3":
-        report = verify.verify_symmetric_balanced(**opts)
-    elif check == "thm3":
-        report = _run_thm3(opts, args.seed)
+    if cases:
+        check, predicate, arity = CASES[args.check]
+        report = verify.verify_points(
+            check, f"{len(cases)} explicit cases", predicate, _parse_cases(cases, arity)
+        )
     else:
-        report = verify.verify_size5_witnesses()
+        report = args.run(opts, args)
     return _emit_report(report, args.json)
+
+
+def _cmd_verify_all(args) -> int:
+    reports = verify.verify_all(seed=args.seed, workers=args.workers)
+    if args.json:
+        print(render_json({"reports": [r.to_json_dict() for r in reports]}))
+        return 0 if all(r.passed for r in reports) else 1
+    return max([_emit_report(r, False) for r in reports])
 
 
 def _run_thm3(opts: dict, seed: int):
@@ -313,32 +300,15 @@ def _run_thm3(opts: dict, seed: int):
     )
 
 
-def _cmd_explore(args) -> int:
-    opts = _given(args, args.explorer)
-    if args.explorer == "two-ap":
-        report = search.explore_two_ap_unions(**opts)
-    else:
-        report = search.explore_min_additions(**opts)
-    return _emit_report(report, args.json)
-
-
-COMMANDS = {
-    "classify": _cmd_classify,
-    "profile": _cmd_profile,
-    "explain": _cmd_explain,
-    "search": _cmd_search,
-    "verify": _cmd_verify,
-    "explore": _cmd_explore,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return COMMANDS[args.command](args)
+        if args.checkpoint is not None and args.command != "search":
+            raise ValueError(f"{args.command} does not take --checkpoint; search does")
+        return args.cmd(args)
     except ValueError as exc:
         # SetLiteralError is a ValueError: parse errors exit 2 like usage errors
         print(f"error: {exc}", file=sys.stderr)

@@ -249,17 +249,18 @@ def _is_partition_record(rec) -> bool:
 
 
 def _record_tallies(
-    rec: dict, part: tuple[int, int, int], where: str
+    rec: dict, part: tuple[int, int, int], sizes: tuple[int, int], where: str
 ) -> tuple[int, list[IntSet]]:
     """(examined, sum-dominant sets) of a record of partition (d, j, p), re-checked.
 
-    Every listed set must parse, have diameter d, classify as sum-dominant
-    and be a canonical class of the partition: normalized, no larger than
-    its reflection, with elements 1..log2(p) present where j has a bit set.
+    Every listed set must parse, have diameter d and a size in the search's
+    ``sizes`` (lo, hi), classify as sum-dominant and be a canonical class of
+    the partition: normalized, no larger than its reflection, with elements
+    1..log2(p) present where j has a bit set.
     The list must be strictly increasing, the order the walk writes, and
     ``examined`` must count at least the sets listed.
     """
-    (d, j, p), t = part, rec["tallies"]
+    (d, j, p), (lo, hi), t = part, sizes, rec["tallies"]
     sets = []
     for text in t["sum_dominant"]:
         try:
@@ -270,6 +271,8 @@ def _record_tallies(
             raise ValueError(
                 f"{where} lists {text!r}, not a sum-dominant set of diameter {d}"
             )
+        if not lo <= len(a) <= hi:
+            raise ValueError(f"{where} lists {text!r}, of size outside {lo}..{hi}")
         if (
             not is_normalized(a)
             or reflect_canonical(a) != a
@@ -289,7 +292,9 @@ def _record_tallies(
     return t["examined"], sets
 
 
-def _load_checkpoint(path: str, header: dict, parts: dict) -> dict:
+def _load_checkpoint(
+    path: str, header: dict, parts: dict, sizes: tuple[int, int]
+) -> dict:
     """(examined, sum-dominant sets) of each completed partition, by partition id.
 
     The first record must equal ``header``; anything else raises ValueError.
@@ -298,8 +303,8 @@ def _load_checkpoint(path: str, header: dict, parts: dict) -> dict:
     again.  A bad line anywhere else raises ValueError, and so does a later
     record that is not a partition record, not of a partition in
     ``parts`` (id -> (d, j, p)), a second one of its partition, or one
-    whose tallies fail ``_record_tallies``.  A new or empty file gets the
-    header written.
+    whose tallies fail ``_record_tallies`` for the search's ``sizes``.  A
+    new or empty file gets the header written.
     """
     try:
         with open(path, "rb") as fh:
@@ -334,7 +339,7 @@ def _load_checkpoint(path: str, header: dict, parts: dict) -> dict:
         elif rec["partition_id"] in records:
             raise ValueError(f"{where} repeats partition {rec['partition_id']}")
         else:
-            records[rec["partition_id"]] = _record_tallies(rec, part, where)
+            records[rec["partition_id"]] = _record_tallies(rec, part, sizes, where)
         intact += len(line)
     with open(path, "ab") as fh:
         fh.truncate(intact)
@@ -356,7 +361,7 @@ def scan_sum_dominant(config: SearchConfig) -> tuple[int, dict, list[IntSet]]:
     if path:
         header = {"format": CHECKPOINT_FORMAT, "config": config.space_json_dict()}
         by_id = {_partition_id(d, j): (d, j, p) for d, j, p in parts}
-        done = _load_checkpoint(path, header, by_id)
+        done = _load_checkpoint(path, header, by_id, (size_lo, size_hi))
 
     todo = []
     results = []  # (d, examined, sum-dominant IntSets)

@@ -427,8 +427,8 @@ def mask_sizes(mask: int) -> tuple[int, int]:
 def sizes_of(xs: Sequence[int]) -> tuple[int, int]:
     """(|A+A|, |A-A|) of the set of the integers xs, in any order, repeats allowed.
 
-    The dense gate is checked before any mask is built, so a window too wide
-    for the dense kernel costs no big int.
+    The dense gate is checked once, before any mask is built, so a window too
+    wide for the dense kernel costs no big int.
     """
     lo = min(xs)
     if not _use_dense(len(xs), max(xs) - lo):
@@ -436,7 +436,8 @@ def sizes_of(xs: Sequence[int]) -> tuple[int, int]:
     mask = 0
     for x in xs:
         mask |= 1 << (x - lo)
-    return mask_sizes(mask)
+    sums, diffs = _sum_diff_masks(mask)
+    return sums.bit_count(), 2 * diffs.bit_count() - 1
 
 
 def sum_diff_sizes(a: IntSet) -> tuple[int, int]:

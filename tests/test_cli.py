@@ -19,12 +19,14 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-# options the chosen check or explorer does not take, and the refusal for each
+# options the chosen check or explorer does not take, and the refusal for each:
+# argparse's for an option its parser does not declare, the CLI's own for
+# declared options that do not combine
 FOREIGN_OPTIONS = [
     (["--json", "verify", "size5", "--n-max", "3", "--trials", "0"],
-     "verify size5 does not take --n-max, --trials"),
-    (["verify", "all", "--max-size", "7"], "verify all does not take --max-size"),
-    (["explore", "two-ap", "--k-max", "3"], "explore two-ap does not take --k-max"),
+     "unrecognized arguments: --n-max 3 --trials 0"),
+    (["verify", "all", "--max-size", "7"], "unrecognized arguments: --max-size 7"),
+    (["explore", "two-ap", "--k-max", "3"], "unrecognized arguments: --k-max 3"),
     (["verify", "thm2", "--case", "5,6,6", "--n-max", "3"],
      "--case does not combine with --n-max"),
     (["verify", "thm3", "--preset", "fib13", "--r", "2"],
@@ -125,6 +127,20 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "claims nothing" in err
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [("4,0.75", "invalid token '0.75' at position 2"),
+         ("4,1e-1", "invalid token '1e-1' at position 2"),
+         ("4/1,3/4", "n must be an integer"),
+         ("4,3/4,1", "expected 2 fields")],
+        ids=["decimal", "exponent", "rational-n", "three-fields"],
+    )
+    def test_case_takes_the_set_literal_grammar(self, capsys, case, message):
+        # integers and p/q only, as in a rational set literal
+        code, out, err = run_cli(capsys, "verify", "deficit", "--case", case)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: bad case {case!r}: {message}")
+
     def test_thm2_case_needs_a_segment(self, capsys):
         code, _, err = run_cli(capsys, "verify", "thm2", "--case", "0,1,2")
         assert code == 2 and "n >= 1" in err
@@ -191,7 +207,27 @@ class TestVerifyCommand:
     def test_option_the_check_does_not_take_is_usage_error(self, capsys, argv, refusal):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
-        assert err == f"error: {refusal}\n"
+        # argparse prints the usage line before its refusal
+        assert err.endswith(f"error: {refusal}\n")
+        assert err.startswith("usage: mstd ") == refusal.startswith("unrecognized")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["thm2", "--n", "2"], ["deficit", "--n", "2"], ["prop2", "--n", "2"],
+         ["thm2", "--q", "1"], ["thm1", "--max-s", "3"]],
+        ids=" ".join,
+    )
+    def test_check_options_do_not_abbreviate(self, capsys, argv):
+        # thm3's --n is not --n-max, and no prefix stands for an option
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[1:])}\n")
+
+    def test_check_help_lists_only_its_options(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "thm2", "-h")
+        assert code == 0
+        assert all(f in out for f in ("--n-max", "--q-max", "--window", "--case"))
+        assert not any(f in out for f in ("--trials", "--preset", "--max-size"))
 
     def test_no_flags_run_the_default_grid(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "verify", "lemma3")
@@ -384,6 +420,41 @@ class TestSearchCommand:
             "not a canonical class of partition 17/0"
         ) in err
 
+    def test_checkpoint_record_of_a_set_outside_the_size_bounds_exits_2(
+        self, capsys, tmp_path
+    ):
+        # A1 is a sum-dominant canonical class of partition 14/0, but it has 8
+        # elements: a resume that took it would report it from a size <= 7 search
+        path = tmp_path / "ck.jsonl"
+        argv = ["--json", "--checkpoint", str(path), "search",
+                "--diameter-max", "14", "--size-max", "7"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["min_mstd_size"] is None
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[-1])
+        assert rec["partition_id"] == "14/0"
+        rec["tallies"]["sum_dominant"] = [A1_TEXT]
+        path.write_text("\n".join([*lines[:-1], json.dumps(rec)]) + "\n")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert (
+            f"error: checkpoint {path}: line 16 lists '{A1_TEXT}', "
+            "of size outside 1..7"
+        ) in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "thm1", "--max-size", "3", "--max-diameter", "5"],
+         ["classify", "0,1,3"]],
+        ids=" ".join,
+    )
+    def test_checkpoint_outside_search_is_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "ck.jsonl"
+        code, out, err = run_cli(capsys, "--checkpoint", str(path), *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {argv[0]} does not take --checkpoint; search does\n"
+        assert not path.exists()
+
 
 class TestExploreCommand:
     def test_min_additions(self, capsys):
@@ -418,6 +489,11 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert "difference-dominant" in proc.stdout
+
+    def test_parser_is_built_once(self):
+        from mstd.cli import _build_parser
+
+        assert _build_parser() is _build_parser()
 
     def test_workers_default_ignores_the_environment(self, monkeypatch):
         from mstd.cli import _build_parser

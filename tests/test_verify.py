@@ -296,6 +296,21 @@ class TestOnePointPath:
             "insertion_deficit_violation": 833,
         }
 
+    def test_default_thm2_grid_checks_the_dense_gate_once_per_case(
+        self, monkeypatch
+    ):
+        # sizes_of gates before it builds a mask, and then runs the dense
+        # kernel on that mask without gating it again
+        from mstd import setcore
+
+        calls = []
+        real = setcore._use_dense
+        monkeypatch.setattr(
+            setcore, "_use_dense", lambda *a: calls.append(a) or real(*a)
+        )
+        report = verify_ap_plus_two()
+        assert report.passed and report.cases == len(calls) == 10_748
+
 
 class TestNoSetPerCase:
     def test_default_grids_build_a_constant_number_of_sets(self, monkeypatch):
