@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -61,7 +61,8 @@ class IntSet:
 
     @classmethod
     def from_iterable(cls, xs: Iterable[int]) -> "IntSet":
-        return cls(tuple(sorted(set(int(x) for x in xs))))
+        """The set of the integers xs; a float or Fraction raises TypeError."""
+        return cls(tuple(sorted(set(map(index, xs)))))
 
     @classmethod
     def from_mask(cls, mask: int, lo: int = 0) -> "IntSet":
@@ -551,26 +552,37 @@ def scale_to_integers(r: RationalSet) -> tuple[IntSet, int]:
 def ap_plus_two_decomposition(a: IntSet) -> Optional[tuple[APSpec, IntSet]]:
     """Split A = B ∪ E with B an arithmetic progression and |E| <= 2.
 
-    Searches removals exhaustively, preferring the smallest E and then the
-    lexicographically smallest E.  None when no such split exists.
+    Prefers the smallest E and then the lexicographically smallest E.  None
+    when no such split exists.  O(|A|): with els = A sorted, n >= 3 and A
+    not an AP, any valid B keeps at least n - 2 elements, and at least 2 when
+    n = 3 (a one-element E always exists there).  Everything before B's first
+    element is in E, so that element is one of els[0..2]; everything before
+    its second, bar the first, is in E, so that one is one of els[1..3].
+    B's step is therefore one of the at most 6 differences els[k] - els[i],
+    i < k <= 3.  For each, the full run els[i] + t*step through A is the best
+    B: a shorter run only adds elements to E.
     """
     a._require_nonempty()
-    els = a.elements
-    n = len(els)
     ap = detect_ap(a)
     if ap is not None:
         return ap, IntSet(())
-    for i in range(n):
-        rest = IntSet(els[:i] + els[i + 1 :])
-        ap = detect_ap(rest) if len(rest) >= 1 else None
-        if ap is not None:
-            return ap, IntSet((els[i],))
-    for i in range(n):
-        for j in range(i + 1, n):
-            kept = els[:i] + els[i + 1 : j] + els[j + 1 :]
-            if not kept:
-                continue
-            ap = detect_ap(IntSet(kept))
-            if ap is not None:
-                return ap, IntSet((els[i], els[j]))
-    return None
+    els = a.elements
+    n = len(els)
+    members = set(els)
+    splits = []
+    for k in range(1, min(n, 4)):
+        for i in range(k):
+            first, step = els[i], els[k] - els[i]
+            end = first
+            while end in members:
+                end += step
+            length = (end - first) // step
+            if length >= n - 2:
+                extras = tuple(
+                    e for e in els if e < first or e >= end or (e - first) % step
+                )
+                splits.append((len(extras), extras, first, step, length))
+    if not splits:
+        return None
+    _, extras, first, step, length = min(splits)
+    return APSpec(first, step, length), IntSet(extras)

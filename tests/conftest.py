@@ -90,6 +90,38 @@ def _lex_dfs(prefix, g, d, size_lo, size_hi):
             yield from _lex_dfs(prefix + (e,), ge, d, size_lo, size_hi)
 
 
+def naive_ap_plus_two_decomposition(a):
+    """Split A = B ∪ E, B an AP and |E| <= 2, by trying every removal.
+
+    Smallest E first, then the lexicographically smallest E; None when no
+    removal of at most two elements leaves an arithmetic progression.  Unlike
+    the plain-loop oracles above it calls ``detect_ap`` on each remainder:
+    it checks setcore's run walk, not the AP test.
+    """
+    from mstd import IntSet, detect_ap
+
+    a._require_nonempty()
+    els = a.elements
+    n = len(els)
+    ap = detect_ap(a)
+    if ap is not None:
+        return ap, IntSet(())
+    for i in range(n):
+        rest = IntSet(els[:i] + els[i + 1 :])
+        ap = detect_ap(rest) if len(rest) >= 1 else None
+        if ap is not None:
+            return ap, IntSet((els[i],))
+    for i in range(n):
+        for j in range(i + 1, n):
+            kept = els[:i] + els[i + 1 : j] + els[j + 1 :]
+            if not kept:
+                continue
+            ap = detect_ap(IntSet(kept))
+            if ap is not None:
+                return ap, IntSet((els[i], els[j]))
+    return None
+
+
 def record_kernel(monkeypatch, module, entry="mask_sizes", force=False):
     """What a grid in ``module`` hands the kernel entry ``entry``, in order.
 

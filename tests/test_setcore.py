@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mstd import (
     APSpec,
@@ -22,7 +25,12 @@ from mstd import (
     sumset,
 )
 from mstd.setcore import _use_dense, mask_sizes, sizes_of
-from conftest import A1, naive_diffset, naive_sumset
+from conftest import (
+    A1,
+    naive_ap_plus_two_decomposition,
+    naive_diffset,
+    naive_sumset,
+)
 
 
 class TestIntSet:
@@ -34,6 +42,16 @@ class TestIntSet:
 
     def test_from_iterable_dedups(self):
         assert IntSet.from_iterable([3, 1, 3, -2]).elements == (-2, 1, 3)
+
+    @pytest.mark.parametrize(
+        "xs",
+        [[0.9, 2.5], [0, Fraction(7, 2)], [0, 2.0]],
+        ids=["floats", "fraction", "integral-float"],
+    )
+    def test_from_iterable_refuses_non_integers(self, xs):
+        # int() would truncate them: [0.9, 2.5] became {0, 2}
+        with pytest.raises(TypeError):
+            IntSet.from_iterable(xs)
 
     def test_parse(self):
         assert IntSet.parse("0,2, 3").elements == (0, 2, 3)
@@ -258,6 +276,18 @@ class TestSymmetryAndAP:
         assert detect_ap(IntSet((5,))) == APSpec(5, 1, 1)
 
 
+# a translated and dilated progression plus 0-2 extras, negatives included
+ap_plus_extras = st.builds(
+    lambda first, step, length, extras: IntSet.from_iterable(
+        [first + i * step for i in range(length)] + extras
+    ),
+    st.integers(-50, 50),
+    st.integers(1, 6),
+    st.integers(1, 12),
+    st.lists(st.integers(-80, 120), max_size=2),
+)
+
+
 class TestApPlusTwo:
     def test_ap_with_two_extras(self):
         ap, extras = ap_plus_two_decomposition(IntSet((0, 1, 2, 3, 10, 20)))
@@ -277,3 +307,48 @@ class TestApPlusTwo:
         ap, extras = ap_plus_two_decomposition(IntSet((0, 1, 3)))
         assert extras.elements == (0,)
         assert ap == APSpec(1, 2, 2)
+
+    def test_matches_oracle_on_every_small_window(self):
+        # every set with min 0 and diameter <= 12
+        none = 0
+        for mask in range(1 << 12):
+            a = IntSet((0,) + tuple(i + 1 for i in range(12) if mask >> i & 1))
+            split = ap_plus_two_decomposition(a)
+            assert split == naive_ap_plus_two_decomposition(a), a
+            none += split is None
+        assert none == 2_891
+
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_tie_break_matches_oracle(self, size):
+        # a non-AP set of 3 has three one-element splits, and a 4-set often
+        # several two-element ones; translated so elements go negative
+        for rest in combinations(range(1, 9), size - 1):
+            a = IntSet(tuple(e - 5 for e in (0, *rest)))
+            if detect_ap(a) is None:
+                split = ap_plus_two_decomposition(a)
+                assert split == naive_ap_plus_two_decomposition(a), a
+
+    @given(ap_plus_extras)
+    def test_matches_oracle_on_progressions_plus_extras(self, a):
+        assert ap_plus_two_decomposition(a) == naive_ap_plus_two_decomposition(a)
+
+    def test_builds_a_constant_number_of_sets(self, monkeypatch):
+        # one IntSet per one- or two-element removal made each call cubic
+        a = IntSet(tuple(sorted(random.Random(256).sample(range(1024), 256))))
+        built = []
+        real = IntSet.__post_init__
+
+        def counted(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(IntSet, "__post_init__", counted)
+        assert ap_plus_two_decomposition(a) is None
+        assert len(built) <= 2
+
+    def test_long_progression_with_extras_past_its_end(self):
+        # the extras' indices come after ~2 million two-element removals
+        ap = APSpec(-3000, 3, 1998)
+        extras = IntSet((3000, 3005))
+        a = IntSet(ap.elements() + extras.elements)
+        assert ap_plus_two_decomposition(a) == (ap, extras)

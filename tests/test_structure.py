@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from mstd import (
@@ -106,6 +108,12 @@ class TestInsertionDelta:
     def test_rejects_member(self):
         with pytest.raises(ValueError):
             insertion_delta(I(5), 3)
+
+    @pytest.mark.parametrize("x", [1.5, Fraction(7, 2)], ids=["float", "fraction"])
+    def test_rejects_non_integer(self, x):
+        # truncated, 1.5 answered for the member 1 and 7/2 for 3
+        with pytest.raises(TypeError):
+            insertion_delta(I(3), x)
 
     def test_exactness_sweep(self):
         # inserting (n-1)+k into {0..n-1} gives exactly k+1 sums, k differences

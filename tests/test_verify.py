@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from mstd import IntSet, RationalSet, SetClass, classify, scale_to_integers, verify
+from mstd import IntSet, RationalSet, SetClass, classify, verify
 from mstd.search import explore_min_additions, explore_two_ap_unions
 from mstd.setcore import _use_dense
 from mstd.verify import (
@@ -57,12 +57,11 @@ class TestApPlusTwo:
         # {0,1,2} + {1/2, 3/2} scales to an arithmetic progression
         from fractions import Fraction
 
-        from mstd import RationalSet, scale_to_integers
-
         fracs = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2)]
-        ints, _ = scale_to_integers(RationalSet.from_fractions(fracs))
-        assert ints.elements == (0, 1, 2, 3, 4)
-        assert classify(ints) is SetClass.BALANCED
+        r = RationalSet.from_fractions(fracs)
+        assert r.denominator == 2
+        assert r.numerators.elements == (0, 1, 2, 3, 4)
+        assert classify(r.numerators) is SetClass.BALANCED
 
     def test_subsumes_singleton_union_with_ap(self):
         # any AP plus one integer is never sum-dominant
@@ -121,8 +120,7 @@ def _deficit_points(n_max=8, window=None, q_max=4):
 
 def _via_rational_set(n, xs):
     """The set build before the direct one: a gcd-normalised RationalSet."""
-    ints, _ = scale_to_integers(RationalSet.from_fractions([*range(n), *xs]))
-    return ints
+    return RationalSet.from_fractions([*range(n), *xs]).numerators
 
 
 def _point_violation(n, *xs):
