@@ -7,14 +7,12 @@ and machine-verifies the structural claims the search relies on.
 
 from .setcore import (
     APSpec,
-    AffineTransform,
     EmptySetError,
     IntSet,
     RationalSet,
     SetClass,
     SetLiteralError,
     SetProfile,
-    affine_normalize,
     ap_plus_two_decomposition,
     classify,
     detect_ap,
@@ -29,8 +27,6 @@ from .setcore import (
 )
 from .structure import (
     DeltaProfile,
-    DifferenceTable,
-    GapVector,
     cardinality_bounds,
     difference_table,
     equal_diff_pairs,
@@ -43,12 +39,9 @@ from .search import SearchConfig, SearchResult, find_min_mstd
 
 __all__ = [
     "APSpec",
-    "AffineTransform",
     "DEFAULT_SEED",
     "DeltaProfile",
-    "DifferenceTable",
     "EmptySetError",
-    "GapVector",
     "IntSet",
     "RationalSet",
     "SearchConfig",
@@ -57,7 +50,6 @@ __all__ = [
     "SetLiteralError",
     "SetProfile",
     "VerificationReport",
-    "affine_normalize",
     "ap_plus_two_decomposition",
     "cardinality_bounds",
     "classify",

@@ -197,20 +197,20 @@ def _cmd_explain(args) -> int:
     if len(a) < 2:
         print("set has fewer than 2 elements; no gaps to explain", file=sys.stderr)
         return 2
-    gv = structure.gaps(a)
+    gaps = structure.gaps(a)
     table = structure.difference_table(a)
     if args.json:
         payload = {
             "set": str(a),
-            "gaps": list(gv.gaps),
-            "difference_table": [list(r) for r in table.rows],
+            "gaps": list(gaps),
+            "difference_table": [list(r) for r in table],
         }
         print(render_json(payload))
     else:
         print(f"set: {a}")
-        print(f"gaps: {','.join(str(g) for g in gv.gaps)}")
+        print(f"gaps: {','.join(str(g) for g in gaps)}")
         print("difference table (positive differences as partial gap sums):")
-        print(table.render())
+        print(structure.render_difference_table(table))
     return 0
 
 

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from operator import index, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -104,15 +105,6 @@ class IntSet:
     def __str__(self) -> str:
         return ",".join(str(e) for e in self.elements)
 
-    def translate(self, t: int) -> "IntSet":
-        return IntSet(tuple(e + t for e in self.elements))
-
-    def dilate(self, c: int) -> "IntSet":
-        if c == 0:
-            raise ValueError("dilation factor must be nonzero")
-        scaled = [e * c for e in self.elements]
-        return IntSet(tuple(scaled if c > 0 else reversed(scaled)))
-
     def reflected(self) -> "IntSet":
         """Mirror image max+min-A (an affine image, same classification)."""
         self._require_nonempty()
@@ -149,26 +141,12 @@ class APSpec:
     def elements(self) -> tuple[int, ...]:
         return tuple(self.first + i * self.step for i in range(self.length))
 
-    def to_intset(self) -> IntSet:
-        return IntSet(self.elements())
-
     def mask(self) -> int:
         """Dense bitmask of the progression less its first term."""
         return sum(1 << (i * self.step) for i in range(self.length))
 
     def to_json_dict(self) -> dict:
         return {"first": self.first, "step": self.step, "length": self.length}
-
-
-@dataclass(frozen=True)
-class AffineTransform:
-    """Record of x -> scale*x + shift mapping a normalized set back to its original."""
-
-    shift: int
-    scale: int
-
-    def apply(self, a: IntSet) -> IntSet:
-        return a.dilate(self.scale).translate(self.shift)
 
 
 @dataclass(frozen=True)
@@ -196,7 +174,13 @@ class RationalSet:
 
     @classmethod
     def from_fractions(cls, xs: Iterable[Fraction]) -> "RationalSet":
-        fracs = sorted(set(Fraction(x) for x in xs))
+        """The set of the rationals xs; a float or Decimal raises TypeError."""
+        fracs = set()
+        for x in xs:
+            if not isinstance(x, Rational):
+                raise TypeError(f"expected an int or Fraction, got {x!r}")
+            fracs.add(Fraction(x))
+        fracs = sorted(fracs)
         den = 1
         for f in fracs:
             den = lcm(den, f.denominator)
@@ -513,18 +497,6 @@ def profile(a: IntSet) -> SetProfile:
         symmetry_center=is_symmetric(a),
         ap=detect_ap(a),
     )
-
-
-def affine_normalize(a: IntSet) -> tuple[IntSet, AffineTransform]:
-    """Translate to min 0 and divide out the gcd of gaps (scale 1 for singletons)."""
-    a._require_nonempty()
-    lo = a.min
-    g = 0
-    for e in a.elements:
-        g = gcd(g, e - lo)
-    if g == 0:
-        g = 1  # singleton
-    return IntSet(tuple((e - lo) // g for e in a.elements)), AffineTransform(lo, g)
 
 
 def is_normalized(a: IntSet) -> bool:

@@ -8,21 +8,6 @@ from .setcore import IntSet, equal_pair_counts, sum_diff_sizes
 
 
 @dataclass(frozen=True)
-class GapVector:
-    """Consecutive differences a_{i+1} - a_i of a sorted set."""
-
-    gaps: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(g <= 0 for g in self.gaps):
-            raise ValueError("gaps must be positive")
-
-    @property
-    def diameter(self) -> int:
-        return sum(self.gaps)
-
-
-@dataclass(frozen=True)
 class DeltaProfile:
     """New sums / new positive differences produced by one insertion."""
 
@@ -33,49 +18,21 @@ class DeltaProfile:
         return self.new_sums, self.new_pos_diffs
 
 
-@dataclass(frozen=True)
-class DifferenceTable:
-    """Triangular table of positive differences as partial gap sums.
-
-    Row r (1-indexed) holds d_r, d_r+d_{r+1}, ..., d_r+...+d_{n-1}; the union
-    of all rows is exactly the positive half of the difference set.
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        row1 = self.rows[0]
-        if any(row1[i] >= row1[i + 1] for i in range(len(row1) - 1)):
-            raise ValueError("row 1 must be strictly increasing")
-        n = len(self.rows) + 1
-        if any(len(r) != n - i for i, r in enumerate(self.rows, start=1)):
-            raise ValueError("row r must hold exactly n - r entries")
-
-    def entries(self) -> tuple[int, ...]:
-        return tuple(v for row in self.rows for v in row)
-
-    def render(self) -> str:
-        """Right-aligned triangular layout; 0 leads the first row."""
-        width = max(len(str(v)) for row in self.rows for v in row)
-        lines = []
-        zero = "0".rjust(width)
-        for i, row in enumerate(self.rows):
-            cells = "  ".join(str(v).rjust(width) for v in row)
-            lines.append((zero + "  " if i == 0 else " " * (width + 2)) + cells)
-        return "\n".join(lines)
-
-
-def gaps(a: IntSet) -> GapVector:
+def gaps(a: IntSet) -> tuple[int, ...]:
     """Gap vector of a set with at least two elements."""
     if len(a) < 2:
         raise ValueError("gap vector requires a set with at least 2 elements")
     els = a.elements
-    return GapVector(tuple(els[i + 1] - els[i] for i in range(len(els) - 1)))
+    return tuple(els[i + 1] - els[i] for i in range(len(els) - 1))
 
 
-def difference_table(a: IntSet) -> DifferenceTable:
-    """All positive differences a_j - a_i arranged as partial sums of gaps."""
-    g = gaps(a).gaps
+def difference_table(a: IntSet) -> tuple[tuple[int, ...], ...]:
+    """All positive differences a_j - a_i arranged as partial sums of gaps.
+
+    Row r (1-indexed) holds d_r, d_r+d_{r+1}, ..., d_r+...+d_{n-1}; the union
+    of all rows is exactly the positive half of the difference set.
+    """
+    g = gaps(a)
     n = len(g)
     rows = []
     for r in range(n):
@@ -85,7 +42,18 @@ def difference_table(a: IntSet) -> DifferenceTable:
             acc += g[k]
             row.append(acc)
         rows.append(tuple(row))
-    return DifferenceTable(tuple(rows))
+    return tuple(rows)
+
+
+def render_difference_table(rows: tuple[tuple[int, ...], ...]) -> str:
+    """Right-aligned triangular layout; 0 leads the first row."""
+    width = max(len(str(v)) for row in rows for v in row)
+    lines = []
+    zero = "0".rjust(width)
+    for i, row in enumerate(rows):
+        cells = "  ".join(str(v).rjust(width) for v in row)
+        lines.append((zero + "  " if i == 0 else " " * (width + 2)) + cells)
+    return "\n".join(lines)
 
 
 def equal_diff_pairs(a: IntSet) -> int:

@@ -42,10 +42,6 @@ GROWTH_PRESETS = {
 }
 
 
-def _I(n: int) -> IntSet:
-    return IntSet(tuple(range(n)))
-
-
 @dataclass(frozen=True)
 class GrowthSequence:
     """Strictly increasing nonnegative terms with growth margin r.
@@ -100,11 +96,6 @@ class Theorem3Params:
     def admissibility(self) -> tuple[int, int]:
         lhs = self.m * self.prefix_size + self.m * (self.m + 1) // 2
         return lhs, self.deficit_bound
-
-    @property
-    def admissible(self) -> bool:
-        lhs, rhs = self.admissibility()
-        return lhs <= rhs
 
 
 def check_growth_condition(terms: Sequence[int], r: int) -> bool:
@@ -287,7 +278,7 @@ def verify_proposition2(n_max: int = 20) -> VerificationReport:
     )
     t0 = time.perf_counter()
     for n in range(2, n_max + 1):
-        base = _I(n)
+        base = IntSet(tuple(range(n)))
         for k in range(1, n):
             report.cases += 1
             delta = insertion_delta(base, (n - 1) + k)
@@ -308,17 +299,13 @@ def exhaustive_translation_corpus(max_diameter: int) -> Iterator[IntSet]:
             yield IntSet.from_mask(ends | (interior << 1))
 
 
-def random_corpus(
-    trials: int,
-    seed: int = DEFAULT_SEED,
-    max_size: int = RANDOM_SET_MAX_SIZE,
-    window: tuple[int, int] = RANDOM_SET_WINDOW,
-) -> Iterator[IntSet]:
+def random_corpus(trials: int, seed: int = DEFAULT_SEED) -> Iterator[IntSet]:
     """Seeded random sets: uniform size, then uniform distinct elements."""
     rng = random.Random(seed)
-    universe = range(window[0], window[1] + 1)
+    universe = range(RANDOM_SET_WINDOW[0], RANDOM_SET_WINDOW[1] + 1)
     for _ in range(trials):
-        yield IntSet(tuple(sorted(rng.sample(universe, rng.randint(1, max_size)))))
+        size = rng.randint(1, RANDOM_SET_MAX_SIZE)
+        yield IntSet(tuple(sorted(rng.sample(universe, size))))
 
 
 def verify_observation6(
@@ -381,11 +368,6 @@ def _symmetric_masks(max_diameter: int) -> Iterator[int]:
                 yield half | c
 
 
-def symmetric_sets(max_diameter: int) -> Iterator[IntSet]:
-    """All symmetric sets with min 0 and diameter <= max_diameter."""
-    return map(IntSet.from_mask, _symmetric_masks(max_diameter))
-
-
 def verify_symmetric_balanced(max_diameter: int = 30) -> VerificationReport:
     """Every generated symmetric set must classify as balanced."""
     if max_diameter < 0:
@@ -424,8 +406,10 @@ def verify_growth_criterion(
     size = params.prefix_size
     if len(seq.terms) < size:
         raise ValueError(f"need at least {size} terms, got {len(seq.terms)}")
-    if params.m >= 1 and not params.admissible:
-        lhs, rhs = params.admissibility()
+    if subset_budget < 0:
+        raise ValueError(f"need subset_budget >= 0, got {subset_budget}")
+    lhs, rhs = params.admissibility()
+    if params.m >= 1 and lhs > rhs:
         raise ValueError(
             f"inadmissible insertion count: m*|S| + m(m+1)/2 = {lhs} > {rhs} = ell*(n+1)"
         )
@@ -485,7 +469,6 @@ def verify_growth_criterion(
                     IntSet.from_iterable(s.elements + bs), f"{label} + {list(bs)}"
                 )
 
-    lhs, rhs = params.admissibility()
     if params.m >= 1:
         rel = "=" if lhs == rhs else "<"
         report.notes.append(f"admissibility m*|S|+m(m+1)/2 = {lhs} {rel} {rhs}")

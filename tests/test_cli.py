@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import re
@@ -192,11 +193,13 @@ class TestVerifyCommand:
         ["verify", "thm2", "--window", "10:0"],
         ["verify", "deficit", "--window", "10:0"],
         ["explore", "min-additions", "--window", "14:0"],
+        ["verify", "thm3", "--terms", "0,1,2,3,5,8,13,21,34,55,89,144,233,377,610",
+         "--r", "3", "--n", "2", "--ell", "5", "--subset-budget", "-3"],
     ], ids=" ".join)
     def test_empty_grid_is_usage_error(self, capsys, argv):
         # explicit zeros reach the verifier instead of falling back to its
-        # default, and a window with lo > hi is refused rather than passing
-        # over 0 cases
+        # default, a window with lo > hi is refused rather than passing over
+        # 0 cases, and a negative subset budget is refused, not run as 0
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ")
@@ -558,6 +561,34 @@ class TestUsage:
                 pytest.fail(f"README command does not parse: {line}")
             commands += 1
         assert commands >= 10
+
+    def test_readme_library_block_runs(self):
+        # the Library example runs as written and gives the values its
+        # comments state
+        from mstd import SetClass
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+        ns, values = {}, {}
+        for stmt in ast.parse(block).body:
+            code = ast.get_source_segment(block, stmt)
+            if isinstance(stmt, ast.Expr):
+                values[code] = eval(code, ns)
+            else:
+                exec(code, ns)
+        assert values["classify(a)"] is SetClass.SUM_DOMINANT
+        prof = values["profile(a)"]
+        assert (prof.size, prof.sum_size, prof.diff_size) == (8, 26, 25)
+        assert values["ap_plus_two_decomposition(a)"] is None
+        assert values["result.min_mstd_size"] == 8
+
+    def test_every_exported_name_resolves(self):
+        import mstd
+
+        ns = {}
+        exec("from mstd import *", ns)
+        assert sorted(set(mstd.__all__)) == sorted(mstd.__all__)
+        assert all(name in ns for name in mstd.__all__)
 
     def test_search_json_identical_across_processes(self):
         cmd = [sys.executable, "-m", "mstd", "--json", "search", "--diameter-max", "12"]

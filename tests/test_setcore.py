@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,7 +14,6 @@ from mstd import (
     RationalSet,
     SetClass,
     SetLiteralError,
-    affine_normalize,
     ap_plus_two_decomposition,
     classify,
     detect_ap,
@@ -127,7 +127,7 @@ class TestMaskEntry:
 
     def test_ap_mask(self):
         ap = APSpec(7, 3, 4)
-        assert ap.mask() == ap.to_intset().mask()[0] == 0b1001001001
+        assert ap.mask() == IntSet(ap.elements()).mask()[0] == 0b1001001001
 
 
 class TestClassify:
@@ -178,28 +178,6 @@ class TestProfile:
         assert d["ap"] == {"first": 0, "step": 1, "length": 3}
 
 
-class TestAffine:
-    def test_normalize_ap(self):
-        normalized, t = affine_normalize(IntSet((3, 7, 11)))
-        assert normalized.elements == (0, 1, 2)
-        assert (t.shift, t.scale) == (3, 4)
-        assert t.apply(normalized) == IntSet((3, 7, 11))
-
-    def test_normalize_gap_gcd(self):
-        normalized, _ = affine_normalize(IntSet((0, 2, 4, 12, 14)))
-        assert normalized.elements == (0, 1, 2, 6, 7)
-
-    def test_singleton(self):
-        normalized, t = affine_normalize(IntSet((5,)))
-        assert normalized.elements == (0,)
-        assert (t.shift, t.scale) == (5, 1)
-
-    def test_negative_min(self):
-        normalized, t = affine_normalize(IntSet((-6, -2, 2)))
-        assert normalized.elements == (0, 1, 2)
-        assert (t.shift, t.scale) == (-6, 4)
-
-
 class TestReflectCanonical:
     def test_prefers_lex_smaller(self):
         assert reflect_canonical(IntSet((0, 1, 3))).elements == (0, 1, 3)
@@ -240,6 +218,14 @@ class TestRationalSet:
         ints, scale = scale_to_integers(r)
         assert ints.elements == (0, 3)
         assert scale == 1
+
+    @pytest.mark.parametrize("x", [0.1, Decimal("0.1")], ids=["float", "decimal"])
+    def test_from_fractions_refuses_inexact_numbers(self, x):
+        # Fraction(0.1) is 3602879701896397/2**55, not 1/10
+        with pytest.raises(TypeError):
+            RationalSet.from_fractions([0, x])
+        r = RationalSet.from_fractions([0, 2, Fraction(1, 10)])
+        assert (r.numerators.elements, r.denominator) == ((0, 1, 20), 10)
 
     def test_normalization_is_value_preserving(self):
         r = RationalSet(IntSet((0, 2, 4)), 2)

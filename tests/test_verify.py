@@ -12,8 +12,8 @@ from mstd.verify import (
     Theorem3Params,
     check_growth_condition,
     exhaustive_translation_corpus,
+    _symmetric_masks,
     random_corpus,
-    symmetric_sets,
     verify_ap_plus_two,
     verify_growth_criterion,
     verify_insertion_deficit,
@@ -219,7 +219,7 @@ class TestMaskPaths:
         seen = record_kernel(monkeypatch, verify)
         report = verify_symmetric_balanced(16)
         sets = list(_mirrored_halves(16))
-        assert list(symmetric_sets(16)) == sets
+        assert list(map(IntSet.from_mask, _symmetric_masks(16))) == sets
         assert report.passed and report.cases == len(sets)
         assert seen == [a.mask()[0] for a in sets]
 
@@ -400,10 +400,10 @@ class TestObservation6:
 
 class TestSymmetricBalanced:
     def test_generator_members(self):
-        sets14 = {s.elements for s in symmetric_sets(14)}
+        sets14 = {IntSet.from_mask(m).elements for m in _symmetric_masks(14)}
         assert (0, 3) in sets14
         assert (0, 2, 3, 7, 11, 12, 14) in sets14
-        sets10 = {s.elements for s in symmetric_sets(10)}
+        sets10 = {IntSet.from_mask(m).elements for m in _symmetric_masks(10)}
         assert (0, 1, 5, 9, 10) in sets10
 
     def test_diameter20_passes(self):
