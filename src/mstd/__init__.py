@@ -9,7 +9,6 @@ from .setcore import (
     APSpec,
     EmptySetError,
     IntSet,
-    RationalSet,
     SetClass,
     SetLiteralError,
     SetProfile,
@@ -21,7 +20,6 @@ from .setcore import (
     is_symmetric,
     profile,
     reflect_canonical,
-    scale_to_integers,
     sum_diff_sizes,
     sumset,
 )
@@ -29,8 +27,6 @@ from .structure import (
     DeltaProfile,
     cardinality_bounds,
     difference_table,
-    equal_diff_pairs,
-    equal_sum_pairs,
     gaps,
     insertion_delta,
 )
@@ -43,7 +39,6 @@ __all__ = [
     "DeltaProfile",
     "EmptySetError",
     "IntSet",
-    "RationalSet",
     "SearchConfig",
     "SearchResult",
     "SetClass",
@@ -56,16 +51,13 @@ __all__ = [
     "detect_ap",
     "difference_table",
     "diffset",
-    "equal_diff_pairs",
     "equal_pair_counts",
-    "equal_sum_pairs",
     "find_min_mstd",
     "gaps",
     "insertion_delta",
     "is_symmetric",
     "profile",
     "reflect_canonical",
-    "scale_to_integers",
     "sum_diff_sizes",
     "sumset",
 ]

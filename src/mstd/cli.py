@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from . import search, setcore, structure, verify
@@ -113,6 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("explain", _cmd_explain, "gap vector and difference table"),
     ):
         p = sub.add_parser(name, help=text)
+        # read a literal with a leading minus, such as -3,5, as the set, not
+        # an option; argparse's own test admits only a lone negative number
+        p._negative_number_matcher = re.compile(r"^-\d")
         p.add_argument("set")
         p.set_defaults(cmd=cmd)
 
@@ -194,9 +198,6 @@ def _cmd_profile(args) -> int:
 
 def _cmd_explain(args) -> int:
     a = IntSet.parse(args.set)
-    if len(a) < 2:
-        print("set has fewer than 2 elements; no gaps to explain", file=sys.stderr)
-        return 2
     gaps = structure.gaps(a)
     table = structure.difference_table(a)
     if args.json:

@@ -28,6 +28,10 @@ class VerificationReport:
     elapsed_ms: int = 0
     seed: Optional[int] = None
     notes: list = field(default_factory=list)
+    # perf_counter reading at construction; ``finish`` measures from it
+    started: float = field(
+        default_factory=time.perf_counter, init=False, repr=False, compare=False
+    )
 
     @property
     def passed(self) -> bool:
@@ -42,6 +46,11 @@ class VerificationReport:
                 "profile": profile(witness).to_json_dict(),
             }
         )
+
+    def finish(self) -> "VerificationReport":
+        """Set ``elapsed_ms`` to the wall time since the report was made."""
+        self.elapsed_ms = int((time.perf_counter() - self.started) * 1000)
+        return self
 
     def to_json_dict(self, include_elapsed: bool = True) -> dict:
         out = {
@@ -62,12 +71,6 @@ class VerificationReport:
             f"{self.check}: {status} — {self.cases} cases over {self.grid} "
             f"in {self.elapsed_ms} ms"
         )
-
-
-def timed(report: VerificationReport, t0: float) -> VerificationReport:
-    """Set ``elapsed_ms`` to the wall time since ``t0`` (a perf_counter reading)."""
-    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return report
 
 
 def render_json(payload: dict) -> str:

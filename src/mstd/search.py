@@ -30,14 +30,14 @@ remain, so each partition still yields its classes in lexicographic order.
 from __future__ import annotations
 
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from operator import index
 from typing import Iterator, Optional
 
-from .reports import VerificationReport, timed
+from .reports import VerificationReport
 from .setcore import (
     APSpec,
     IntSet,
@@ -71,6 +71,10 @@ class SearchConfig:
     checkpoint_path: Optional[str] = None
 
     def __post_init__(self):
+        for v in (self.diameter_min, self.diameter_max, self.size_min,
+                  self.size_max, self.workers):
+            if v is not None:
+                index(v)  # a float or Fraction: TypeError
         if not 0 <= self.diameter_min <= self.diameter_max:
             raise ValueError("need 0 <= diameter_min <= diameter_max")
         lo = 1 if self.size_min is None else self.size_min
@@ -234,25 +238,13 @@ def _record_line(rec: dict) -> bytes:
     return json.dumps(rec, separators=(",", ":")).encode() + b"\n"
 
 
-def _is_partition_record(rec) -> bool:
-    """Whether ``rec`` has the shape of the records `scan_sum_dominant` writes."""
-    if not isinstance(rec, dict) or not isinstance(rec.get("tallies"), dict):
-        return False
-    t = rec["tallies"]
-    return (
-        isinstance(rec.get("partition_id"), str)
-        and type(rec.get("diameter")) is int
-        and type(t.get("examined")) is int
-        and isinstance(t.get("sum_dominant"), list)
-        and all(isinstance(a, str) for a in t["sum_dominant"])
-    )
-
-
 def _record_tallies(
-    rec: dict, part: tuple[int, int, int], sizes: tuple[int, int], where: str
-) -> tuple[int, list[IntSet]]:
-    """(examined, sum-dominant sets) of a record of partition (d, j, p), re-checked.
+    rec, parts: dict, sizes: tuple[int, int], where: str
+) -> tuple[str, tuple[int, list[IntSet]]]:
+    """(partition id, (examined, sum-dominant sets)) of a record, re-checked.
 
+    The record must have the shape `scan_sum_dominant` writes and name a
+    partition (d, j, p) of ``parts`` (id -> (d, j, p)) with its diameter d.
     Every listed set must parse, have diameter d and a size in the search's
     ``sizes`` (lo, hi), classify as sum-dominant and be a canonical class of
     the partition: normalized, no larger than its reflection, with elements
@@ -260,7 +252,21 @@ def _record_tallies(
     The list must be strictly increasing, the order the walk writes, and
     ``examined`` must count at least the sets listed.
     """
-    (d, j, p), (lo, hi), t = part, sizes, rec["tallies"]
+    t = rec.get("tallies") if isinstance(rec, dict) else None
+    if not (
+        isinstance(t, dict)
+        and isinstance(rec.get("partition_id"), str)
+        and type(rec.get("diameter")) is int
+        and type(t.get("examined")) is int
+        and isinstance(t.get("sum_dominant"), list)
+        and all(isinstance(a, str) for a in t["sum_dominant"])
+    ):
+        raise ValueError(f"{where} is not a partition record")
+    pid = rec["partition_id"]
+    part = parts.get(pid)
+    if part is None or part[0] != rec["diameter"]:
+        raise ValueError(f"{where} is not a partition of this search")
+    (d, j, p), (lo, hi) = part, sizes
     sets = []
     for text in t["sum_dominant"]:
         try:
@@ -279,8 +285,7 @@ def _record_tallies(
             or (a.mask()[0] >> 1) & (p - 1) != j
         ):
             raise ValueError(
-                f"{where} lists {text!r}, not a canonical class of partition "
-                f"{rec['partition_id']}"
+                f"{where} lists {text!r}, not a canonical class of partition {pid}"
             )
         if sets and sets[-1].elements >= a.elements:
             raise ValueError(f"{where} lists {text!r} twice or out of order")
@@ -289,7 +294,7 @@ def _record_tallies(
         raise ValueError(
             f"{where} examined {t['examined']} sets but lists {len(sets)}"
         )
-    return t["examined"], sets
+    return pid, (t["examined"], sets)
 
 
 def _load_checkpoint(
@@ -301,10 +306,9 @@ def _load_checkpoint(
     A final line that is unparseable or lacks its newline was torn by a
     crash mid-write: it is cut off the file, so its partition is scanned
     again.  A bad line anywhere else raises ValueError, and so does a later
-    record that is not a partition record, not of a partition in
-    ``parts`` (id -> (d, j, p)), a second one of its partition, or one
-    whose tallies fail ``_record_tallies`` for the search's ``sizes``.  A
-    new or empty file gets the header written.
+    record that fails ``_record_tallies`` for the search's ``parts`` (id ->
+    (d, j, p)) and ``sizes``, or a second one of its partition.  A new or
+    empty file gets the header written.
     """
     try:
         with open(path, "rb") as fh:
@@ -330,16 +334,11 @@ def _load_checkpoint(
                     f"checkpoint {path} was written for another search "
                     f"(first record {rec}, want {header}); use a new file"
                 )
-        elif not _is_partition_record(rec):
-            raise ValueError(f"{where} is not a partition record")
-        elif (part := parts.get(rec["partition_id"])) is None or (
-            part[0] != rec["diameter"]
-        ):
-            raise ValueError(f"{where} is not a partition of this search")
-        elif rec["partition_id"] in records:
-            raise ValueError(f"{where} repeats partition {rec['partition_id']}")
         else:
-            records[rec["partition_id"]] = _record_tallies(rec, part, sizes, where)
+            pid, tallies = _record_tallies(rec, parts, sizes, where)
+            if pid in records:
+                raise ValueError(f"{where} repeats partition {pid}")
+            records[pid] = tallies
         intact += len(line)
     with open(path, "ab") as fh:
         fh.truncate(intact)
@@ -452,7 +451,6 @@ def explore_two_ap_unions(
         check="two-ap-unions",
         grid=f"lengths<={max_len}, steps<={max_step}, |shift|<={max_shift}",
     )
-    t0 = time.perf_counter()
     # one mask per progression AP(0, d, n), keyed in grid order: n, then d
     aps = {
         (n, d): APSpec(0, d, n).mask()
@@ -476,7 +474,7 @@ def explore_two_ap_unions(
                         IntSet.from_mask(u, min(0, a2)),
                         f"AP(0,{d1},{n1}) + AP({a2},{d2},{n2})",
                     )
-    return timed(report, t0)
+    return report.finish()
 
 
 def explore_min_additions(
@@ -500,7 +498,6 @@ def explore_min_additions(
         check="min-additions",
         grid=f"AP({ap.first},{ap.step},{ap.length}), k<={k_max}, window=[{lo},{hi}]",
     )
-    t0 = time.perf_counter()
     for k in range(1, k_max + 1):
         hit = None
         for extra in combinations(candidates, k):
@@ -519,4 +516,4 @@ def explore_min_additions(
             )
             if k <= 2:
                 report.add_violation(u, f"k={k} additions {added}")
-    return timed(report, t0)
+    return report.finish()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from operator import index, mul
+from operator import index, lt, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -57,7 +57,9 @@ class IntSet:
 
     def __post_init__(self):
         els = self.elements
-        if any(els[i] >= els[i + 1] for i in range(len(els) - 1)):
+        for e in els:
+            index(e)  # a float or Fraction: TypeError
+        if not all(map(lt, els, els[1:])):
             raise ValueError(f"elements must be strictly increasing: {els}")
 
     @classmethod
@@ -133,6 +135,8 @@ class APSpec:
     length: int
 
     def __post_init__(self):
+        for v in (self.first, self.step, self.length):
+            index(v)  # a float or Fraction: TypeError
         if self.length < 1:
             raise ValueError("length must be >= 1")
         if self.step < 1:
@@ -186,14 +190,6 @@ class RationalSet:
             den = lcm(den, f.denominator)
         nums = IntSet(tuple(int(f * den) for f in fracs))
         return cls(nums, den)
-
-    @classmethod
-    def parse(cls, text: str) -> "RationalSet":
-        """Parse a literal like "0,1,5/2" (shared denominator computed here)."""
-        return cls.from_fractions(_parse_tokens(text, allow_rational=True))
-
-    def elements(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,13 @@ and seeds are echoed so any report can be reproduced exactly.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from .reports import DEFAULT_SEED, VerificationReport, timed
+from .reports import DEFAULT_SEED, VerificationReport
 from .search import (
     SearchConfig,
     explore_min_additions,
@@ -85,18 +84,6 @@ class Theorem3Params:
         if self.window[0] > self.window[1]:
             raise ValueError("empty window")
 
-    @property
-    def prefix_size(self) -> int:
-        return 2 * self.r + self.n + self.ell
-
-    @property
-    def deficit_bound(self) -> int:
-        return self.ell * (self.n + 1)
-
-    def admissibility(self) -> tuple[int, int]:
-        lhs = self.m * self.prefix_size + self.m * (self.m + 1) // 2
-        return lhs, self.deficit_bound
-
 
 def check_growth_condition(terms: Sequence[int], r: int) -> bool:
     """True iff a_k > a_{k-1} + a_{k-r} for all k >= r+1 (1-indexed)."""
@@ -115,19 +102,16 @@ def verify_small_cardinality(
     """
     if max_size < 1 or max_diameter < 0:
         raise ValueError("need max_size >= 1 and max_diameter >= 0")
-    t0 = time.perf_counter()
+    report = VerificationReport(
+        check="small-cardinality", grid=f"size<={max_size}, diameter<={max_diameter}"
+    )
     config = SearchConfig(
         diameter_max=max_diameter, size_max=max_size, workers=workers
     )
-    examined, _per_d, sd_sets = scan_sum_dominant(config)
-    report = VerificationReport(
-        check="small-cardinality",
-        grid=f"size<={max_size}, diameter<={max_diameter}",
-        cases=examined,
-    )
+    report.cases, _per_d, sd_sets = scan_sum_dominant(config)
     for w in sd_sets:
         report.add_violation(w, f"size={len(w)} diameter={w.diameter}")
-    return timed(report, t0)
+    return report.finish()
 
 
 def _grids(n_min: int, n_max: int, window: Optional[tuple[int, int]], q_max: int):
@@ -194,14 +178,13 @@ def verify_points(check: str, grid: str, predicate, points) -> VerificationRepor
     The grid verifiers below and the CLI's explicit ``--case`` points share it.
     """
     report = VerificationReport(check=check, grid=grid)
-    t0 = time.perf_counter()
     for point in points:
         report.cases += 1
         witness = predicate(*point)
         if witness is not None:
             names = " ".join(f"{k}={v}" for k, v in zip("xy", point[1:]))
             report.add_violation(witness, f"n={point[0]} {names}")
-    return timed(report, t0)
+    return report.finish()
 
 
 def _window_desc(window: Optional[tuple[int, int]]) -> str:
@@ -276,7 +259,6 @@ def verify_proposition2(n_max: int = 20) -> VerificationReport:
     report = VerificationReport(
         check="insertion-delta-exactness", grid=f"2<=n<={n_max}, 1<=k<=n-1"
     )
-    t0 = time.perf_counter()
     for n in range(2, n_max + 1):
         base = IntSet(tuple(range(n)))
         for k in range(1, n):
@@ -287,16 +269,16 @@ def verify_proposition2(n_max: int = 20) -> VerificationReport:
                     base.with_element((n - 1) + k),
                     f"n={n} k={k} got {delta.as_tuple()} want ({k + 1},{k})",
                 )
-    return timed(report, t0)
+    return report.finish()
 
 
 def exhaustive_translation_corpus(max_diameter: int) -> Iterator[IntSet]:
-    """All sets with diameter <= max_diameter, one per translation class."""
-    yield IntSet((0,))
-    for d in range(1, max_diameter + 1):
-        ends = 1 | (1 << d)
-        for interior in range(1 << (d - 1)):
-            yield IntSet.from_mask(ends | (interior << 1))
+    """All sets with diameter <= max_diameter, one per translation class.
+
+    They are the odd masks below 2^(max_diameter + 1): by diameter, then by
+    the interior bits.
+    """
+    return (IntSet.from_mask(m) for m in range(1, 2 << max_diameter, 2))
 
 
 def random_corpus(trials: int, seed: int = DEFAULT_SEED) -> Iterator[IntSet]:
@@ -320,13 +302,14 @@ def verify_observation6(
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
+    if max_diameter < 0:
+        raise ValueError(f"need max_diameter >= 0, got {max_diameter}")
     report = VerificationReport(
         check="equal-pair-inequality",
         grid=f"exhaustive diameter<={max_diameter} plus {trials} random sets "
         f"(size<={RANDOM_SET_MAX_SIZE}, window={list(RANDOM_SET_WINDOW)})",
         seed=seed,
     )
-    t0 = time.perf_counter()
     total_t = 0
     for label, corpus in (
         ("exhaustive", exhaustive_translation_corpus(max_diameter)),
@@ -343,7 +326,7 @@ def verify_observation6(
     report.notes.append(
         f"exact on every set: 2*ESP - EDP = (T - |A|)/2, sum of T = {total_t}"
     )
-    return timed(report, t0)
+    return report.finish()
 
 
 def _symmetric_masks(max_diameter: int) -> Iterator[int]:
@@ -375,7 +358,6 @@ def verify_symmetric_balanced(max_diameter: int = 30) -> VerificationReport:
     report = VerificationReport(
         check="symmetric-balanced", grid=f"mirrored halves, diameter<={max_diameter}"
     )
-    t0 = time.perf_counter()
     for mask in _symmetric_masks(max_diameter):
         report.cases += 1
         nsum, ndiff = mask_sizes(mask)
@@ -383,7 +365,7 @@ def verify_symmetric_balanced(max_diameter: int = 30) -> VerificationReport:
             report.add_violation(
                 IntSet.from_mask(mask), f"diameter={mask.bit_length() - 1}"
             )
-    return timed(report, t0)
+    return report.finish()
 
 
 def verify_growth_criterion(
@@ -403,15 +385,16 @@ def verify_growth_criterion(
     """
     if params.r != seq.r:
         raise ValueError(f"params.r={params.r} does not match sequence r={seq.r}")
-    size = params.prefix_size
+    size = 2 * params.r + params.n + params.ell
     if len(seq.terms) < size:
         raise ValueError(f"need at least {size} terms, got {len(seq.terms)}")
     if subset_budget < 0:
         raise ValueError(f"need subset_budget >= 0, got {subset_budget}")
-    lhs, rhs = params.admissibility()
-    if params.m >= 1 and lhs > rhs:
+    bound = params.ell * (params.n + 1)
+    lhs = params.m * size + params.m * (params.m + 1) // 2
+    if params.m >= 1 and lhs > bound:
         raise ValueError(
-            f"inadmissible insertion count: m*|S| + m(m+1)/2 = {lhs} > {rhs} = ell*(n+1)"
+            f"inadmissible insertion count: m*|S| + m(m+1)/2 = {lhs} > {bound} = ell*(n+1)"
         )
 
     lo, hi = params.window
@@ -421,7 +404,6 @@ def verify_growth_criterion(
         f"ell={params.ell}, m={params.m}, window=[{lo},{hi}]",
         seed=seed,
     )
-    t0 = time.perf_counter()
 
     # hypothesis: no small subset of the terms is sum-dominant
     small_cap = 2 * params.r + params.n
@@ -439,7 +421,6 @@ def verify_growth_criterion(
             idx = sorted(rng.sample(range(len(seq.terms)), size))
             subjects.append(IntSet(tuple(seq.terms[i] for i in idx)))
 
-    bound = params.deficit_bound
     for si, s in enumerate(subjects):
         label = "prefix" if si == 0 else f"subset#{si}"
         report.cases += 1
@@ -470,22 +451,21 @@ def verify_growth_criterion(
                 )
 
     if params.m >= 1:
-        rel = "=" if lhs == rhs else "<"
-        report.notes.append(f"admissibility m*|S|+m(m+1)/2 = {lhs} {rel} {rhs}")
-    return timed(report, t0)
+        rel = "=" if lhs == bound else "<"
+        report.notes.append(f"admissibility m*|S|+m(m+1)/2 = {lhs} {rel} {bound}")
+    return report.finish()
 
 
 def verify_size5_witnesses() -> VerificationReport:
     """The two size-5 boundary sets must be balanced with 11 sums and 11 differences."""
     report = VerificationReport(check="size5-witnesses", grid="two fixed sets")
-    t0 = time.perf_counter()
     for els in ((0, 1, 3, 4, 5), (0, 1, 2, 4, 5)):
         report.cases += 1
         a = IntSet(els)
         nsum, ndiff = sum_diff_sizes(a)
         if not (nsum == ndiff == 11):
             report.add_violation(a, f"sizes ({nsum},{ndiff}) != (11,11)")
-    return timed(report, t0)
+    return report.finish()
 
 
 def verify_all(seed: int = DEFAULT_SEED, workers: int = 1) -> list[VerificationReport]:

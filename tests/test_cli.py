@@ -88,9 +88,31 @@ class TestProfileExplain:
         assert lines[-2].split() == ["0", "1", "3"]
         assert lines[-1].split() == ["2"]
 
+    @pytest.mark.parametrize(
+        "argv, first_line",
+        [
+            (["classify", "-3,5"], "balanced (3 sums vs 3 differences)"),
+            (["--json", "profile", "-5,0,1000,1001"],
+             '{"set":"-5,0,1000,1001","size":4,"sum_size":10,"diff_size":13,'),
+            (["explain", "-3,5"], "set: -3,5"),
+        ],
+        ids=["classify", "profile", "explain"],
+    )
+    def test_literal_with_a_leading_minus_is_the_set(self, capsys, argv, first_line):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.splitlines()[0].startswith(first_line)
+        assert run_cli(capsys, *argv[:-1], "--", argv[-1]) == (code, out, err)
+
+    @pytest.mark.parametrize("command", ["classify", "profile", "explain"])
+    def test_set_command_help_still_prints(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "-h")
+        assert code == 0 and out.startswith(f"usage: mstd {command} [-h] set")
+
     def test_explain_singleton_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "explain", "5")
-        assert code == 2
+        code, out, err = run_cli(capsys, "explain", "5")
+        assert code == 2 and out == ""
+        assert err == "error: gap vector requires a set with at least 2 elements\n"
 
 
 class TestVerifyCommand:

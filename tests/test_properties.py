@@ -15,9 +15,7 @@ from mstd import (
     classify,
     detect_ap,
     diffset,
-    equal_diff_pairs,
     equal_pair_counts,
-    equal_sum_pairs,
     insertion_delta,
     is_symmetric,
     profile,
@@ -32,6 +30,7 @@ from mstd.setcore import (
     _use_convolution,
     _use_dense,
 )
+from mstd.structure import equal_diff_pairs, equal_sum_pairs
 from mstd.verify import _symmetric_masks, random_corpus
 from conftest import (
     naive_diffset,

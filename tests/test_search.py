@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -223,6 +224,18 @@ class TestFindMinMstd:
             SearchConfig(size_min=4, size_max=2)
         with pytest.raises(ValueError):
             SearchConfig(workers=0)
+
+    @pytest.mark.parametrize(
+        "field", ["diameter_min", "diameter_max", "size_min", "size_max", "workers"]
+    )
+    def test_non_integer_field_is_refused(self, field):
+        # size_max=5.0 ran, and wrote "size_max":5.0 into the JSON payload
+        fields = {"diameter_max": 8, "size_max": 5, field: 5.0}
+        with pytest.raises(TypeError):
+            SearchConfig(**fields)
+        with pytest.raises(TypeError):
+            SearchConfig(**{**fields, field: Fraction(5)})
+        SearchConfig(**{**fields, field: 5})
 
 
 class TestCheckpoint:

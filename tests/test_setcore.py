@@ -11,7 +11,6 @@ from mstd import (
     APSpec,
     EmptySetError,
     IntSet,
-    RationalSet,
     SetClass,
     SetLiteralError,
     ap_plus_two_decomposition,
@@ -21,10 +20,15 @@ from mstd import (
     is_symmetric,
     profile,
     reflect_canonical,
-    scale_to_integers,
     sumset,
 )
-from mstd.setcore import _use_dense, mask_sizes, sizes_of
+from mstd.setcore import (
+    RationalSet,
+    _use_dense,
+    mask_sizes,
+    scale_to_integers,
+    sizes_of,
+)
 from conftest import (
     A1,
     naive_ap_plus_two_decomposition,
@@ -52,6 +56,16 @@ class TestIntSet:
         # int() would truncate them: [0.9, 2.5] became {0, 2}
         with pytest.raises(TypeError):
             IntSet.from_iterable(xs)
+
+    @pytest.mark.parametrize(
+        "els",
+        [(0.5, 1.5), (0, 2.0), (0, Fraction(7, 2)), (Fraction(1), 3)],
+        ids=["floats", "integral-float", "fraction", "integral-fraction"],
+    )
+    def test_constructor_refuses_non_integers(self, els):
+        # IntSet((0.5, 1.5)) printed 0.5,1.5 and detect_ap gave a float APSpec
+        with pytest.raises(TypeError):
+            IntSet(els)
 
     def test_parse(self):
         assert IntSet.parse("0,2, 3").elements == (0, 2, 3)
@@ -231,18 +245,15 @@ class TestRationalSet:
         r = RationalSet(IntSet((0, 2, 4)), 2)
         assert r.denominator == 1
         assert r.numerators.elements == (0, 1, 2)
-        assert r.elements() == (Fraction(0), Fraction(1), Fraction(2))
-
-    def test_parse_with_shared_denominator(self):
-        r = RationalSet.parse("0,1,5/2")
+        xs = [Fraction(0), Fraction(5, 2), Fraction(1)]
+        r = RationalSet.from_fractions(xs)
         assert r.denominator == 2
-        assert r.numerators.elements == (0, 2, 5)
+        assert [Fraction(n, r.denominator) for n in r.numerators] == sorted(xs)
 
     def test_classification_invariant_under_scaling(self):
-        r = RationalSet.parse("0,1/2,3/2,4")
-        ints, _ = scale_to_integers(r)
-        direct = IntSet((0, 1, 3, 8))
-        assert classify(ints) is classify(direct)
+        r = RationalSet.from_fractions([0, Fraction(1, 2), Fraction(3, 2), 4])
+        assert (r.numerators.elements, r.denominator) == ((0, 1, 3, 8), 2)
+        assert classify(r.numerators) is classify(IntSet((0, 3, 9, 24)))  # times 3
 
     def test_rejects_bad_denominator(self):
         with pytest.raises(ValueError):
@@ -260,6 +271,16 @@ class TestSymmetryAndAP:
         assert detect_ap(IntSet((0, 5))) == APSpec(0, 5, 2)
         assert detect_ap(IntSet((0, 1, 3))) is None
         assert detect_ap(IntSet((5,))) == APSpec(5, 1, 1)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [(0, 1.5, 3), (0.5, 1, 3), (0, 1, 3.0), (Fraction(1, 2), 1, 3)],
+        ids=["step", "first", "length", "fraction"],
+    )
+    def test_apspec_refuses_non_integers(self, fields):
+        # APSpec(0, 1.5, 3) was built, and mask() then failed on 1 << 1.5
+        with pytest.raises(TypeError):
+            APSpec(*fields)
 
 
 # a translated and dilated progression plus 0-2 extras, negatives included

@@ -8,12 +8,14 @@ from mstd import (
     cardinality_bounds,
     difference_table,
     diffset,
-    equal_diff_pairs,
-    equal_sum_pairs,
     gaps,
     insertion_delta,
 )
-from mstd.structure import render_difference_table
+from mstd.structure import (
+    equal_diff_pairs,
+    equal_sum_pairs,
+    render_difference_table,
+)
 from conftest import A1, naive_equal_diff_pairs, naive_equal_sum_pairs
 
 

@@ -1,12 +1,14 @@
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from mstd import IntSet, RationalSet, SetClass, classify, verify
+from mstd import IntSet, SetClass, classify, verify
+from mstd.reports import VerificationReport
 from mstd.search import explore_min_additions, explore_two_ap_unions
-from mstd.setcore import _use_dense
+from mstd.setcore import RationalSet, _use_dense
 from mstd.verify import (
     GrowthSequence,
     Theorem3Params,
@@ -38,6 +40,11 @@ class TestSmallCardinality:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             verify_small_cardinality(0, 5)
+
+    def test_rejects_non_integer_bounds(self):
+        # it reported the grid "size<=5.0"
+        with pytest.raises(TypeError):
+            verify_small_cardinality(5.0, 10)
 
 
 class TestApPlusTwo:
@@ -386,6 +393,26 @@ class TestObservation6:
         assert [v["set"] for v in report.violations] == ["0,1,2,4"]
         assert report.violations[0]["context"].startswith("exhaustive #")
 
+    def test_rejects_negative_max_diameter(self):
+        # the corpus held {0}, of diameter 0, under the label "diameter<=-1"
+        with pytest.raises(ValueError, match="max_diameter >= 0"):
+            verify_observation6(10, max_diameter=-1)
+
+    @pytest.mark.parametrize("max_diameter", range(9))
+    def test_exhaustive_corpus_order(self, max_diameter):
+        # obs6 labels its violations "exhaustive #i", so the order is pinned:
+        # by diameter, then by the reversed element tuple (the mask's order)
+        expected = [(0,)] + [
+            (0, *mid, d)
+            for d in range(1, max_diameter + 1)
+            for mid in sorted(
+                (c for k in range(d) for c in combinations(range(1, d), k)),
+                key=lambda c: c[::-1],
+            )
+        ]
+        got = [a.elements for a in exhaustive_translation_corpus(max_diameter)]
+        assert got == expected
+
     def test_same_seed_same_corpus(self):
         a = [s.elements for s in random_corpus(50, seed=123)]
         b = [s.elements for s in random_corpus(50, seed=123)]
@@ -484,6 +511,23 @@ class TestSize5Witnesses:
         assert classify(IntSet(tuple(range(5)))) is SetClass.BALANCED
 
 
+class TestReportClock:
+    def test_elapsed_ms_counts_from_the_reports_own_start(self, monkeypatch):
+        before = time.perf_counter()
+        report = VerificationReport(check="c", grid="g")
+        assert before <= report.started <= time.perf_counter()
+        monkeypatch.setattr(time, "perf_counter", lambda: report.started + 1.2345)
+        assert report.finish() is report
+        assert report.elapsed_ms == 1234
+
+    def test_start_is_not_part_of_the_record(self):
+        a = VerificationReport(check="c", grid="g")
+        b = VerificationReport(check="c", grid="g")
+        b.started = a.started + 1.0
+        assert a == b and repr(a) == repr(b)
+        assert "started" not in a.to_json_dict()
+
+
 class TestReportDeterminism:
     def test_reports_reproduce(self):
         a = verify_observation6(500, seed=42).to_json_dict(include_elapsed=False)
@@ -493,7 +537,7 @@ class TestReportDeterminism:
     def test_structure_open_question_small_sizes(self):
         # sum-dominance at sizes 4 and 5 would force many equal differences;
         # no counterexample appears on the exhaustive corpus
-        from mstd import equal_diff_pairs
+        from mstd.structure import equal_diff_pairs
 
         for a in exhaustive_translation_corpus(12):
             if classify(a) is SetClass.SUM_DOMINANT:
