@@ -90,6 +90,11 @@ CASES = {
     "deficit": ("insertion-deficit", verify.insertion_deficit_violation, 2),
 }
 
+# read a token with a leading minus, such as the set -3,5 or the window -2:3,
+# as a value, not an option; argparse's own test admits only a lone negative
+# number
+_LEADING_MINUS = re.compile(r"^-\d")
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -114,9 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("explain", _cmd_explain, "gap vector and difference table"),
     ):
         p = sub.add_parser(name, help=text)
-        # read a literal with a leading minus, such as -3,5, as the set, not
-        # an option; argparse's own test admits only a lone negative number
-        p._negative_number_matcher = re.compile(r"^-\d")
+        p._negative_number_matcher = _LEADING_MINUS
         p.add_argument("set")
         p.set_defaults(cmd=cmd)
 
@@ -147,6 +150,7 @@ def _add_runs(sub, table: dict) -> None:
     """
     for name, (options, run) in table.items():
         p = sub.add_parser(name, allow_abbrev=False)
+        p._negative_number_matcher = _LEADING_MINUS
         for opt in options:
             p.add_argument("--" + opt.replace("_", "-"), **OPTION_SPECS[opt])
         p.set_defaults(cmd=_cmd_run, options=options, run=run)

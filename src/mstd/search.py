@@ -1,30 +1,39 @@
 """Canonical enumeration and high-throughput search for sum-dominant sets.
 
 The search space is one representative per affine equivalence class
-(translation, positive dilation, reflection): subsets of [0, D] that contain
-both 0 and D, whose element gcd is 1, and that are lexicographically <= their
+(translation, positive dilation, reflection): subsets of [0, d] that contain
+both 0 and d, whose element gcd is 1, and that are lexicographically <= their
 reflection.  For masks anchored at 0 the lexicographic test reduces to an
-integer comparison against the mirrored mask.
-
-One depth-first walk per diameter enumerates them.  It adds elements in
-increasing order and carries the sum and positive-difference masks along,
-so each step costs a constant number of big-int operations.  The walk is
-partitioned by (diameter, membership of the elements 1..log2 p); partitions
-are independent work units whose tallies merge by addition, so results do
-not depend on scheduling.  A checkpoint file of line-delimited JSON records
-lets long sweeps resume.
-
-The walk skips subtrees that hold no canonical class, by one lemma.  Let A
-be canonical of diameter d with an element strictly between 0 and d, and
-let k be its least positive element.  The mask comparison visits the pairs
+integer comparison against the mirrored mask, which reads the pairs
 (i, d - i) from the outside in, i = 1, 2, ...: bit d - i of A's mask is
-[d - i in A], that of its mirror is [i in A].  For i < k the mirror's bit is
-0, so A's must be 0 as well, or A would exceed its mirror.  Hence A has no
-element in (d - k, d), and since k itself is not in that interval,
-k <= d - k.  So the walk never adds an element >= lim, an exclusive bound
-that is d // 2 + 1 while the node holds no positive element and d - k + 1
-once k is known.  Dropping whole subtrees does not reorder the ones that
-remain, so each partition still yields its classes in lexicographic order.
+[d - i in A], that of its mirror is [i in A].
+
+One depth-first walk per diameter decides the pairs in that order.  Each
+step adds at most two elements and carries the set, mirror, sum and
+positive-difference masks, the gcd and the size, at a constant number of
+big-int operations.  Tie rule: while each decided pair is symmetric, the
+walk refuses a pair that holds d - i but not i; once a pair holds i alone,
+A is below its mirror whatever follows.  So each class is one leaf, and the
+leaves still tied are the symmetric classes.
+
+Fringe lemma (sum-dominance is decided at the fringes, as Martin and
+O'Bryant, and Zhao, view it).  Let the pairs with i < w be decided, so only
+[w, d - w] is open.  A sum x + y with x open lies in [w, 2d - w], as y lies
+in [0, d]; so the sums in [0, w) and (2d - w, 2d] are final, and every
+completion has |A+A| <= (those sums) + 2d - 2w + 1.  No added element
+removes a difference, so every completion has |A-A| >= 2 * (positive
+differences of the decided elements) + 1.  When the first bound is at most
+the second, no completion is sum-dominant and the walk skips the subtree.
+A child's sum bound is no higher than its parent's (each fringe gains at
+most one sum, the open middle loses two) and its difference bound no lower,
+so a cut node has no uncut descendant.  With the cut off the walk yields
+every class.
+
+The walk is partitioned by (diameter, decisions on the first pairs);
+partitions are independent work units whose tallies merge by addition, so
+results do not depend on scheduling.  Class counts come from the closed form
+`class_count`, which the uncut walk is checked against.  A checkpoint file
+of line-delimited JSON records lets long sweeps resume.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from operator import index
 from typing import Iterator, Optional
 
@@ -58,7 +67,7 @@ DEFAULT_SWEEP_DIAMETER = 24
 
 # Version of the checkpoint layout: a header record, then one record per
 # completed partition.
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 
 @dataclass
@@ -122,112 +131,153 @@ class SearchResult:
         }
 
 
-def _canonical_classes(
-    d: int, j: int, p: int, size_lo: int, size_hi: int
-) -> Iterator[tuple[int, int, int]]:
-    """Yield (mask, |A+A|, |A-A|) for each canonical class in one partition.
+def _squarefree_divisors(n: int) -> list[tuple[int, int]]:
+    """(e, mu(e)) for each squarefree divisor e of n >= 1, mu the Moebius function."""
+    out, p = [(1, 1)], 2
+    while n > 1:
+        if n % p == 0:
+            out += [(e * p, -mu) for e, mu in out]
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out
 
-    The partition holds the sets of diameter d whose elements 1..log2(p)
-    are present exactly where j has a bit set; it needs
-    p.bit_length() <= d, so that those elements lie below d.  Classes come
-    out in lexicographic order of their element tuples: a node closes (adds
-    d) after all its extensions, and A + {x, ...} + {d} sorts before A + {d}.
 
-    By the lemma in the module docstring, the walk adds no element at or
-    past ``lim``: d - k + 1 with k the least positive element, from the
-    fixed elements or from the first one added, and d // 2 + 1 at the
-    root {0}.  That drops whole subtrees, so the rest keep their order.
-    Below the root, the child that adds lim - 1 has no children; it is
-    closed from its parent's masks, with no push and pop.  The tests
-    ``full <= mirror`` and gcd 1 still decide every class.
+def class_count(d: int, size_lo: int, size_hi: int) -> int:
+    """The number of canonical classes of diameter d with size_lo..size_hi elements.
+
+    By Burnside's lemma for the reflection it is (N + S) / 2 at each size k,
+    with N the k-sets of gcd 1 in [0, d] holding 0 and d, and S the
+    symmetric ones.  Both follow by Moebius inversion over the divisors e
+    of d: the k-sets whose gcd e divides are those of [0, d/e], times e.
     """
     if d == 0:
-        if j == 0 and size_lo <= 1 <= size_hi:
-            yield 1, 1, 1  # the singleton class {0}
-        return
-    if j.bit_count() + 2 > size_hi:
-        return  # the fixed elements plus {0, d} already exceed the size cap
-    top, top2 = 1 << d, 1 << (2 * d)
-    # root node: {0} plus the fixed elements, built with the shared kernel
-    a = 1 | (j << 1)
+        return int(size_lo <= 1 <= size_hi)
+    total = 0
+    for e, mu in _squarefree_divisors(d):
+        n = d // e
+        for k in range(max(2, size_lo), min(size_hi, d + 1) + 1):
+            # a symmetric k-set holds (k - 2) // 2 of the (n - 1) // 2 pairs
+            # (i, n - i), and the midpoint n / 2 when k is odd
+            sym = comb((n - 1) // 2, (k - 2) // 2) if n % 2 == 0 or k % 2 == 0 else 0
+            total += mu * (comb(n - 1, k - 2) + sym)
+    return total // 2
+
+
+def _key_pairs(d: int) -> int:
+    # the outer pairs a partition key decides: 1, 3, 10, 36 or 136 partitions
+    # for 0 to 4 pairs, set by the diameter alone, so partition ids are
+    # stable across worker counts
+    return max(0, min(4, (d - 15) // 2))
+
+
+def _prefix_masks(d: int, j: int, t: int) -> tuple[int, int]:
+    """Masks of A and d - A, A = {0, d} plus key j's picks among (i, d - i), i <= t.
+
+    Bit 2i - 2 of j is [i in A] and bit 2i - 1 is [d - i in A].  With every
+    bit of j set, A holds every position the key decides.
+    """
+    a = m = 1 | (1 << d)
+    for i in range(1, t + 1):
+        low, high = (j >> (2 * i - 2)) & 1, (j >> (2 * i - 1)) & 1
+        a |= low << i | high << (d - i)
+        m |= high << i | low << (d - i)
+    return a, m
+
+
+def _fringes(d: int) -> list[tuple[int, int]]:
+    """(final sums mask, open sum slots) at each step w: the fringe lemma's terms.
+
+    With the pairs (i, d - i), i < w, decided, the sums in [0, w) and
+    (2d - w, 2d] are final, and at most 2d - 2w + 1 others can occur.
+    """
+    return [
+        (((1 << w) - 1) | (((1 << w) - 1) << (2 * d - w + 1)), 2 * (d - w) + 1)
+        for w in range(d // 2 + 2)
+    ]
+
+
+def _canonical_classes(
+    d: int, j: int, t: int, size_lo: int, size_hi: int, cut: bool = True
+) -> list[tuple[int, int, int]]:
+    """(mask, |A+A|, |A-A|) of the canonical classes of one partition, in walk order.
+
+    The partition holds the sets of diameter d whose first t pairs, 2t < d,
+    are as key j decides them.  With ``cut`` the list holds every
+    sum-dominant class of the partition and the other classes the walk
+    reached; without it, every class.
+    """
+    if d == 0:
+        return [(1, 1, 1)] if size_lo <= 1 <= size_hi else []
+    a, m = _prefix_masks(d, j, t)
     s, p_diffs = _sum_diff_masks(a)
-    p_diffs ^= 1  # keep positive differences only
-    m = g = 0
-    for e in _bit_indices(a):
-        m |= top >> e  # mirror: bit d - e
-        g = gcd(g, e)
-    n = a.bit_count()
-    x = p.bit_length()  # first element the walk may add
-    # exclusive bound on the elements the walk may add
-    lim = d - (j & -j).bit_length() + 1 if j else d // 2 + 1
-    stack = []
-    while True:
-        if x < lim and n + 2 <= size_hi:
-            if x + 1 < lim or n == 1:
-                # descend: add x, the smallest untried element
-                stack.append((a, m, s, p_diffs, g, n, x, lim))
-                if n == 1:
-                    lim = d - x + 1  # x is the least positive element
-                s |= (a << x) | (1 << (2 * x))
-                p_diffs |= (m << x) >> d  # the new differences x - e
-                a |= 1 << x
-                m |= top >> x
-                g = gcd(g, x)
-                n += 1
-                x += 1
-                continue
-            # the last child, A + {x}, has no children: close it with d here
-            # (x = d - k and g divides k, so x leaves the gcd test unchanged)
-            ax = a | (1 << x)
-            full = ax | top
-            mx = m | (top >> x)
-            if full <= mx | 1 and size_lo <= n + 2 and gcd(g, d) == 1:
-                nsum = (s | (ax << x) | (ax << d) | top2).bit_count()
-                ndiff = (p_diffs | ((m << x) >> d) | mx).bit_count()
-                yield full, nsum, 2 * ndiff + 1
-        # every extension of this node is done: close it with d
-        full = a | top
-        if full <= m | 1 and size_lo <= n + 1 and gcd(g, d) == 1:
-            nsum = (s | (a << d) | top2).bit_count()
-            yield full, nsum, 2 * (p_diffs | m).bit_count() + 1
-        if not stack:
+    fringes = _fringes(d) if cut else None
+    leaf = d // 2 + 1
+    out = []
+
+    def visit(x, a, m, s, p_diffs, g, n, tied):
+        # the pairs (i, d - i) with i < x are decided; m is the mirror of a
+        if fringes:
+            final, slots = fringes[x]
+            if (s & final).bit_count() + slots <= 2 * p_diffs.bit_count() + 1:
+                return
+        if n >= size_hi:
+            x = leaf  # the size cap leaves every open position out
+        y = d - x
+        if x > y:
+            if g == 1 and size_lo <= n <= size_hi:
+                out.append((a, s.bit_count(), 2 * p_diffs.bit_count() + 1))
             return
-        a, m, s, p_diffs, g, n, x, lim = stack.pop()
-        x += 1
+        g1 = gcd(g, x)  # gcd(g, y) too, as d is an element
+        # the masks with x added: x + e, and the differences x - e and e - x
+        sx = s | (a << x) | (1 << 2 * x)
+        px = p_diffs | (a >> x) | ((m << x) >> d)
+        visit(x + 1, a, m, s, p_diffs, g, n, tied)
+        if x == y:  # the midpoint
+            visit(x + 1, a | 1 << x, m | 1 << x, sx, px, g1, n + 1, tied)
+            return
+        visit(x + 1, a | 1 << x, m | 1 << y, sx, px, g1, n + 1, False)
+        sy = s | (a << y) | (1 << 2 * y)
+        py = (a >> y) | ((m << y) >> d)
+        if not tied:
+            visit(x + 1, a | 1 << y, m | 1 << x, sy, p_diffs | py, g1, n + 1, False)
+        if n + 2 <= size_hi:
+            b = 1 << x | 1 << y  # x + y = d is a sum already
+            visit(x + 1, a | b, m | b, sx | sy, px | py | 1 << (y - x), g1, n + 2, tied)
+
+    visit(t + 1, a, m, s, p_diffs ^ 1, gcd(*_bit_indices(a)), a.bit_count(), a == m)
+    del visit  # visit holds itself: unbind it, or the cycle keeps ``out`` alive
+    return out
+
+
+def _partitions(config: SearchConfig) -> list[tuple[int, int, int]]:
+    """(d, j, t) for each partition: the keys j of t pairs that the tie rule allows."""
+    parts = []
+    for d in range(config.diameter_min, config.diameter_max + 1):
+        t = _key_pairs(d)
+        for j in range(1 << (2 * t)):
+            a, m = _prefix_masks(d, j, t)
+            if a <= m:
+                parts.append((d, j, t))
+    return parts
 
 
 def iter_normalized(config: SearchConfig) -> Iterator[IntSet]:
     """Yield one canonical representative per affine class.
 
-    Order is deterministic: diameter ascending, then lexicographic on the
-    element tuple.  Each class appears exactly once.
+    Order is deterministic: diameter ascending, then partition, then walk
+    order.  Each class appears exactly once.
     """
     size_lo, size_hi = config.size_range()
-    for d in range(config.diameter_min, config.diameter_max + 1):
-        for mask, _, _ in _canonical_classes(d, 0, 1, size_lo, size_hi):
+    for d, j, t in _partitions(config):
+        for mask, _, _ in _canonical_classes(d, j, t, size_lo, size_hi, cut=False):
             yield IntSet.from_mask(mask)
-
-
-def _partitions(config: SearchConfig) -> list[tuple[int, int, int]]:
-    # the count depends on the diameter alone, so partition ids are stable
-    # across worker counts
-    parts = []
-    for d in range(config.diameter_min, config.diameter_max + 1):
-        p = 1 << max(0, min(8, d - 16))
-        for j in range(p):
-            parts.append((d, j, p))
-    return parts
 
 
 def _scan_partition(args) -> tuple[int, list[int]]:
     """Scan one partition; return (classes examined, sum-dominant masks)."""
-    examined = 0
-    sd_masks: list[int] = []
-    for mask, nsum, ndiff in _canonical_classes(*args):
-        examined += 1
-        if nsum > ndiff:
-            sd_masks.append(mask)
-    return examined, sd_masks
+    classes = _canonical_classes(*args)
+    return len(classes), [mask for mask, nsum, ndiff in classes if nsum > ndiff]
 
 
 def _partition_id(d: int, j: int) -> str:
@@ -244,12 +294,12 @@ def _record_tallies(
     """(partition id, (examined, sum-dominant sets)) of a record, re-checked.
 
     The record must have the shape `scan_sum_dominant` writes and name a
-    partition (d, j, p) of ``parts`` (id -> (d, j, p)) with its diameter d.
+    partition (d, j, t) of ``parts`` (id -> (d, j, t)) with its diameter d.
     Every listed set must parse, have diameter d and a size in the search's
     ``sizes`` (lo, hi), classify as sum-dominant and be a canonical class of
-    the partition: normalized, no larger than its reflection, with elements
-    1..log2(p) present where j has a bit set.
-    The list must be strictly increasing, the order the walk writes, and
+    the partition: normalized, no larger than its reflection, with its
+    first t pairs as key j decides them.
+    The list must be strictly increasing, the order the sweep writes, and
     ``examined`` must count at least the sets listed.
     """
     t = rec.get("tallies") if isinstance(rec, dict) else None
@@ -266,7 +316,8 @@ def _record_tallies(
     part = parts.get(pid)
     if part is None or part[0] != rec["diameter"]:
         raise ValueError(f"{where} is not a partition of this search")
-    (d, j, p), (lo, hi) = part, sizes
+    (d, j, pairs), (lo, hi) = part, sizes
+    decided = _prefix_masks(d, (1 << (2 * pairs)) - 1, pairs)[0]
     sets = []
     for text in t["sum_dominant"]:
         try:
@@ -282,7 +333,7 @@ def _record_tallies(
         if (
             not is_normalized(a)
             or reflect_canonical(a) != a
-            or (a.mask()[0] >> 1) & (p - 1) != j
+            or a.mask()[0] & decided != _prefix_masks(d, j, pairs)[0]
         ):
             raise ValueError(
                 f"{where} lists {text!r}, not a canonical class of partition {pid}"
@@ -302,12 +353,13 @@ def _load_checkpoint(
 ) -> dict:
     """(examined, sum-dominant sets) of each completed partition, by partition id.
 
-    The first record must equal ``header``; anything else raises ValueError.
-    A final line that is unparseable or lacks its newline was torn by a
+    The first record must equal ``header``; anything else raises ValueError,
+    which names the format of a file written in another one.  A final line
+    that is unparseable or lacks its newline was torn by a
     crash mid-write: it is cut off the file, so its partition is scanned
     again.  A bad line anywhere else raises ValueError, and so does a later
     record that fails ``_record_tallies`` for the search's ``parts`` (id ->
-    (d, j, p)) and ``sizes``, or a second one of its partition.  A new or
+    (d, j, t)) and ``sizes``, or a second one of its partition.  A new or
     empty file gets the header written.
     """
     try:
@@ -328,13 +380,18 @@ def _load_checkpoint(
             if i == len(lines) - 1:
                 break
             raise ValueError(f"{where} is not a record")
-        if i == 0:
-            if rec != header:
+        if i == 0 and rec != header:
+            fmt = rec.get("format") if isinstance(rec, dict) else None
+            if fmt not in (None, CHECKPOINT_FORMAT):
                 raise ValueError(
-                    f"checkpoint {path} was written for another search "
-                    f"(first record {rec}, want {header}); use a new file"
+                    f"checkpoint {path} has format {fmt}; this version reads "
+                    f"format {CHECKPOINT_FORMAT} only; use a new file"
                 )
-        else:
+            raise ValueError(
+                f"checkpoint {path} was written for another search "
+                f"(first record {rec}, want {header}); use a new file"
+            )
+        elif i > 0:
             pid, tallies = _record_tallies(rec, parts, sizes, where)
             if pid in records:
                 raise ValueError(f"{where} repeats partition {pid}")
@@ -347,11 +404,16 @@ def _load_checkpoint(
     return records
 
 
-def scan_sum_dominant(config: SearchConfig) -> tuple[int, dict, list[IntSet]]:
+def scan_sum_dominant(
+    config: SearchConfig, *, cut: bool = True
+) -> tuple[int, dict, list[IntSet]]:
     """Scan the canonical space and collect every sum-dominant set.
 
     Returns (sets_examined, per-diameter tallies, sum-dominant sets sorted by
-    diameter then elements).  Honors workers and checkpoint.
+    diameter then elements).  Honors workers and checkpoint.  The examined
+    counts are `class_count`'s.  With ``cut`` off the walk visits every
+    class, and a diameter whose tally, fresh or resumed, differs from
+    `class_count` raises ValueError; the tests use that mode.
     """
     size_lo, size_hi = config.size_range()
     parts = _partitions(config)
@@ -359,17 +421,17 @@ def scan_sum_dominant(config: SearchConfig) -> tuple[int, dict, list[IntSet]]:
     done = {}
     if path:
         header = {"format": CHECKPOINT_FORMAT, "config": config.space_json_dict()}
-        by_id = {_partition_id(d, j): (d, j, p) for d, j, p in parts}
+        by_id = {_partition_id(d, j): (d, j, t) for d, j, t in parts}
         done = _load_checkpoint(path, header, by_id, (size_lo, size_hi))
 
     todo = []
     results = []  # (d, examined, sum-dominant IntSets)
-    for d, j, p in parts:
+    for d, j, t in parts:
         tallies = done.get(_partition_id(d, j))
         if tallies is not None:
             results.append((d, *tallies))
         else:
-            todo.append((d, j, p, size_lo, size_hi))
+            todo.append((d, j, t, size_lo, size_hi, cut))
 
     # results stream back in partition order; checkpoint records are appended
     # as they arrive so an interrupted sweep loses at most one partition
@@ -385,7 +447,7 @@ def scan_sum_dominant(config: SearchConfig) -> tuple[int, dict, list[IntSet]]:
         if path:
             ckpt = open(path, "ab")
         for (d, j, *_), (examined, sd_masks) in zip(todo, fresh):
-            sets = [IntSet.from_mask(m) for m in sd_masks]
+            sets = sorted(map(IntSet.from_mask, sd_masks), key=lambda a: a.elements)
             results.append((d, examined, sets))
             if ckpt is not None:
                 ckpt.write(_record_line({
@@ -403,18 +465,26 @@ def scan_sum_dominant(config: SearchConfig) -> tuple[int, dict, list[IntSet]]:
         if pool is not None:
             pool.shutdown()
 
-    per_diameter: dict[int, dict] = {}
-    total_examined = 0
+    per_diameter = {
+        d: {"examined": class_count(d, size_lo, size_hi), "sum_dominant": 0}
+        for d in range(config.diameter_min, config.diameter_max + 1)
+    }
+    walked = dict.fromkeys(per_diameter, 0)
     found: list[IntSet] = []
     for d, examined, sets in results:
-        tally = per_diameter.setdefault(d, {"examined": 0, "sum_dominant": 0})
-        tally["examined"] += examined
-        tally["sum_dominant"] += len(sets)
-        total_examined += examined
+        walked[d] += examined
+        per_diameter[d]["sum_dominant"] += len(sets)
         found.extend(sets)
+    for d, tally in per_diameter.items():
+        if not cut and walked[d] != tally["examined"]:
+            raise ValueError(
+                f"diameter {d}: the walk examined {walked[d]} classes, "
+                f"class_count gives {tally['examined']}"
+            )
 
     found.sort(key=lambda w: (w.diameter, w.elements))
-    return total_examined, per_diameter, found
+    total = sum(t["examined"] for t in per_diameter.values())
+    return total, per_diameter, found
 
 
 def find_min_mstd(config: SearchConfig) -> SearchResult:

@@ -332,6 +332,26 @@ class TestSearchCommand:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and "another search" in err
 
+    def test_checkpoint_of_format_2_exits_2(self, capsys, tmp_path):
+        # format 2 partitioned on the smallest elements; its records name
+        # other partitions, so the file is refused before any of them is read
+        path = tmp_path / "ck.jsonl"
+        argv = ["--checkpoint", str(path), "search", "--diameter-max", "10"]
+        assert run_cli(capsys, *argv)[0] == 0
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        assert header["format"] == 3
+        header["format"] = 2
+        written = "\n".join([json.dumps(header), *lines[1:]]) + "\n"
+        path.write_text(written)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: checkpoint {path} has format 2; this version reads "
+            "format 3 only; use a new file\n"
+        )
+        assert path.read_text() == written
+
     @pytest.mark.parametrize("bad", ['{"oops": 1}', "5"], ids=["no-fields", "int"])
     def test_malformed_checkpoint_record_exits_2(self, capsys, tmp_path, bad):
         path = tmp_path / "ck.jsonl"
@@ -424,12 +444,12 @@ class TestSearchCommand:
     def test_checkpoint_record_of_a_set_outside_its_partition_exits_2(
         self, capsys, tmp_path
     ):
-        # at d = 17 there are two partitions: 17/0 holds the classes without
-        # the element 1 and 17/1 those with it
+        # at d = 17 the key decides the pair (1, 16): 17/0 holds the classes
+        # with neither, 17/1 those with 1 alone and 17/3 those with both
         listed = "0,1,2,3,5,6,11,14,15,16,17"  # sum-dominant, canonical
         space = {"diameter_min": 17, "diameter_max": 17}
         records = [
-            {"format": 2, "config": {**space, "size_min": None, "size_max": None}},
+            {"format": 3, "config": {**space, "size_min": None, "size_max": None}},
             {"partition_id": "17/0", "diameter": 17,
              "tallies": {"examined": 8255, "sum_dominant": [listed]}},
         ]
@@ -550,6 +570,28 @@ class TestUsage:
         assert code == 2 and out == ""
         assert f"argument {option}: expected " in err
         assert not any(name in err for name in ("_workers", "_window", "_ap"))
+
+    @pytest.mark.parametrize(
+        "argv, grid",
+        [
+            (["verify", "thm2", "--window", "-2:3", "--n-max", "3"], "x,y in [-2,3]"),
+            (["verify", "deficit", "--window", "-2:3", "--n-max", "3"],
+             "x in [-2,3]"),
+            (["verify", "thm3", "--preset", "fib13", "--window", "-2:3"],
+             "window=[-2,3]"),
+            (["explore", "min-additions", "--k-max", "1", "--window", "-2:3"],
+             "window=[-2,3]"),
+            (["explore", "min-additions", "--ap", "-3,4,3", "--k-max", "1"],
+             "AP(-3,4,3)"),
+        ],
+        ids=["thm2-window", "deficit-window", "thm3-window",
+             "min-additions-window", "min-additions-ap"],
+    )
+    def test_option_value_with_a_leading_minus(self, capsys, argv, grid):
+        # a value such as -2:3 after its option, with a space, is the value
+        code, out, err = run_cli(capsys, "--json", *argv)
+        assert code == 0, err
+        assert grid in json.loads(out)["grid"]
 
     def test_negative_window_token(self, capsys):
         code, out, _ = run_cli(

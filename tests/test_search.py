@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 from fractions import Fraction
@@ -19,7 +20,10 @@ from mstd.reports import render_json
 from mstd.search import (
     SearchConfig,
     _canonical_classes,
+    _partitions,
+    _prefix_masks,
     _scan_partition,
+    class_count,
     explore_min_additions,
     explore_two_ap_unions,
     find_min_mstd,
@@ -42,8 +46,9 @@ class TestEnumeration:
         assert seen == [(0, 1, 2)]
 
     def test_diameter3_order(self):
+        # within a diameter the order is the walk's, not lexicographic
         seen = [a.elements for a in iter_normalized(SearchConfig(3, 3))]
-        assert seen == [(0, 1, 2, 3), (0, 1, 3)]
+        assert sorted(seen) == [(0, 1, 2, 3), (0, 1, 3)]
 
     def test_diameter0(self):
         assert [a.elements for a in iter_normalized(SearchConfig(0, 0))] == [(0,)]
@@ -63,31 +68,37 @@ class TestEnumeration:
         d_lo, d_hi, size_min, size_max = bounds
         config = SearchConfig(d_lo, d_hi, size_min=size_min, size_max=size_max)
         seen = [a.elements for a in iter_normalized(config)]
+        # diameter ascending, then walk order: the same classes per diameter
+        assert [els[-1] for els in seen] == sorted(els[-1] for els in seen)
         want = list(lex_canonical_classes(
             d_lo, d_hi, size_min or 1, size_max or d_hi + 1
         ))
-        assert seen == want
+        assert sorted(seen, key=lambda els: (els[-1], els)) == want
 
-    @pytest.mark.parametrize("p", [2, 4, 8])
+    @pytest.mark.parametrize("fixed", [2, 4, 6, 8])
     @pytest.mark.parametrize(
         "size_range", [None, (3, 5)], ids=["all", "size3to5"]
     )
-    def test_partitions_match_tuple_dfs_oracle(self, p, size_range):
-        # the fixed elements 1..log2(p) set the walk's bound in each partition
-        for d in range(p.bit_length(), 14):
+    def test_partitions_match_tuple_dfs_oracle(self, monkeypatch, fixed, size_range):
+        # keys that decide the fixed // 2 outer pairs, so the 2, 4, 6 or 8
+        # outermost positions inside [0, d]; each class lands in the one
+        # partition whose key its own first pairs spell
+        t = fixed // 2
+        monkeypatch.setattr(search, "_key_pairs", lambda d: t)
+        decided = (1 << (2 * t)) - 1
+        for d in range(2 * t + 1, 14):
             size_lo, size_hi = size_range or (1, d + 1)
             union = []
-            for j in range(p):
-                part = []
+            key_bits = _prefix_masks(d, decided, t)[0]
+            for _, j, _ in _partitions(SearchConfig(d, d)):
                 for mask, nsum, ndiff in _canonical_classes(
-                    d, j, p, size_lo, size_hi
+                    d, j, t, size_lo, size_hi, cut=False
                 ):
                     els = tuple(_bit_indices(mask))
                     assert nsum == len(naive_sumset(els)), els
                     assert ndiff == len(naive_diffset(els)), els
-                    part.append(els)
-                assert part == sorted(part), (d, j)
-                union += part
+                    assert mask & key_bits == _prefix_masks(d, j, t)[0]
+                    union.append(els)
             want = list(lex_canonical_classes(d, d, size_lo, size_hi))
             assert sorted(union) == want, d
 
@@ -106,22 +117,29 @@ class TestEnumeration:
         assert checked == 8_288
 
     @pytest.mark.parametrize(
+        # key 0: neither of 1, d - 1; key 1: 1 alone; key 3: both
         "part, tallies",
         [
-            ((17, 0, 2), (8_255, 0)),
-            ((17, 1, 2), (24_640, 8)),
-            ((18, 0, 4), (4_107, 0)),
-            ((18, 1, 4), (20_544, 2)),
-            ((18, 2, 4), (12_252, 3)),
-            ((18, 3, 4), (28_736, 16)),
+            ((17, 0, 1), (853, 0, 8_255)),
+            ((17, 1, 1), (759, 1, 16_384)),
+            ((17, 3, 1), (413, 7, 8_256)),
+            ((18, 0, 1), (1_168, 3, 16_359)),
+            ((18, 1, 1), (963, 6, 32_768)),
+            ((18, 3, 1), (573, 12, 16_512)),
         ],
     )
     def test_partition_tallies(self, part, tallies):
         # checkpoint records are per partition: a resume only reaches the right
-        # totals if no class moves between partitions
-        d, j, p = part
-        examined, sd_masks = _scan_partition((d, j, p, 1, d + 1))
-        assert (examined, len(sd_masks)) == tallies
+        # totals if no class moves between partitions.  The record's examined
+        # count is the classes the cut walk reached; the last figure is all
+        # classes of the partition
+        d, j, t = part
+        examined, sd_masks = _scan_partition((d, j, t, 1, d + 1, True))
+        classes = len(_canonical_classes(d, j, t, 1, d + 1, cut=False))
+        assert (examined, len(sd_masks), classes) == tallies
+        assert _partitions(SearchConfig(d, d)) == [
+            (d, 0, 1), (d, 1, 1), (d, 3, 1)
+        ]
 
     def test_canonical_uniqueness(self):
         # no two visited sets may share an affine class
@@ -171,6 +189,126 @@ class TestEnumeration:
                 by_d[a.diameter] = by_d.get(a.diameter, 0) + 1
             assert examined == sum(by_d.values())
             assert {d: t["examined"] for d, t in per_d.items() if t["examined"]} == by_d
+
+
+def _cut_and_uncut(config):
+    """(per-diameter tallies, sum-dominant sets) of a scan with the cut and without."""
+    return [scan_sum_dominant(config, cut=cut)[1:] for cut in (True, False)]
+
+
+def _mutated_walk(monkeypatch, old, new):
+    """Swap the walk for a copy of its source with ``old`` replaced by ``new``."""
+    source = inspect.getsource(search._canonical_classes)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(search))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(search, "_canonical_classes", namespace["_canonical_classes"])
+
+
+class TestFringeCut:
+    @pytest.mark.parametrize(
+        "size_range", [(None, None), (3, 5)], ids=["all", "size3to5"]
+    )
+    def test_cut_lists_what_the_uncut_walk_lists(self, size_range):
+        # the uncut walk checks its tallies against class_count as it goes
+        config = SearchConfig(0, 20, *size_range)
+        cut, uncut = _cut_and_uncut(config)
+        assert cut == uncut
+        assert len(cut[1]) == (189 if size_range == (None, None) else 0)
+
+    def test_sum_dominant_tallies_past_the_uncut_range(self):
+        # the per-diameter counts the walk that visited every class gave
+        examined, per_d, found = scan_sum_dominant(SearchConfig(21, 24, workers=2))
+        assert per_d == {
+            21: {"examined": 524_762, "sum_dominant": 191},
+            22: {"examined": 1_049_071, "sum_dominant": 417},
+            23: {"examined": 2_098_175, "sum_dominant": 874},
+            24: {"examined": 4_195_230, "sum_dominant": 1_784},
+        }
+        assert (examined, len(found)) == (7_867_238, 3_266)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            # one open sum slot fewer than 2d - 2w + 1
+            lambda fringes: [(final, slots - 1) for final, slots in fringes],
+            # the top fringe one sum short: 2d - w + 1 not counted as final
+            lambda fringes: [
+                (final & ~(1 << (2 * (len(fringes) - 2) - w + 1)), slots)
+                for w, (final, slots) in enumerate(fringes)
+            ],
+        ],
+        ids=["open-slots", "top-fringe"],
+    )
+    def test_off_by_one_bound_fails_the_list_test(self, monkeypatch, mutate):
+        real = search._fringes
+        monkeypatch.setattr(search, "_fringes", lambda d: mutate(real(d)))
+        cut, uncut = _cut_and_uncut(SearchConfig(0, 20))
+        assert cut != uncut
+        assert set(map(str, cut[1])) < set(map(str, uncut[1]))
+
+
+class TestClassCount:
+    def test_matches_the_oracle_at_every_size_range(self):
+        for d in range(15):
+            sizes = [len(els) for els in lex_canonical_classes(d, d, 1, 16)]
+            for lo in range(1, 17):
+                for hi in range(lo, 17):
+                    want = sum(1 for k in sizes if lo <= k <= hi)
+                    assert class_count(d, lo, hi) == want, (d, lo, hi)
+
+    @pytest.mark.parametrize("d", [15, 16, 17, 18])
+    def test_matches_the_uncut_walk(self, d):
+        for lo, hi in ((1, d + 1), (3, 5), (6, 7), (8, 8)):
+            walked = sum(
+                len(_canonical_classes(d, j, t, lo, hi, cut=False))
+                for _, j, t in _partitions(SearchConfig(d, d))
+            )
+            assert walked == class_count(d, lo, hi), (lo, hi)
+
+    def test_known_totals(self):
+        def total(d_max, hi=None):
+            return sum(class_count(d, 1, hi or d_max + 1) for d in range(d_max + 1))
+
+        assert total(22) == 2_099_048
+        assert total(24) == 8_392_453
+        assert total(30, 5) == 14_891  # the thm1 slices' case counts
+        assert total(20, 7) == 29_982
+        assert [class_count(d, 1, d + 1) for d in (25, 26)] == [8_390_646, 16_779_231]
+
+    @pytest.mark.parametrize(
+        "old, new, config",
+        [
+            ("if not tied:", "if False:", SearchConfig(17, 17)),
+            ("if n + 2 <= size_hi:", "if n + 2 < size_hi:",
+             SearchConfig(17, 17, size_max=5)),
+            ("visit(x + 1, a | 1 << x, m | 1 << x, sx, px, g1, n + 1, tied)", "pass",
+             SearchConfig(18, 18)),
+        ],
+        ids=["no-high-element-alone", "size-cap-one-lower", "no-midpoint"],
+    )
+    def test_kernel_mutation_trips_the_uncut_check(
+        self, monkeypatch, old, new, config
+    ):
+        scan_sum_dominant(config, cut=False)
+        _mutated_walk(monkeypatch, old, new)
+        with pytest.raises(
+            ValueError, match=rf"diameter {config.diameter_max}: the walk examined"
+        ):
+            scan_sum_dominant(config, cut=False)
+
+    def test_resumed_tally_is_checked_too(self, tmp_path):
+        path = str(tmp_path / "ck.jsonl")
+        config = SearchConfig(diameter_max=8, checkpoint_path=path)
+        scan_sum_dominant(config, cut=False)
+        lines = open(path).read().splitlines()
+        rec = json.loads(lines[-1])
+        rec["tallies"]["examined"] -= 1
+        lines[-1] = json.dumps(rec)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="diameter 8: the walk examined"):
+            scan_sum_dominant(config, cut=False)
 
 
 class TestFindMinMstd:
@@ -264,7 +402,7 @@ class TestCheckpoint:
         find_min_mstd(SearchConfig(diameter_max=5, checkpoint_path=path))
         header, *records = open(path).read().splitlines()
         assert json.loads(header) == {
-            "format": 2,
+            "format": 3,
             "config": {
                 "diameter_min": 0, "diameter_max": 5,
                 "size_min": None, "size_max": None,
