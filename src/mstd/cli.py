@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit status: 0 on success/pass, 1 when a check found violations, 2 on usage
-or parse errors.  ``--json`` switches output to one canonical JSON document
-on stdout.
+or parse errors and on a checkpoint file that cannot be opened.  ``--json``
+switches output to one canonical JSON document on stdout.
 """
 
 from __future__ import annotations
@@ -314,8 +314,9 @@ def main(argv=None) -> int:
         if args.checkpoint is not None and args.command != "search":
             raise ValueError(f"{args.command} does not take --checkpoint; search does")
         return args.cmd(args)
-    except ValueError as exc:
-        # SetLiteralError is a ValueError: parse errors exit 2 like usage errors
+    except (ValueError, OSError) as exc:
+        # SetLiteralError is a ValueError: parse errors exit 2 like usage
+        # errors, and so does a checkpoint path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

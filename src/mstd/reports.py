@@ -52,18 +52,16 @@ class VerificationReport:
         self.elapsed_ms = int((time.perf_counter() - self.started) * 1000)
         return self
 
-    def to_json_dict(self, include_elapsed: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "check": self.check,
             "grid": self.grid,
             "cases": self.cases,
             "violations": self.violations,
+            "elapsed_ms": self.elapsed_ms,
+            "seed": self.seed,
+            "notes": self.notes,
         }
-        if include_elapsed:
-            out["elapsed_ms"] = self.elapsed_ms
-        out["seed"] = self.seed
-        out["notes"] = self.notes
-        return out
 
     def summary_line(self) -> str:
         status = "PASS" if self.passed else f"FAIL ({len(self.violations)} violations)"

@@ -39,7 +39,8 @@ of line-delimited JSON records lets long sweeps resume.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd
@@ -349,24 +350,23 @@ def _record_tallies(
 
 
 def _load_checkpoint(
-    path: str, header: dict, parts: dict, sizes: tuple[int, int]
+    fh, header: dict, parts: dict, sizes: tuple[int, int]
 ) -> dict:
     """(examined, sum-dominant sets) of each completed partition, by partition id.
 
-    The first record must equal ``header``; anything else raises ValueError,
-    which names the format of a file written in another one.  A final line
-    that is unparseable or lacks its newline was torn by a
-    crash mid-write: it is cut off the file, so its partition is scanned
-    again.  A bad line anywhere else raises ValueError, and so does a later
-    record that fails ``_record_tallies`` for the search's ``parts`` (id ->
-    (d, j, t)) and ``sizes``, or a second one of its partition.  A new or
-    empty file gets the header written.
+    ``fh`` is the checkpoint, open in "a+b" mode.  The first record must
+    equal ``header``; anything else raises ValueError, which names the
+    format of a file written in another one.  A final line that is
+    unparseable or lacks its newline was torn by a crash mid-write: it is
+    cut off the file, so its partition is scanned again.  A bad line
+    anywhere else raises ValueError, and so does a later record that fails
+    ``_record_tallies`` for the search's ``parts`` (id -> (d, j, t)) and
+    ``sizes``, or a second one of its partition.  An empty file gets the
+    header written.
     """
-    try:
-        with open(path, "rb") as fh:
-            lines = fh.read().splitlines(keepends=True)
-    except FileNotFoundError:
-        lines = []
+    path = fh.name
+    fh.seek(0)
+    lines = fh.read().splitlines(keepends=True)
     records = {}
     intact = 0  # bytes of whole records
     for i, line in enumerate(lines):
@@ -397,10 +397,11 @@ def _load_checkpoint(
                 raise ValueError(f"{where} repeats partition {pid}")
             records[pid] = tallies
         intact += len(line)
-    with open(path, "ab") as fh:
-        fh.truncate(intact)
-        if intact == 0:
-            fh.write(_record_line(header))
+    fh.truncate(intact)
+    if intact == 0:
+        fh.write(_record_line(header))
+    # nothing left buffered for a forked worker to inherit
+    fh.flush()
     return records
 
 
@@ -418,40 +419,38 @@ def scan_sum_dominant(
     size_lo, size_hi = config.size_range()
     parts = _partitions(config)
     path = config.checkpoint_path
-    done = {}
-    if path:
-        header = {"format": CHECKPOINT_FORMAT, "config": config.space_json_dict()}
-        by_id = {_partition_id(d, j): (d, j, t) for d, j, t in parts}
-        done = _load_checkpoint(path, header, by_id, (size_lo, size_hi))
-
-    todo = []
-    results = []  # (d, examined, sum-dominant IntSets)
-    for d, j, t in parts:
-        tallies = done.get(_partition_id(d, j))
-        if tallies is not None:
-            results.append((d, *tallies))
-        else:
-            todo.append((d, j, t, size_lo, size_hi, cut))
-
-    # results stream back in partition order; checkpoint records are appended
-    # as they arrive so an interrupted sweep loses at most one partition
-    pool = None
-    ckpt = None
-    try:
+    with ExitStack() as stack:
+        done = {}  # partition id -> (examined, sum-dominant IntSets)
+        if path:
+            ckpt = stack.enter_context(open(path, "a+b"))
+            header = {"format": CHECKPOINT_FORMAT, "config": config.space_json_dict()}
+            by_id = {_partition_id(d, j): (d, j, t) for d, j, t in parts}
+            done = _load_checkpoint(ckpt, header, by_id, (size_lo, size_hi))
+        todo = [
+            (d, j, t, size_lo, size_hi, cut)
+            for d, j, t in parts
+            if _partition_id(d, j) not in done
+        ]
         if config.workers > 1 and len(todo) > 1:
-            pool = ProcessPoolExecutor(max_workers=config.workers)
+            # leaving the block terminates the workers, so an error or an
+            # interrupt stops the sweep at once
+            pool = stack.enter_context(multiprocessing.Pool(config.workers))
             chunk = max(1, len(todo) // (config.workers * 4))
-            fresh = pool.map(_scan_partition, todo, chunksize=chunk)
+            fresh = pool.imap(_scan_partition, todo, chunk)
         else:
             fresh = map(_scan_partition, todo)
-        if path:
-            ckpt = open(path, "ab")
+        # results stream back in partition order, a chunk at a time, and each
+        # record is appended as it arrives.  An interrupted sweep keeps every
+        # record written; a resume scans the rest, among them the partitions
+        # that had finished but not come back: each worker's chunk in hand,
+        # and any chunk done ahead of an earlier one still running
         for (d, j, *_), (examined, sd_masks) in zip(todo, fresh):
             sets = sorted(map(IntSet.from_mask, sd_masks), key=lambda a: a.elements)
-            results.append((d, examined, sets))
-            if ckpt is not None:
+            pid = _partition_id(d, j)
+            done[pid] = (examined, sets)
+            if path:
                 ckpt.write(_record_line({
-                    "partition_id": _partition_id(d, j),
+                    "partition_id": pid,
                     "diameter": d,
                     "tallies": {
                         "examined": examined,
@@ -459,11 +458,6 @@ def scan_sum_dominant(
                     },
                 }))
                 ckpt.flush()
-    finally:
-        if ckpt is not None:
-            ckpt.close()
-        if pool is not None:
-            pool.shutdown()
 
     per_diameter = {
         d: {"examined": class_count(d, size_lo, size_hi), "sum_dominant": 0}
@@ -471,7 +465,8 @@ def scan_sum_dominant(
     }
     walked = dict.fromkeys(per_diameter, 0)
     found: list[IntSet] = []
-    for d, examined, sets in results:
+    for d, j, _ in parts:
+        examined, sets = done[_partition_id(d, j)]
         walked[d] += examined
         per_diameter[d]["sum_dominant"] += len(sets)
         found.extend(sets)

@@ -81,8 +81,14 @@ class Theorem3Params:
     def __post_init__(self):
         if self.r < 1 or self.n < 0 or self.ell < 0 or self.m < 0:
             raise ValueError("need r >= 1 and n, ell, m >= 0")
-        if self.window[0] > self.window[1]:
+        lo, hi = self.window
+        if lo > hi:
             raise ValueError("empty window")
+        if self.m > hi - lo + 1:
+            raise ValueError(
+                f"m={self.m} distinct insertions need a window of at least "
+                f"{self.m} integers; [{lo},{hi}] holds {hi - lo + 1}"
+            )
 
 
 def check_growth_condition(terms: Sequence[int], r: int) -> bool:

@@ -51,6 +51,13 @@ def _elapsed(t0):
     return time.perf_counter() - t0
 
 
+def _timeless(report) -> dict:
+    """The report's JSON dict without elapsed_ms, its one wall-clock field."""
+    out = report.to_json_dict()
+    del out["elapsed_ms"]
+    return out
+
+
 def payload_search14(workers=1):
     result = find_min_mstd(SearchConfig(diameter_max=14, workers=workers))
     return result, render_json(result.to_json_dict())
@@ -58,7 +65,7 @@ def payload_search14(workers=1):
 
 def payload_thm1(workers=1):
     report = verify_small_cardinality(5, 30, workers=workers)
-    return report, render_json(report.to_json_dict(include_elapsed=False))
+    return report, render_json(_timeless(report))
 
 
 def payload_sizes67(workers=1):
@@ -75,17 +82,17 @@ def payload_sizes67(workers=1):
 
 def payload_thm2():
     report = verify_ap_plus_two(8, window=None, q_max=2)
-    return report, render_json(report.to_json_dict(include_elapsed=False))
+    return report, render_json(_timeless(report))
 
 
 def payload_prop2():
     report = verify_proposition2(20)
-    return report, render_json(report.to_json_dict(include_elapsed=False))
+    return report, render_json(_timeless(report))
 
 
 def payload_obs6():
     report = verify_observation6(OBS6_TRIALS)
-    return report, render_json(report.to_json_dict(include_elapsed=False))
+    return report, render_json(_timeless(report))
 
 
 def payload_bounds_corpus():
@@ -108,7 +115,7 @@ def payload_bounds_corpus():
 
 def payload_lemma3():
     report = verify_symmetric_balanced(20)
-    return report, render_json(report.to_json_dict(include_elapsed=False))
+    return report, render_json(_timeless(report))
 
 
 def payload_thm3():
@@ -122,8 +129,8 @@ def payload_thm3():
     )
     blob = render_json(
         {
-            "fib": fib.to_json_dict(include_elapsed=False),
-            "geo": geo.to_json_dict(include_elapsed=False),
+            "fib": _timeless(fib),
+            "geo": _timeless(geo),
         }
     )
     return (fib, geo), blob
@@ -131,12 +138,12 @@ def payload_thm3():
 
 def payload_size5():
     report = verify_size5_witnesses()
-    return report, render_json(report.to_json_dict(include_elapsed=False))
+    return report, render_json(_timeless(report))
 
 
 def payload_twoap():
     report = explore_two_ap_unions(6, 5, 40)
-    return report, render_json(report.to_json_dict(include_elapsed=False))
+    return report, render_json(_timeless(report))
 
 
 def test_criterion_01_minimal_mstd_rediscovery():

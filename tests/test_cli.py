@@ -217,11 +217,15 @@ class TestVerifyCommand:
         ["explore", "min-additions", "--window", "14:0"],
         ["verify", "thm3", "--terms", "0,1,2,3,5,8,13,21,34,55,89,144,233,377,610",
          "--r", "3", "--n", "2", "--ell", "5", "--subset-budget", "-3"],
+        ["verify", "thm3", "--terms",
+         "0,1,3,7,15,31,63,127,255,511,1023,2047,4095,8191,16383,32767,65535",
+         "--r", "1", "--n", "5", "--ell", "10", "--m", "2", "--window", "0:0"],
     ], ids=" ".join)
     def test_empty_grid_is_usage_error(self, capsys, argv):
         # explicit zeros reach the verifier instead of falling back to its
         # default, a window with lo > hi is refused rather than passing over
-        # 0 cases, and a negative subset budget is refused, not run as 0
+        # 0 cases, a negative subset budget is refused, not run as 0, and so
+        # is a window too small to sample m distinct insertions from
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ")
@@ -324,6 +328,23 @@ class TestSearchCommand:
         code, out, _ = run_cli(capsys, "search", "--diameter-max", "13")
         assert code == 0
         assert "no sum-dominant set" in out
+
+    @pytest.mark.parametrize(
+        "where, message",
+        [("no/such/dir/x.jsonl", "[Errno 2] No such file or directory"),
+         ("", "[Errno 21] Is a directory")],
+        ids=["missing-directory", "directory"],
+    )
+    def test_checkpoint_that_cannot_be_opened_exits_2(self, tmp_path, where, message):
+        path = tmp_path / where
+        proc = subprocess.run(
+            [sys.executable, "-m", "mstd", "--checkpoint", str(path),
+             "search", "--diameter-max", "5"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: {message}: '{path}'\n"
+        assert "Traceback" not in proc.stderr
 
     def test_checkpoint_of_another_config_exits_2(self, capsys, tmp_path):
         path = str(tmp_path / "ck.jsonl")

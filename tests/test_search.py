@@ -1,6 +1,8 @@
 import inspect
 import json
+import multiprocessing
 import re
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -551,6 +553,47 @@ class TestCheckpoint:
         assert '"0,2,3,4,7,11,12,14"' in open(path).read()  # A1, in record 14/0
         second = find_min_mstd(SearchConfig(diameter_max=14, checkpoint_path=path))
         assert render_json(second.to_json_dict()) == render_json(first.to_json_dict())
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the workers reach the test module's scan only as a forked copy",
+    )
+    def test_failing_record_write_stops_the_workers(self, tmp_path, monkeypatch):
+        # a sweep whose result loop fails must not let the workers finish the
+        # partitions still queued for them
+        config = SearchConfig(
+            diameter_max=20, workers=2, checkpoint_path=str(tmp_path / "ck.jsonl")
+        )
+        parts = len(_partitions(config))
+        assert parts == 43
+        log = tmp_path / "started.log"
+        monkeypatch.setattr(search, "_scan_partition", _LoggedSlowScan(str(log)))
+        write = search._record_line
+
+        def failing_write(rec):
+            if "partition_id" in rec:
+                raise RuntimeError("disk full")
+            return write(rec)  # the header
+
+        monkeypatch.setattr(search, "_record_line", failing_write)
+        with pytest.raises(RuntimeError, match="disk full"):
+            scan_sum_dominant(config)
+        started = len(log.read_text().splitlines())
+        assert 0 < started < parts
+
+
+class _LoggedSlowScan:
+    """`_scan_partition` that appends a line to ``log`` as each partition starts
+    and takes 50 ms longer; picklable, so a process pool can run it."""
+
+    def __init__(self, log: str):
+        self.log = log
+
+    def __call__(self, args):
+        with open(self.log, "a") as fh:
+            fh.write(f"{args[0]}/{args[1]}\n")
+        time.sleep(0.05)
+        return _scan_partition(args)
 
 
 def _two_ap_unions(max_len, max_step, max_shift):

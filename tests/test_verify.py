@@ -495,6 +495,13 @@ class TestGrowthCriterion:
         with pytest.raises(ValueError, match="29 > 15"):
             verify_growth_criterion(seq, params)
 
+    def test_window_must_hold_m_integers(self):
+        with pytest.raises(ValueError, match=r"m=2 .* \[0,0\] holds 1$"):
+            Theorem3Params(r=1, n=5, ell=10, m=2, window=(0, 0))
+        for m in (0, 1):
+            assert Theorem3Params(r=1, n=5, ell=10, m=m, window=(0, 0)).m == m
+        assert Theorem3Params(r=1, n=5, ell=10, m=2, window=(0, 1)).m == 2
+
     def test_mismatched_r_rejected(self):
         seq = GrowthSequence(FIB13, 3)
         params = Theorem3Params(r=2, n=2, ell=5, m=1, window=(0, 1))
@@ -530,8 +537,9 @@ class TestReportClock:
 
 class TestReportDeterminism:
     def test_reports_reproduce(self):
-        a = verify_observation6(500, seed=42).to_json_dict(include_elapsed=False)
-        b = verify_observation6(500, seed=42).to_json_dict(include_elapsed=False)
+        a = verify_observation6(500, seed=42).to_json_dict()
+        b = verify_observation6(500, seed=42).to_json_dict()
+        del a["elapsed_ms"], b["elapsed_ms"]
         assert a == b
 
     def test_structure_open_question_small_sizes(self):
