@@ -319,6 +319,10 @@ def main(argv=None) -> int:
         # errors, and so does a checkpoint path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # 128 + SIGINT, the shell's status for a command ended by Ctrl-C
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

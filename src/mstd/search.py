@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import signal
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import combinations
@@ -433,8 +434,11 @@ def scan_sum_dominant(
         ]
         if config.workers > 1 and len(todo) > 1:
             # leaving the block terminates the workers, so an error or an
-            # interrupt stops the sweep at once
-            pool = stack.enter_context(multiprocessing.Pool(config.workers))
+            # interrupt stops the sweep at once.  Ctrl-C reaches the whole
+            # process group; the workers ignore it and leave it to this one
+            pool = stack.enter_context(multiprocessing.Pool(
+                config.workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)
+            ))
             chunk = max(1, len(todo) // (config.workers * 4))
             fresh = pool.imap(_scan_partition, todo, chunk)
         else:

@@ -3,7 +3,9 @@
 Sets are immutable, sorted tuples of integers.  Sumset/difference-set
 cardinalities are computed on a dense bitmask over the set's window (a Python
 int doubles as an arbitrary-width machine bitset), falling back to hashed
-pairwise enumeration when the window is enormous relative to the set size.
+pairwise enumeration, one visit per unordered pair, when the window is
+enormous relative to the set size.  A mask is decoded back to its elements
+in one pass over its binary digits, in time linear in its width.
 Equal-sum and equal-difference pair counts likewise convolve the window by
 big-int multiplication (Kronecker substitution) or count the pairs.
 """
@@ -70,7 +72,7 @@ class IntSet:
     @classmethod
     def from_mask(cls, mask: int, lo: int = 0) -> "IntSet":
         """The set {lo + i : bit i of mask is set}; the inverse of ``mask``."""
-        return cls(tuple(lo + i for i in _bit_indices(mask)))
+        return cls(tuple(_bit_indices(mask, lo)))
 
     @classmethod
     def parse(cls, text: str) -> "IntSet":
@@ -252,11 +254,13 @@ def _use_dense(size: int, diameter: int) -> bool:
     return diameter + 1 <= _DENSE_BITS_PER_PAIR * size * size
 
 
-def _bit_indices(mask: int) -> Iterator[int]:
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
+def _bit_indices(mask: int, lo: int = 0) -> list[int]:
+    """lo + i for each set bit i of mask, ascending.
+
+    One pass over the binary digits: clearing the lowest bit in a loop would
+    copy the whole int once per set bit.
+    """
+    return [i for i, c in enumerate(bin(mask)[:1:-1], lo) if c == "1"]
 
 
 def _sum_diff_masks(mask: int) -> tuple[int, int]:
@@ -367,7 +371,14 @@ def equal_pair_counts(a: IntSet) -> tuple[int, int, int]:
     p = sum 2^(b*e), so p*p and p*mirror(p) hold the counts as b-bit digits.
     """
     a._require_nonempty()
-    els = a.elements
+    return pair_counts_of(a.elements)
+
+
+def pair_counts_of(els: Sequence[int]) -> tuple[int, int, int]:
+    """`equal_pair_counts` of the nonempty, strictly increasing integers els.
+
+    The verifier corpora call this with tuples and mask decodes, no IntSet.
+    """
     n = len(els)
     d = els[-1] - els[0]
     b = (n * n * n + 1).bit_length()  # every digit is <= max(n^3, n + 1)
@@ -386,11 +397,19 @@ def equal_pair_counts(a: IntSet) -> tuple[int, int, int]:
     )
 
 
-def _pairwise_sizes(els: Iterable[int]) -> tuple[int, int]:
-    els = tuple(els)
-    nsums = len({x + y for x in els for y in els})
-    npos = len({y - x for x in els for y in els if y > x})
-    return nsums, 2 * npos + 1
+def _pair_sums(els: Sequence[int]) -> set[int]:
+    """x + y over the pairs x <= y of distinct, increasing els."""
+    return {x + y for i, x in enumerate(els) for y in els[i:]}
+
+
+def _positive_diffs(els: Sequence[int]) -> set[int]:
+    """y - x over the pairs x < y of distinct, increasing els."""
+    return {y - x for i, x in enumerate(els) for y in els[i + 1 :]}
+
+
+def _pairwise_sizes(xs: Iterable[int]) -> tuple[int, int]:
+    els = sorted(set(xs))
+    return len(_pair_sums(els)), 2 * len(_positive_diffs(els)) + 1
 
 
 def mask_sizes(mask: int) -> tuple[int, int]:
@@ -434,8 +453,8 @@ def sumset(a: IntSet) -> IntSet:
     if _use_dense(len(els), a.diameter):
         mask, lo = a.mask()
         sums, _ = _sum_diff_masks(mask)
-        return IntSet(tuple(i + 2 * lo for i in _bit_indices(sums)))
-    return IntSet.from_iterable(x + y for x in els for y in els)
+        return IntSet(tuple(_bit_indices(sums, 2 * lo)))
+    return IntSet(tuple(sorted(_pair_sums(els))))
 
 
 def diffset(a: IntSet) -> IntSet:
@@ -445,9 +464,10 @@ def diffset(a: IntSet) -> IntSet:
     if _use_dense(len(els), a.diameter):
         mask, _ = a.mask()
         _, diffs = _sum_diff_masks(mask)
-        nonneg = tuple(_bit_indices(diffs))
-        return IntSet(tuple(-v for v in reversed(nonneg[1:])) + nonneg)
-    return IntSet.from_iterable(x - y for x in els for y in els)
+        pos = _bit_indices(diffs)[1:]
+    else:
+        pos = sorted(_positive_diffs(els))
+    return IntSet(tuple([-v for v in reversed(pos)] + [0] + pos))
 
 
 def classify(a: IntSet) -> SetClass:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
-from .setcore import IntSet, equal_pair_counts, sum_diff_sizes
+from .setcore import IntSet, equal_pair_counts, sizes_of, sum_diff_sizes
 
 
 @dataclass(frozen=True)
@@ -78,5 +79,6 @@ def insertion_delta(a: IntSet, x: int) -> DeltaProfile:
     if x in a:
         raise ValueError(f"{x} is already a member")
     s0, d0 = sum_diff_sizes(a)
-    s1, d1 = sum_diff_sizes(a.with_element(x))
+    # a float or Fraction: TypeError, on either side of the dense gate
+    s1, d1 = sizes_of(a.elements + (index(x),))
     return DeltaProfile(s1 - s0, (d1 - d0) // 2)

@@ -1,10 +1,13 @@
 import ast
 import hashlib
 import json
+import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -328,6 +331,32 @@ class TestSearchCommand:
         code, out, _ = run_cli(capsys, "search", "--diameter-max", "13")
         assert code == 0
         assert "no sum-dominant set" in out
+
+    @pytest.mark.skipif(os.name != "posix", reason="signals a POSIX process group")
+    def test_ctrl_c_exits_130_and_the_resume_matches_a_fresh_sweep(self, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        search = [sys.executable, "-m", "mstd", "--json", "--workers", "2"]
+        argv = ["search", "--diameter-max", "26"]
+        resumable = [*search, "--checkpoint", str(path), *argv]
+        # its own process group, which SIGINT reaches whole, as Ctrl-C
+        # reaches a terminal's foreground group: the workers see it too
+        proc = subprocess.Popen(
+            resumable, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        deadline = time.monotonic() + 60
+        # the header and one partition: the sweep is under way
+        while not (path.exists() and path.read_bytes().count(b"\n") >= 2):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (130, "", "interrupted\n")
+        resumed = subprocess.run(resumable, capture_output=True, text=True)
+        fresh = subprocess.run([*search, *argv], capture_output=True, text=True)
+        assert resumed.returncode == fresh.returncode == 0
+        assert resumed.stdout == fresh.stdout
+        assert json.loads(fresh.stdout)["sets_examined"] == 33_562_330
 
     @pytest.mark.parametrize(
         "where, message",

@@ -29,6 +29,7 @@ from mstd.setcore import (
     _pair_sums_pairwise,
     _use_convolution,
     _use_dense,
+    sizes_of,
 )
 from mstd.structure import equal_diff_pairs, equal_sum_pairs
 from mstd.verify import _symmetric_masks, random_corpus
@@ -57,10 +58,29 @@ small_sets = st.builds(
 )
 
 
+@st.composite
+def wide_dense_sets(draw):
+    # |A| <= 300 in a window of up to 4,096 at any offset, decoded from sum
+    # masks of up to 8,191 bits
+    width = draw(st.integers(1, 4096))
+    n = draw(st.integers(1, min(300, width)))
+    lo = draw(st.integers(-8192, 8192))
+    xs = draw(st.randoms(use_true_random=False)).sample(range(lo, lo + width), n)
+    return IntSet.from_iterable(xs)
+
+
 @given(int_sets)
 def test_bit_parallel_matches_naive(a):
     assert list(sumset(a)) == naive_sumset(a.elements)
     assert list(diffset(a)) == naive_diffset(a.elements)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_dense_sets())
+def test_wide_windows_match_naive(a):
+    assert list(sumset(a)) == naive_sumset(a.elements)
+    assert list(diffset(a)) == naive_diffset(a.elements)
+    assert IntSet.from_mask(*a.mask()) == a
 
 
 @given(wide_sets)
@@ -70,6 +90,18 @@ def test_sparse_path_matches_naive(a):
     assert list(sumset(a)) == sums
     assert list(diffset(a)) == diffs
     assert sum_diff_sizes(a) == (len(sums), len(diffs))
+
+
+@pytest.mark.parametrize("sets, dense", [(int_sets, True), (wide_sets, False)])
+@given(data=st.data())
+def test_sizes_of_takes_any_order_with_repeats(sets, dense, data):
+    a = data.draw(sets)
+    assert _use_dense(len(a), a.diameter) is dense
+    rnd = data.draw(st.randoms(use_true_random=False))
+    xs = [*a.elements, *rnd.choices(a.elements, k=len(a))]
+    rnd.shuffle(xs)
+    want = len(naive_sumset(a.elements)), len(naive_diffset(a.elements))
+    assert sizes_of(xs) == want
 
 
 def _naive_pair_counts(xs):

@@ -11,6 +11,7 @@ from mstd import (
     gaps,
     insertion_delta,
 )
+from mstd.setcore import _use_dense
 from mstd.structure import (
     equal_diff_pairs,
     equal_sum_pairs,
@@ -117,6 +118,14 @@ class TestInsertionDelta:
         # truncated, 1.5 answered for the member 1 and 7/2 for 3
         with pytest.raises(TypeError):
             insertion_delta(I(3), x)
+
+    @pytest.mark.parametrize("x", [1.5, Fraction(7, 2)], ids=["float", "fraction"])
+    def test_rejects_non_integer_on_the_sparse_path(self, x):
+        # pairwise sums of a float would classify a set that does not exist
+        a = IntSet((0, 1, 10**9))
+        assert not _use_dense(len(a) + 1, a.diameter)
+        with pytest.raises(TypeError):
+            insertion_delta(a, x)
 
     def test_exactness_sweep(self):
         # inserting (n-1)+k into {0..n-1} gives exactly k+1 sums, k differences

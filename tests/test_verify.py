@@ -378,16 +378,16 @@ class TestObservation6:
         # the inequality alone would pass this set; the identity does not
         from mstd import verify
 
-        target = IntSet((0, 1, 2, 4))
-        real = verify.equal_pair_counts
+        target = (0, 1, 2, 4)
+        real = verify.pair_counts_of
 
-        def skewed(a):
-            esp, edp, t = real(a)
-            return (esp + 1 if a == target else esp), edp, t
+        def skewed(els):
+            esp, edp, t = real(els)
+            return (esp + 1 if tuple(els) == target else esp), edp, t
 
         esp, edp, _ = real(target)
         assert 2 * (esp + 1) >= edp
-        monkeypatch.setattr(verify, "equal_pair_counts", skewed)
+        monkeypatch.setattr(verify, "pair_counts_of", skewed)
         report = verify_observation6(1, seed=7)
         assert not report.passed
         assert [v["set"] for v in report.violations] == ["0,1,2,4"]
