@@ -88,9 +88,8 @@ class SearchConfig:
                 index(v)  # a float or Fraction: TypeError
         if not 0 <= self.diameter_min <= self.diameter_max:
             raise ValueError("need 0 <= diameter_min <= diameter_max")
-        lo = 1 if self.size_min is None else self.size_min
-        hi = self.size_max
-        if lo < 1 or (hi is not None and hi < lo):
+        lo, hi = self.size_range()
+        if lo < 1 or (self.size_max is not None and hi < lo):
             raise ValueError("inconsistent size bounds")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
@@ -575,7 +574,9 @@ def explore_min_additions(
             if nsum > ndiff:
                 hit = (extra, IntSet.from_iterable(base + extra))
                 break
-        if hit is None:
+        if len(candidates) < k:
+            report.notes.append(f"k={k}: the window holds fewer than {k} candidates")
+        elif hit is None:
             report.notes.append(f"k={k}: no sum-dominant superset")
         else:
             extra, u = hit

@@ -60,7 +60,10 @@ class IntSet:
     def __post_init__(self):
         els = self.elements
         for e in els:
-            index(e)  # a float or Fraction: TypeError
+            if type(e) is not int:  # a bool or numpy int is stored as its int
+                els = tuple(map(index, els))  # a float or Fraction: TypeError
+                object.__setattr__(self, "elements", els)
+                break
         if not all(map(lt, els, els[1:])):
             raise ValueError(f"elements must be strictly increasing: {els}")
 
@@ -72,6 +75,8 @@ class IntSet:
     @classmethod
     def from_mask(cls, mask: int, lo: int = 0) -> "IntSet":
         """The set {lo + i : bit i of mask is set}; the inverse of ``mask``."""
+        if mask < 0:
+            raise ValueError(f"mask must be nonnegative: {mask}")
         return cls(tuple(_bit_indices(mask, lo)))
 
     @classmethod
@@ -108,15 +113,6 @@ class IntSet:
 
     def __str__(self) -> str:
         return ",".join(str(e) for e in self.elements)
-
-    def reflected(self) -> "IntSet":
-        """Mirror image max+min-A (an affine image, same classification)."""
-        self._require_nonempty()
-        a = self.min + self.max
-        return IntSet(tuple(a - e for e in reversed(self.elements)))
-
-    def with_element(self, x: int) -> "IntSet":
-        return IntSet.from_iterable(self.elements + (x,))
 
     def mask(self) -> tuple[int, int]:
         """Dense bitmask of A - min(A) plus the offset min(A)."""
@@ -413,11 +409,16 @@ def _pairwise_sizes(xs: Iterable[int]) -> tuple[int, int]:
 
 
 def mask_sizes(mask: int) -> tuple[int, int]:
-    """(|A+A|, |A-A|) of A = {i : bit i of mask is set}; bit 0 must be set.
+    """(|A+A|, |A-A|) of A = {i : bit i of mask is set}, for a positive mask.
 
     The verifier grids build each set as such a mask and classify it here,
-    with no IntSet.  A window too wide for the dense kernel goes pairwise.
+    with no IntSet.  Trailing zero bits are shifted out (both sizes are
+    translation-invariant); a window too wide for the dense kernel goes pairwise.
     """
+    if mask <= 0:
+        raise ValueError(f"mask must be positive: {mask}")
+    if not mask & 1:
+        mask >>= (mask & -mask).bit_length() - 1
     if not _use_dense(mask.bit_count(), mask.bit_length() - 1):
         return _pairwise_sizes(_bit_indices(mask))
     sums, diffs = _sum_diff_masks(mask)
@@ -525,11 +526,12 @@ def is_normalized(a: IntSet) -> bool:
 
 
 def reflect_canonical(a: IntSet) -> IntSet:
-    """Lexicographic minimum of a normalized set and its reflection."""
+    """Lexicographic minimum of a normalized set and its mirror max(A) - A."""
     if not is_normalized(a):
         raise ValueError(f"input must be normalized (min 0, gap gcd 1): {a}")
-    r = a.reflected()
-    return a if a.elements <= r.elements else r
+    d = a.elements[-1]
+    r = tuple([d - e for e in reversed(a.elements)])
+    return a if a.elements <= r else IntSet(r)
 
 
 def scale_to_integers(r: RationalSet) -> tuple[IntSet, int]:

@@ -56,13 +56,13 @@ class GrowthSequence:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("r must be a positive integer")
-        t = self.terms
+        t, r = self.terms, self.r
         if not t or t[0] < 0:
             raise ValueError("terms must be nonnegative")
         if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
             raise ValueError("terms must be strictly increasing")
-        if not check_growth_condition(t, self.r):
-            raise ValueError(f"terms violate a_k > a_(k-1) + a_(k-r) for r={self.r}")
+        if any(t[k] <= t[k - 1] + t[k - r] for k in range(r, len(t))):
+            raise ValueError(f"terms violate a_k > a_(k-1) + a_(k-r) for r={r}")
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,6 @@ class Theorem3Params:
                 f"m={self.m} distinct insertions need a window of at least "
                 f"{self.m} integers; [{lo},{hi}] holds {hi - lo + 1}"
             )
-
-
-def check_growth_condition(terms: Sequence[int], r: int) -> bool:
-    """True iff a_k > a_{k-1} + a_{k-r} for all k >= r+1 (1-indexed)."""
-    return all(
-        terms[k - 1] > terms[k - 2] + terms[k - r - 1]
-        for k in range(r + 1, len(terms) + 1)
-    )
 
 
 def verify_small_cardinality(
@@ -273,7 +265,7 @@ def verify_proposition2(n_max: int = 20) -> VerificationReport:
             delta = insertion_delta(base, (n - 1) + k)
             if delta.as_tuple() != (k + 1, k):
                 report.add_violation(
-                    base.with_element((n - 1) + k),
+                    IntSet(base.elements + ((n - 1) + k,)),
                     f"n={n} k={k} got {delta.as_tuple()} want ({k + 1},{k})",
                 )
     return report.finish()

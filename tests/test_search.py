@@ -706,6 +706,16 @@ class TestMinAdditions:
             ("0,1,3,7,11", "k=2 additions 0,1"),
         ]
 
+    def test_window_with_fewer_than_k_candidates(self):
+        # 5 is the one candidate in [5, 5]: no 2-subset exists to be tried
+        report = explore_min_additions(APSpec(3, 4, 3), 3, (5, 5))
+        assert report.passed and report.cases == 1
+        assert report.notes == [
+            "k=1: no sum-dominant superset",
+            "k=2: the window holds fewer than 2 candidates",
+            "k=3: the window holds fewer than 3 candidates",
+        ]
+
     def test_small_k_never_hits(self):
         report = explore_min_additions(APSpec(0, 1, 3), 2, (-5, 10))
         assert report.passed

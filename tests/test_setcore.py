@@ -20,6 +20,7 @@ from mstd import (
     is_symmetric,
     profile,
     reflect_canonical,
+    sum_diff_sizes,
     sumset,
 )
 from mstd.setcore import (
@@ -66,6 +67,20 @@ class TestIntSet:
         # IntSet((0.5, 1.5)) printed 0.5,1.5 and detect_ap gave a float APSpec
         with pytest.raises(TypeError):
             IntSet(els)
+
+    def test_index_types_are_stored_as_plain_ints(self):
+        class Index:  # stands in for a numpy integer, which is no int
+            def __init__(self, v):
+                self.v = v
+
+            def __index__(self):
+                return self.v
+
+        a = IntSet((Index(0), Index(70)))
+        assert a.elements == (0, 70) and all(type(e) is int for e in a)
+        assert sum_diff_sizes(a) == (3, 3) and str(sumset(a)) == "0,70,140"
+        b = IntSet((False, True))
+        assert str(b) == "0,1" and all(type(e) is int for e in b)
 
     def test_parse(self):
         assert IntSet.parse("0,2, 3").elements == (0, 2, 3)
@@ -138,6 +153,29 @@ class TestMaskEntry:
     def test_from_mask_inverts_mask(self, a1_set):
         assert IntSet.from_mask(*a1_set.mask()) == a1_set
         assert IntSet.from_mask(0b1011, -2).elements == (-2, -1, 1)
+
+    @given(
+        st.integers(1, 1 << 40)
+        | st.sets(st.integers(0, 5000), min_size=1, max_size=4).map(
+            lambda bits: sum(1 << i for i in bits)  # mostly past the dense gate
+        ),
+        st.integers(0, 70),
+    )
+    def test_sizes_ignore_trailing_zero_bits(self, mask, shift):
+        els = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        want = (len(naive_sumset(els)), len(naive_diffset(els)))
+        assert mask_sizes(mask) == mask_sizes(mask << shift) == want
+
+    @pytest.mark.parametrize("mask", [0, -1, -5, -6])
+    def test_mask_sizes_refuses_non_positive_masks(self, mask):
+        # 0 gave (0, -1); -6 did not return
+        with pytest.raises(ValueError, match="positive"):
+            mask_sizes(mask)
+
+    def test_from_mask_refuses_negative_masks(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            IntSet.from_mask(-5)  # was {0, 2}
+        assert IntSet.from_mask(0) == IntSet(())
 
     def test_ap_mask(self):
         ap = APSpec(7, 3, 4)

@@ -12,7 +12,6 @@ from mstd.setcore import RationalSet, _use_dense
 from mstd.verify import (
     GrowthSequence,
     Theorem3Params,
-    check_growth_condition,
     exhaustive_translation_corpus,
     _symmetric_masks,
     random_corpus,
@@ -76,7 +75,7 @@ class TestApPlusTwo:
             for n in range(1, 6):
                 ap = IntSet(tuple(i * d for i in range(n)))
                 for m in range(-8, 15):
-                    u = ap.with_element(m) if m not in ap else ap
+                    u = IntSet.from_iterable(ap.elements + (m,))
                     assert classify(u) is not SetClass.SUM_DOMINANT
 
 
@@ -445,13 +444,16 @@ class TestSymmetricBalanced:
 
 class TestGrowthCondition:
     def test_fibonacci_r3(self):
-        assert check_growth_condition((0, 1, 2, 3, 5, 8, 13, 21), 3)
+        assert GrowthSequence((0, 1, 2, 3, 5, 8, 13, 21), 3).r == 3
 
     def test_fibonacci_r2_fails(self):
-        assert not check_growth_condition((0, 1, 2, 3, 5, 8, 13, 21), 2)
+        # 3 = a_4 is not > a_3 + a_2 = 2 + 1
+        with pytest.raises(ValueError, match=r"a_\(k-r\) for r=2$"):
+            GrowthSequence((0, 1, 2, 3, 5, 8, 13, 21), 2)
 
     def test_single_term_vacuous(self):
-        assert check_growth_condition((4,), 1)
+        GrowthSequence((4,), 1)
+        GrowthSequence((0, 1), 2)  # no k >= r + 1
 
     def test_sequence_validates_on_construction(self):
         with pytest.raises(ValueError):
