@@ -26,8 +26,10 @@ differences of the decided elements) + 1.  When the first bound is at most
 the second, no completion is sum-dominant and the walk skips the subtree.
 A child's sum bound is no higher than its parent's (each fringe gains at
 most one sum, the open middle loses two) and its difference bound no lower,
-so a cut node has no uncut descendant.  With the cut off the walk yields
-every class.
+so a cut node has no uncut descendant.  A node tests each child against the
+next step's bound before it descends, so a cut child costs no call; with
+one element left under a size cap it goes straight to each candidate.  With
+the cut off the walk yields every class.
 
 The walk is partitioned by (diameter, decisions on the first pairs);
 partitions are independent work units whose tallies merge by addition, so
@@ -212,41 +214,68 @@ def _canonical_classes(
         return [(1, 1, 1)] if size_lo <= 1 <= size_hi else []
     a, m = _prefix_masks(d, j, t)
     s, p_diffs = _sum_diff_masks(a)
-    fringes = _fringes(d) if cut else None
+    p_diffs ^= 1  # the positive differences
     leaf = d // 2 + 1
+    # without the cut each sum bound is 2d + 2, above any difference bound
+    fringes = _fringes(d) if cut else [(0, 2 * d + 2)] * (leaf + 1)
     out = []
 
     def visit(x, a, m, s, p_diffs, g, n, tied):
-        # the pairs (i, d - i) with i < x are decided; m is the mirror of a
-        if fringes:
-            final, slots = fringes[x]
-            if (s & final).bit_count() + slots <= 2 * p_diffs.bit_count() + 1:
-                return
+        # the pairs (i, d - i) with i < x are decided, m is the mirror of a,
+        # and the node has passed the fringe test of step x
         if n >= size_hi:
             x = leaf  # the size cap leaves every open position out
         y = d - x
+        ndiff = 2 * p_diffs.bit_count() + 1
         if x > y:
             if g == 1 and size_lo <= n <= size_hi:
-                out.append((a, s.bit_count(), 2 * p_diffs.bit_count() + 1))
+                out.append((a, s.bit_count(), ndiff))
             return
+        if n + 1 == size_hi:
+            # one element left.  The child with none goes on to the first step
+            # z whose test it fails, and the pair of each step it passes may
+            # take the element, tested at the step after it: innermost first
+            z = x + 1
+            while z <= leaf and (s & fringes[z][0]).bit_count() + fringes[z][1] > ndiff:
+                z += 1
+            if z > leaf and g == 1 and size_lo <= n:
+                out.append((a, s.bit_count(), ndiff))
+            for i in range(min(z, leaf) - 1, x - 1, -1):
+                if gcd(g, i) != 1:  # gcd(g, d - i) too
+                    continue
+                final, slots = fringes[i + 1]
+                for e in (i,) if i == d - i or tied else (i, d - i):
+                    se = s | (a << e) | (1 << 2 * e)
+                    nd = 2 * (p_diffs | (a >> e) | ((m << e) >> d)).bit_count() + 1
+                    if (se & final).bit_count() + slots > nd:
+                        out.append((a | 1 << e, se.bit_count(), nd))
+            return
+        final, slots = fringes[x + 1]
+        if (s & final).bit_count() + slots > ndiff:
+            visit(x + 1, a, m, s, p_diffs, g, n, tied)
         g1 = gcd(g, x)  # gcd(g, y) too, as d is an element
         # the masks with x added: x + e, and the differences x - e and e - x
         sx = s | (a << x) | (1 << 2 * x)
         px = p_diffs | (a >> x) | ((m << x) >> d)
-        visit(x + 1, a, m, s, p_diffs, g, n, tied)
+        x_passes = (sx & final).bit_count() + slots > 2 * px.bit_count() + 1
         if x == y:  # the midpoint
-            visit(x + 1, a | 1 << x, m | 1 << x, sx, px, g1, n + 1, tied)
+            if x_passes:
+                visit(x + 1, a | 1 << x, m | 1 << x, sx, px, g1, n + 1, tied)
             return
-        visit(x + 1, a | 1 << x, m | 1 << y, sx, px, g1, n + 1, False)
+        if x_passes:
+            visit(x + 1, a | 1 << x, m | 1 << y, sx, px, g1, n + 1, False)
         sy = s | (a << y) | (1 << 2 * y)
-        py = (a >> y) | ((m << y) >> d)
-        if not tied:
-            visit(x + 1, a | 1 << y, m | 1 << x, sy, p_diffs | py, g1, n + 1, False)
-        if n + 2 <= size_hi:
-            b = 1 << x | 1 << y  # x + y = d is a sum already
-            visit(x + 1, a | b, m | b, sx | sy, px | py | 1 << (y - x), g1, n + 2, tied)
+        py = p_diffs | (a >> y) | ((m << y) >> d)
+        if not tied and (sy & final).bit_count() + slots > 2 * py.bit_count() + 1:
+            visit(x + 1, a | 1 << y, m | 1 << x, sy, py, g1, n + 1, False)
+        b = 1 << x | 1 << y  # x + y = d is a sum already
+        sb, pb = sx | sy, px | py | 1 << (y - x)
+        if (sb & final).bit_count() + slots > 2 * pb.bit_count() + 1:
+            visit(x + 1, a | b, m | b, sb, pb, g1, n + 2, tied)
 
-    visit(t + 1, a, m, s, p_diffs ^ 1, gcd(*_bit_indices(a)), a.bit_count(), a == m)
+    final, slots = fringes[t + 1]
+    if (s & final).bit_count() + slots > 2 * p_diffs.bit_count() + 1:
+        visit(t + 1, a, m, s, p_diffs, gcd(*_bit_indices(a)), a.bit_count(), a == m)
     del visit  # visit holds itself: unbind it, or the cycle keeps ``out`` alive
     return out
 

@@ -59,11 +59,14 @@ class IntSet:
 
     def __post_init__(self):
         els = self.elements
+        if type(els) is not tuple:  # a list is stored as a tuple, so it hashes
+            els = tuple(els)
         for e in els:
             if type(e) is not int:  # a bool or numpy int is stored as its int
                 els = tuple(map(index, els))  # a float or Fraction: TypeError
-                object.__setattr__(self, "elements", els)
                 break
+        if els is not self.elements:
+            object.__setattr__(self, "elements", els)
         if not all(map(lt, els, els[1:])):
             raise ValueError(f"elements must be strictly increasing: {els}")
 

@@ -56,6 +56,7 @@ class GrowthSequence:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("r must be a positive integer")
+        object.__setattr__(self, "terms", tuple(self.terms))
         t, r = self.terms, self.r
         if not t or t[0] < 0:
             raise ValueError("terms must be nonnegative")

@@ -32,7 +32,7 @@ from mstd.search import (
     iter_normalized,
     scan_sum_dominant,
 )
-from mstd.setcore import _bit_indices
+from mstd.setcore import _bit_indices, _sum_diff_masks
 from conftest import (
     A1,
     lex_canonical_classes,
@@ -229,6 +229,27 @@ class TestFringeCut:
         }
         assert (examined, len(found)) == (7_867_238, 3_266)
 
+    def test_cut_list_is_the_uncut_list_filtered_by_each_leafs_bound(self):
+        # the bound only falls along a path, so the cut walk lists exactly the
+        # classes that pass the fringe test of the last step, w = d // 2 + 1,
+        # in walk order: a test the walk drops lets through more, and the
+        # list's length is the ``examined`` count a checkpoint records.  At
+        # d = 0 there is no walk: {0} is listed with the cut too
+        parts = _partitions(SearchConfig(1, 20))
+        for d, j, t in parts:
+            w = d // 2 + 1
+            fringe = ((1 << w) - 1) | (((1 << w) - 1) << (2 * d - w + 1))
+            want = [
+                (mask, nsum, ndiff)
+                for mask, nsum, ndiff in _canonical_classes(
+                    d, j, t, 1, d + 1, cut=False
+                )
+                if (_sum_diff_masks(mask)[0] & fringe).bit_count() + 2 * (d - w) + 1
+                > ndiff
+            ]
+            assert _canonical_classes(d, j, t, 1, d + 1) == want, (d, j)
+        assert len(parts) == 42
+
     @pytest.mark.parametrize(
         "mutate",
         [
@@ -281,13 +302,16 @@ class TestClassCount:
     @pytest.mark.parametrize(
         "old, new, config",
         [
-            ("if not tied:", "if False:", SearchConfig(17, 17)),
-            ("if n + 2 <= size_hi:", "if n + 2 < size_hi:",
+            ("if not tied and", "if False and", SearchConfig(17, 17)),
+            ("if n >= size_hi:", "if n >= size_hi - 1:",
              SearchConfig(17, 17, size_max=5)),
             ("visit(x + 1, a | 1 << x, m | 1 << x, sx, px, g1, n + 1, tied)", "pass",
              SearchConfig(18, 18)),
+            # the last element under a size cap: the high element never alone
+            ("else (i, d - i)", "else (i,)", SearchConfig(17, 17, size_max=5)),
         ],
-        ids=["no-high-element-alone", "size-cap-one-lower", "no-midpoint"],
+        ids=["no-high-element-alone", "size-cap-one-lower", "no-midpoint",
+             "capped-no-high-element-alone"],
     )
     def test_kernel_mutation_trips_the_uncut_check(
         self, monkeypatch, old, new, config

@@ -82,6 +82,19 @@ class TestIntSet:
         b = IntSet((False, True))
         assert str(b) == "0,1" and all(type(e) is int for e in b)
 
+    # a list is stored as a tuple: the set equals, hashes as and compares
+    # with the one built from a tuple
+    def test_a_list_makes_the_same_set_as_a_tuple(self):
+        a = IntSet([0, 1, 3])
+        assert a == IntSet((0, 1, 3)) and a.elements == (0, 1, 3)
+
+    def test_a_set_from_a_list_hashes(self):
+        assert hash(IntSet([0, 1, 3])) == hash(IntSet((0, 1, 3)))
+        assert len({IntSet([0, 1, 3]), IntSet((0, 1, 3))}) == 1
+
+    def test_reflect_canonical_of_a_set_from_a_list(self):
+        assert reflect_canonical(IntSet([0, 2, 3])) == IntSet((0, 1, 3))
+
     def test_parse(self):
         assert IntSet.parse("0,2, 3").elements == (0, 2, 3)
         assert IntSet.parse("-3,5").elements == (-3, 5)

@@ -451,6 +451,12 @@ class TestGrowthCondition:
         with pytest.raises(ValueError, match=r"a_\(k-r\) for r=2$"):
             GrowthSequence((0, 1, 2, 3, 5, 8, 13, 21), 2)
 
+    def test_terms_from_a_list_are_stored_as_a_tuple(self):
+        # a list of terms is stored as a tuple
+        seq = GrowthSequence(list(FIB13), 3)
+        assert seq == GrowthSequence(FIB13, 3) and seq.terms == FIB13
+        assert hash(seq) == hash(GrowthSequence(FIB13, 3))
+
     def test_single_term_vacuous(self):
         GrowthSequence((4,), 1)
         GrowthSequence((0, 1), 2)  # no k >= r + 1
