@@ -27,8 +27,7 @@ the second, no completion is sum-dominant and the walk skips the subtree.
 A child's sum bound is no higher than its parent's (each fringe gains at
 most one sum, the open middle loses two) and its difference bound no lower,
 so a cut node has no uncut descendant.  A node tests each child against the
-next step's bound before it descends, so a cut child costs no call; with
-one element left under a size cap it goes straight to each candidate.  With
+next step's bound before it descends, so a cut child costs no call.  With
 the cut off the walk yields every class.
 
 The walk is partitioned by (diameter, decisions on the first pairs);
@@ -45,6 +44,7 @@ import multiprocessing
 import signal
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb, gcd
 from operator import index
@@ -188,16 +188,18 @@ def _prefix_masks(d: int, j: int, t: int) -> tuple[int, int]:
     return a, m
 
 
-def _fringes(d: int) -> list[tuple[int, int]]:
+@cache
+def _fringes(d: int) -> tuple[tuple[int, int], ...]:
     """(final sums mask, open sum slots) at each step w: the fringe lemma's terms.
 
     With the pairs (i, d - i), i < w, decided, the sums in [0, w) and
-    (2d - w, 2d] are final, and at most 2d - 2w + 1 others can occur.
+    (2d - w, 2d] are final, and at most 2d - 2w + 1 others can occur.  Built
+    once per diameter and shared by its partitions, hence a tuple.
     """
-    return [
+    return tuple(
         (((1 << w) - 1) | (((1 << w) - 1) << (2 * d - w + 1)), 2 * (d - w) + 1)
         for w in range(d // 2 + 2)
-    ]
+    )
 
 
 def _canonical_classes(
@@ -231,25 +233,6 @@ def _canonical_classes(
             if g == 1 and size_lo <= n <= size_hi:
                 out.append((a, s.bit_count(), ndiff))
             return
-        if n + 1 == size_hi:
-            # one element left.  The child with none goes on to the first step
-            # z whose test it fails, and the pair of each step it passes may
-            # take the element, tested at the step after it: innermost first
-            z = x + 1
-            while z <= leaf and (s & fringes[z][0]).bit_count() + fringes[z][1] > ndiff:
-                z += 1
-            if z > leaf and g == 1 and size_lo <= n:
-                out.append((a, s.bit_count(), ndiff))
-            for i in range(min(z, leaf) - 1, x - 1, -1):
-                if gcd(g, i) != 1:  # gcd(g, d - i) too
-                    continue
-                final, slots = fringes[i + 1]
-                for e in (i,) if i == d - i or tied else (i, d - i):
-                    se = s | (a << e) | (1 << 2 * e)
-                    nd = 2 * (p_diffs | (a >> e) | ((m << e) >> d)).bit_count() + 1
-                    if (se & final).bit_count() + slots > nd:
-                        out.append((a | 1 << e, se.bit_count(), nd))
-            return
         final, slots = fringes[x + 1]
         if (s & final).bit_count() + slots > ndiff:
             visit(x + 1, a, m, s, p_diffs, g, n, tied)
@@ -270,7 +253,7 @@ def _canonical_classes(
             visit(x + 1, a | 1 << y, m | 1 << x, sy, py, g1, n + 1, False)
         b = 1 << x | 1 << y  # x + y = d is a sum already
         sb, pb = sx | sy, px | py | 1 << (y - x)
-        if (sb & final).bit_count() + slots > 2 * pb.bit_count() + 1:
+        if n + 2 <= size_hi and (sb & final).bit_count() + slots > 2 * pb.bit_count() + 1:
             visit(x + 1, a | b, m | b, sb, pb, g1, n + 2, tied)
 
     final, slots = fringes[t + 1]
@@ -281,14 +264,18 @@ def _canonical_classes(
 
 
 def _partitions(config: SearchConfig) -> list[tuple[int, int, int]]:
-    """(d, j, t) for each partition: the keys j of t pairs that the tie rule allows."""
-    parts = []
+    """(d, j, t) for each partition: the keys j of t pairs that the tie rule allows.
+
+    The rule compares the picks of each pair, outermost first, so it reads
+    only the bits of j: the keys of t pairs are found once, at diameter 2t + 1.
+    """
+    keys, parts = {}, []
     for d in range(config.diameter_min, config.diameter_max + 1):
         t = _key_pairs(d)
-        for j in range(1 << (2 * t)):
-            a, m = _prefix_masks(d, j, t)
-            if a <= m:
-                parts.append((d, j, t))
+        if t not in keys:
+            masks = (_prefix_masks(2 * t + 1, j, t) for j in range(1 << (2 * t)))
+            keys[t] = [j for j, (a, m) in enumerate(masks) if a <= m]
+        parts.extend((d, j, t) for j in keys[t])
     return parts
 
 

@@ -209,14 +209,18 @@ def _mutated_walk(monkeypatch, old, new):
 
 class TestFringeCut:
     @pytest.mark.parametrize(
-        "size_range", [(None, None), (3, 5)], ids=["all", "size3to5"]
+        "size_range, found",
+        [((None, None), 189), ((3, 5), 0), ((8, 9), 7)],
+        ids=["all", "size3to5", "size8to9"],
     )
-    def test_cut_lists_what_the_uncut_walk_lists(self, size_range):
+    def test_cut_lists_what_the_uncut_walk_lists(self, size_range, found):
         # the uncut walk checks its tallies against class_count as it goes
         config = SearchConfig(0, 20, *size_range)
         cut, uncut = _cut_and_uncut(config)
         assert cut == uncut
-        assert len(cut[1]) == (189 if size_range == (None, None) else 0)
+        assert len(cut[1]) == found
+        if found:
+            assert "0,2,3,4,7,11,12,14" in map(str, cut[1])
 
     def test_sum_dominant_tallies_past_the_uncut_range(self):
         # the per-diameter counts the walk that visited every class gave
@@ -231,23 +235,30 @@ class TestFringeCut:
 
     def test_cut_list_is_the_uncut_list_filtered_by_each_leafs_bound(self):
         # the bound only falls along a path, so the cut walk lists exactly the
-        # classes that pass the fringe test of the last step, w = d // 2 + 1,
-        # in walk order: a test the walk drops lets through more, and the
-        # list's length is the ``examined`` count a checkpoint records.  At
+        # classes that pass the fringe test of their path's last step, in walk
+        # order: a test the walk drops lets through more, and the list's
+        # length is the ``examined`` count a checkpoint records.  A leaf below
+        # the size cap was last tested at w = d // 2 + 1.  A leaf at the cap
+        # skips every open step, so its last test was the one after its
+        # innermost decided pair i, w = i + 1, or the root's, w = t + 1.  At
         # d = 0 there is no walk: {0} is listed with the cut too
         parts = _partitions(SearchConfig(1, 20))
-        for d, j, t in parts:
-            w = d // 2 + 1
-            fringe = ((1 << w) - 1) | (((1 << w) - 1) << (2 * d - w + 1))
-            want = [
-                (mask, nsum, ndiff)
+        for lo, hi in ((1, None), (3, 5), (6, 8), (8, 9)):
+            for d, j, t in parts:
+                cap = d + 1 if hi is None else hi
+                want = []
                 for mask, nsum, ndiff in _canonical_classes(
-                    d, j, t, 1, d + 1, cut=False
-                )
-                if (_sum_diff_masks(mask)[0] & fringe).bit_count() + 2 * (d - w) + 1
-                > ndiff
-            ]
-            assert _canonical_classes(d, j, t, 1, d + 1) == want, (d, j)
+                    d, j, t, lo, cap, cut=False
+                ):
+                    w = d // 2 + 1
+                    if mask.bit_count() == cap:
+                        inner = max(min(e, d - e) for e in _bit_indices(mask))
+                        w = max(t + 1, inner + 1)
+                    fringe = ((1 << w) - 1) | (((1 << w) - 1) << (2 * d - w + 1))
+                    sums = _sum_diff_masks(mask)[0]
+                    if (sums & fringe).bit_count() + 2 * (d - w) + 1 > ndiff:
+                        want.append((mask, nsum, ndiff))
+                assert _canonical_classes(d, j, t, lo, cap) == want, (lo, hi, d, j)
         assert len(parts) == 42
 
     @pytest.mark.parametrize(
@@ -307,11 +318,13 @@ class TestClassCount:
              SearchConfig(17, 17, size_max=5)),
             ("visit(x + 1, a | 1 << x, m | 1 << x, sx, px, g1, n + 1, tied)", "pass",
              SearchConfig(18, 18)),
-            # the last element under a size cap: the high element never alone
-            ("else (i, d - i)", "else (i,)", SearchConfig(17, 17, size_max=5)),
+            # two child tests in a size-capped walk, which takes the same steps
+            ("if not tied and", "if False and", SearchConfig(17, 17, size_max=5)),
+            ("if n + 2 <= size_hi and", "if n + 2 < size_hi and",
+             SearchConfig(17, 17, size_max=5)),
         ],
         ids=["no-high-element-alone", "size-cap-one-lower", "no-midpoint",
-             "capped-no-high-element-alone"],
+             "capped-no-high-element-alone", "capped-both-one-lower"],
     )
     def test_kernel_mutation_trips_the_uncut_check(
         self, monkeypatch, old, new, config
