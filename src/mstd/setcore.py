@@ -2,9 +2,10 @@
 
 Sets are immutable, sorted tuples of integers.  Sumset/difference-set
 cardinalities are computed on a dense bitmask over the set's window (a Python
-int doubles as an arbitrary-width machine bitset), falling back to hashed
-pairwise enumeration, one visit per unordered pair, when the window is
-enormous relative to the set size.  A mask is decoded back to its elements
+int doubles as an arbitrary-width machine bitset).  A set given by its
+elements falls back to hashed pairwise enumeration, one visit per unordered
+pair, when its window is enormous relative to its size; a mask that is
+already built always runs dense.  A mask is decoded back to its elements
 in one pass over its binary digits, in time linear in its width.
 Equal-sum and equal-difference pair counts likewise convolve the window by
 big-int multiplication (Kronecker substitution) or count the pairs.
@@ -244,8 +245,8 @@ def _parse_tokens(text: str, allow_rational: bool):
     return vals
 
 
-# Window wider than this many bits per squared set size switches the kernel
-# from the dense bitmask to hashed pairwise enumeration.
+# Window wider than this many bits per squared set size sends a set given by
+# its elements pairwise; a built mask runs dense, as decoding it costs O(width).
 _DENSE_BITS_PER_PAIR = 64
 
 
@@ -406,24 +407,18 @@ def _positive_diffs(els: Sequence[int]) -> set[int]:
     return {y - x for i, x in enumerate(els) for y in els[i + 1 :]}
 
 
-def _pairwise_sizes(xs: Iterable[int]) -> tuple[int, int]:
-    els = sorted(set(xs))
-    return len(_pair_sums(els)), 2 * len(_positive_diffs(els)) + 1
-
-
 def mask_sizes(mask: int) -> tuple[int, int]:
     """(|A+A|, |A-A|) of A = {i : bit i of mask is set}, for a positive mask.
 
     The verifier grids build each set as such a mask and classify it here,
     with no IntSet.  Trailing zero bits are shifted out (both sizes are
-    translation-invariant); a window too wide for the dense kernel goes pairwise.
+    translation-invariant).  The mask always runs dense, however wide: the
+    pairwise fallback is for sets given by their elements (`sizes_of`).
     """
     if mask <= 0:
         raise ValueError(f"mask must be positive: {mask}")
     if not mask & 1:
         mask >>= (mask & -mask).bit_length() - 1
-    if not _use_dense(mask.bit_count(), mask.bit_length() - 1):
-        return _pairwise_sizes(_bit_indices(mask))
     sums, diffs = _sum_diff_masks(mask)
     return sums.bit_count(), 2 * diffs.bit_count() - 1
 
@@ -436,7 +431,8 @@ def sizes_of(xs: Sequence[int]) -> tuple[int, int]:
     """
     lo = min(xs)
     if not _use_dense(len(xs), max(xs) - lo):
-        return _pairwise_sizes(xs)
+        els = sorted(set(xs))
+        return len(_pair_sums(els)), 2 * len(_positive_diffs(els)) + 1
     mask = 0
     for x in xs:
         mask |= 1 << (x - lo)

@@ -403,7 +403,7 @@ def verify_growth_criterion(
         raise ValueError(f"need subset_budget >= 0, got {subset_budget}")
     bound = params.ell * (params.n + 1)
     lhs = params.m * size + params.m * (params.m + 1) // 2
-    if params.m >= 1 and lhs > bound:
+    if lhs > bound:  # m = 0 gives lhs = 0 <= bound
         raise ValueError(
             f"inadmissible insertion count: m*|S| + m(m+1)/2 = {lhs} > {bound} = ell*(n+1)"
         )
@@ -437,7 +437,7 @@ def verify_growth_criterion(
         report.cases += 1
         nsum, ndiff = sum_diff_sizes(s)
         deficit = ndiff - nsum
-        if nsum > ndiff or deficit < bound:
+        if deficit < bound:  # bound >= 0, so this rules out nsum > ndiff too
             report.add_violation(s, f"{label} deficit={deficit} < {bound}")
         if si == 0:
             rel = "=" if deficit == bound else ">"

@@ -23,6 +23,8 @@ from mstd import (
     sum_diff_sizes,
     sumset,
 )
+from mstd import setcore
+from mstd.search import explore_two_ap_unions
 from mstd.setcore import (
     RationalSet,
     _use_dense,
@@ -184,6 +186,20 @@ class TestMaskEntry:
         # 0 gave (0, -1); -6 did not return
         with pytest.raises(ValueError, match="positive"):
             mask_sizes(mask)
+
+    def test_built_masks_are_never_decoded(self, monkeypatch):
+        # past the dense gate, decoding the mask costs O(width) in Python
+        def no_decode(*args):
+            raise AssertionError("mask_sizes decoded its mask")
+
+        monkeypatch.setattr(setcore, "_bit_indices", no_decode)
+        for mask in (1 | 1 << 5000, 0b1011 << 7 | 1 << 40_000, 0b111 | 1 << 9000):
+            els = [i for i in range(mask.bit_length()) if mask >> i & 1]
+            assert not _use_dense(len(els), els[-1] - els[0])
+            want = (len(naive_sumset(els)), len(naive_diffset(els)))
+            assert mask_sizes(mask) == want
+        report = explore_two_ap_unions(1, 1, 3000)
+        assert report.passed and report.cases == 6001
 
     def test_from_mask_refuses_negative_masks(self):
         with pytest.raises(ValueError, match="nonnegative"):
