@@ -84,10 +84,9 @@ class SearchConfig:
     checkpoint_path: Optional[str] = None
 
     def __post_init__(self):
-        for v in (self.diameter_min, self.diameter_max, self.size_min,
-                  self.size_max, self.workers):
-            if v is not None:
-                index(v)  # a float or Fraction: TypeError
+        for name in ("diameter_min", "diameter_max", "size_min", "size_max", "workers"):
+            if getattr(self, name) is not None:  # a float or Fraction: TypeError
+                setattr(self, name, index(getattr(self, name)))
         if not 0 <= self.diameter_min <= self.diameter_max:
             raise ValueError("need 0 <= diameter_min <= diameter_max")
         lo, hi = self.size_range()

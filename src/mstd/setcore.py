@@ -2,11 +2,11 @@
 
 Sets are immutable, sorted tuples of integers.  Sumset/difference-set
 cardinalities are computed on a dense bitmask over the set's window (a Python
-int doubles as an arbitrary-width machine bitset).  A set given by its
-elements falls back to hashed pairwise enumeration, one visit per unordered
-pair, when its window is enormous relative to its size; a mask that is
-already built always runs dense.  A mask is decoded back to its elements
-in one pass over its binary digits, in time linear in its width.
+int doubles as an arbitrary-width machine bitset), at about |A| x window bit
+operations.  A set given by its elements goes pairwise, |A|^2 / 2 hashed
+visits, when its window exceeds a fixed number of bits per element; a built
+mask always runs dense.  A mask is decoded in one pass over its binary digits,
+so `sumset` and `diffset` decode one only if it has no more bits than pairs.
 Equal-sum and equal-difference pair counts likewise convolve the window by
 big-int multiplication (Kronecker substitution) or count the pairs.
 """
@@ -137,8 +137,8 @@ class APSpec:
     length: int
 
     def __post_init__(self):
-        for v in (self.first, self.step, self.length):
-            index(v)  # a float or Fraction: TypeError
+        for name in ("first", "step", "length"):  # a float or Fraction: TypeError
+            object.__setattr__(self, name, index(getattr(self, name)))
         if self.length < 1:
             raise ValueError("length must be >= 1")
         if self.step < 1:
@@ -245,13 +245,13 @@ def _parse_tokens(text: str, allow_rational: bool):
     return vals
 
 
-# Window wider than this many bits per squared set size sends a set given by
-# its elements pairwise; a built mask runs dense, as decoding it costs O(width).
-_DENSE_BITS_PER_PAIR = 64
+# Dense and pairwise break even between 384 and 768 window bits per element at
+# |A| = 5..256 (measured).  A built mask runs dense: decoding costs O(width).
+_DENSE_BITS_PER_ELEMENT = 512
 
 
 def _use_dense(size: int, diameter: int) -> bool:
-    return diameter + 1 <= _DENSE_BITS_PER_PAIR * size * size
+    return diameter + 1 <= _DENSE_BITS_PER_ELEMENT * size
 
 
 def _bit_indices(mask: int, lo: int = 0) -> list[int]:
@@ -449,24 +449,24 @@ def sum_diff_sizes(a: IntSet) -> tuple[int, int]:
 def sumset(a: IntSet) -> IntSet:
     """All pairwise sums a_i + a_j (i = j allowed)."""
     a._require_nonempty()
-    els = a.elements
-    if _use_dense(len(els), a.diameter):
+    n = len(a)
+    if 2 * a.diameter + 1 <= n * (n + 1) // 2:  # decode no more bits than pairs
         mask, lo = a.mask()
         sums, _ = _sum_diff_masks(mask)
-        return IntSet(tuple(_bit_indices(sums, 2 * lo)))
-    return IntSet(tuple(sorted(_pair_sums(els))))
+        return IntSet.from_mask(sums, 2 * lo)
+    return IntSet(tuple(sorted(_pair_sums(a.elements))))
 
 
 def diffset(a: IntSet) -> IntSet:
     """All pairwise differences a_i - a_j, symmetric about 0."""
     a._require_nonempty()
-    els = a.elements
-    if _use_dense(len(els), a.diameter):
+    n = len(a)
+    if a.diameter + 1 <= n * (n - 1) // 2:  # decode no more bits than pairs
         mask, _ = a.mask()
         _, diffs = _sum_diff_masks(mask)
         pos = _bit_indices(diffs)[1:]
     else:
-        pos = sorted(_positive_diffs(els))
+        pos = sorted(_positive_diffs(a.elements))
     return IntSet(tuple([-v for v in reversed(pos)] + [0] + pos))
 
 

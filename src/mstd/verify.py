@@ -128,12 +128,14 @@ def _segment_with(n: int, xs: Sequence[Fraction]) -> list[int]:
     A dilation keeps the class.  No gcd is left to divide out: each prime
     power r^a exactly dividing L exactly divides some denominator q of an
     x = p/q, and r divides neither p nor L/q, so r does not divide p*L/q.
-    Each inserted integer is listed once, so x = y leaves the dense gate
-    the set's own size; one landing on I_n times L is listed twice, which
-    ``sizes_of`` allows.  It checks that gate before any mask, as L can be
-    too large for one.
+    ``sizes_of`` gates on window bits per listed integer, so each inserted
+    integer is listed once (x = y counts once) and one on I_n times L twice,
+    which it allows; it gates before any mask, as L can be too large for one.
     """
-    den = lcm(*[x.denominator for x in xs])
+    try:
+        den = lcm(*[x.denominator for x in xs])
+    except AttributeError:  # a float or Decimal, which RationalSet refuses too
+        raise TypeError(f"expected ints or Fractions, got {xs}") from None
     inserted = {x.numerator * (den // x.denominator) for x in xs}
     return [*range(0, n * den, den), *inserted]
 
@@ -153,11 +155,10 @@ def ap_plus_two_violation(n: int, x: Fraction, y: Fraction) -> Optional[IntSet]:
 
 def in_deficit_domain(n: int, x: Fraction) -> bool:
     """n >= 2, x not congruent to 1/2 mod 1, and x not an integer in [-1, n]."""
-    return (
-        n >= 2
-        and x.denominator != 2
-        and not (x.denominator == 1 and -1 <= x <= n)
-    )
+    q = getattr(x, "denominator", None)  # None for a float or Decimal
+    if q is None:
+        raise TypeError(f"expected an int or Fraction, got {x!r}")
+    return n >= 2 and q != 2 and not (q == 1 and -1 <= x <= n)
 
 
 def insertion_deficit_violation(n: int, x: Fraction) -> Optional[IntSet]:

@@ -122,6 +122,16 @@ def naive_ap_plus_two_decomposition(a):
     return None
 
 
+class Index:
+    """An integer type that is no int, as a numpy integer is: only __index__."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+
 def record_kernel(monkeypatch, module, entry="mask_sizes", force=False):
     """What a grid in ``module`` hands the kernel entry ``entry``, in order.
 

@@ -35,6 +35,7 @@ from mstd.search import (
 from mstd.setcore import _bit_indices, _sum_diff_masks
 from conftest import (
     A1,
+    Index,
     lex_canonical_classes,
     naive_diffset,
     naive_sumset,
@@ -414,6 +415,25 @@ class TestFindMinMstd:
             SearchConfig(**{**fields, field: Fraction(5)})
         SearchConfig(**{**fields, field: 5})
 
+    def test_index_fields_are_stored_as_plain_ints(self, tmp_path):
+        # diameter_max=True printed "diameter_max":true, and an Index field
+        # made render_json and the checkpoint header write raise TypeError
+        result = find_min_mstd(SearchConfig(diameter_max=True))
+        assert render_json(result.to_json_dict()).startswith(
+            '{"config":{"diameter_min":0,"diameter_max":1,'
+        )
+        path = tmp_path / "ck.jsonl"
+        fields = dict(diameter_min=2, diameter_max=8, size_min=3, size_max=5)
+        config = SearchConfig(
+            **{k: Index(v) for k, v in fields.items()},
+            workers=Index(1),
+            checkpoint_path=str(path),
+        )
+        assert all(type(getattr(config, k)) is int for k in [*fields, "workers"])
+        want = find_min_mstd(SearchConfig(**fields)).to_json_dict()
+        assert render_json(find_min_mstd(config).to_json_dict()) == render_json(want)
+        assert json.loads(path.read_text().splitlines()[0])["config"] == fields
+
 
 class TestCheckpoint:
     def test_full_resume_is_identity(self, tmp_path):
@@ -663,7 +683,7 @@ def _min_additions_tried(ap, k_max, window):
 
 class TestTwoApUnions:
     @pytest.mark.parametrize(
-        # wide: {0, a2} with |a2| >= 256 fails the dense gate and goes pairwise
+        # wide: {0, a2} with |a2| up to 300; a built mask is never gated, however wide
         "grid", [(6, 5, 40), (3, 2, 300)], ids=["default", "wide"]
     )
     def test_masks_match_the_intset_build(self, monkeypatch, grid):

@@ -32,8 +32,10 @@ from mstd.setcore import (
     scale_to_integers,
     sizes_of,
 )
+from mstd.reports import render_json
 from conftest import (
     A1,
+    Index,
     naive_ap_plus_two_decomposition,
     naive_diffset,
     naive_sumset,
@@ -71,13 +73,6 @@ class TestIntSet:
             IntSet(els)
 
     def test_index_types_are_stored_as_plain_ints(self):
-        class Index:  # stands in for a numpy integer, which is no int
-            def __init__(self, v):
-                self.v = v
-
-            def __index__(self):
-                return self.v
-
         a = IntSet((Index(0), Index(70)))
         assert a.elements == (0, 70) and all(type(e) is int for e in a)
         assert sum_diff_sizes(a) == (3, 3) and str(sumset(a)) == "0,70,140"
@@ -200,6 +195,45 @@ class TestMaskEntry:
             assert mask_sizes(mask) == want
         report = explore_two_ap_unions(1, 1, 3000)
         assert report.passed and report.cases == 6001
+
+    def test_sizes_of_goes_pairwise_on_a_window_wide_per_element(self, monkeypatch):
+        # 2^21 bits for 256 elements: under 64 |A|^2, so it ran dense, ~12x
+        # slower than pairwise; the gate is 512 bits per element
+        def no_dense(mask):
+            raise AssertionError("sizes_of ran the dense kernel")
+
+        els = random.Random(21).sample(range(1 << 21), 256)
+        want = (len(naive_sumset(els)), len(naive_diffset(els)))
+        monkeypatch.setattr(setcore, "_sum_diff_masks", no_dense)
+        assert sum_diff_sizes(IntSet.from_iterable(els)) == want
+
+    @pytest.mark.parametrize("n, width", [(8, 4096), (32, 65536)])
+    def test_sumset_and_diffset_decode_no_more_bits_than_pairs(
+        self, monkeypatch, n, width
+    ):
+        # decoding a 2 x 4,096-bit sum mask took ~30x a pairwise build of 36
+        # sums; each decodes only a mask no wider than its pairs
+        def no_decode(*args):
+            raise AssertionError("decoded a mask wider than the pairs")
+
+        els = sorted(random.Random(n).sample(range(width), n))
+        monkeypatch.setattr(setcore, "_bit_indices", no_decode)
+        a = IntSet(tuple(els))
+        assert list(sumset(a)) == naive_sumset(els)
+        assert list(diffset(a)) == naive_diffset(els)
+
+    def test_a_dense_window_stays_dense(self, monkeypatch):
+        # the other side of all three gates: 1,024 bits for 256 elements
+        def no_pairs(els):
+            raise AssertionError("went pairwise on a dense window")
+
+        els = sorted(random.Random(256).sample(range(1024), 256))
+        sums, diffs = naive_sumset(els), naive_diffset(els)
+        monkeypatch.setattr(setcore, "_pair_sums", no_pairs)
+        monkeypatch.setattr(setcore, "_positive_diffs", no_pairs)
+        a = IntSet(tuple(els))
+        assert sum_diff_sizes(a) == (len(sums), len(diffs))
+        assert list(sumset(a)) == sums and list(diffset(a)) == diffs
 
     def test_from_mask_refuses_negative_masks(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -348,6 +382,13 @@ class TestSymmetryAndAP:
         # APSpec(0, 1.5, 3) was built, and mask() then failed on 1 << 1.5
         with pytest.raises(TypeError):
             APSpec(*fields)
+
+    def test_apspec_stores_index_types_as_plain_ints(self):
+        # APSpec(True, 1, 2) gave "first":true, and an Index field made
+        # render_json raise TypeError
+        for ap in (APSpec(True, True, 2), APSpec(Index(1), Index(1), Index(2))):
+            assert ap == APSpec(1, 1, 2) and ap.elements() == (1, 2)
+            assert render_json(ap.to_json_dict()) == '{"first":1,"step":1,"length":2}'
 
 
 # a translated and dilated progression plus 0-2 extras, negatives included

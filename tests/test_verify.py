@@ -1,5 +1,6 @@
 import time
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -164,6 +165,21 @@ class TestSetBuild:
         assert verify.ap_plus_two_violation(5, x, y) is None
         assert verify.insertion_deficit_violation(5, x) is None
 
+    @pytest.mark.parametrize("x", [0.25, Decimal("0.25")], ids=["float", "decimal"])
+    def test_point_predicates_refuse_inexact_numbers(self, x):
+        # ap_plus_two_violation(3, 0.5, 1) raised AttributeError
+        for call in (
+            lambda: verify.ap_plus_two_violation(3, x, 1),
+            lambda: verify.ap_plus_two_violation(3, Fraction(1, 4), x),
+            lambda: verify.insertion_deficit_violation(3, x),
+            lambda: verify.in_deficit_domain(3, x),
+            lambda: verify.in_deficit_domain(1, x),
+        ):
+            with pytest.raises(TypeError):
+                call()
+        assert verify.ap_plus_two_violation(3, Fraction(1, 4), 1) is None
+        assert verify.insertion_deficit_violation(3, Fraction(1, 4)) is None
+
     def test_deficit_domain_matches_the_half_offset_form(self):
         half = Fraction(1, 2)
         for grid in (verify._grids(1, 8, None, 2), verify._grids(0, 8, None, 4)):
@@ -200,9 +216,9 @@ class TestMaskPaths:
 
     @pytest.mark.parametrize(
         "grid",
-        [(8, None, 2), (8, (-1, 2), 6), (2, (250, 300), 1)],
-        # lcm: lcm(q1, q2) != max(q1, q2); wide: {0, x} with x >= 256 fails
-        # the dense gate and goes pairwise
+        [(8, None, 2), (8, (-1, 2), 6), (2, (1100, 1150), 1)],
+        # lcm: lcm(q1, q2) != max(q1, q2); wide: {0, x} with x >= 1024 fails
+        # the dense gate (512 window bits per element) and goes pairwise
         ids=["default", "lcm", "wide"],
     )
     def test_thm2(self, monkeypatch, grid):
@@ -211,7 +227,7 @@ class TestMaskPaths:
         sets = [_via_rational_set(n, xs) for n, *xs in _thm2_points(*grid)]
         assert report.passed and report.cases == len(sets)
         assert [IntSet.from_iterable(xs) for xs in seen] == sets
-        if grid[1] == (250, 300):
+        if grid[1] == (1100, 1150):
             assert any(not _use_dense(len(xs), max(xs) - min(xs)) for xs in seen)
 
     def test_deficit(self, monkeypatch):
