@@ -27,8 +27,10 @@ the second, no completion is sum-dominant and the walk skips the subtree.
 A child's sum bound is no higher than its parent's (each fringe gains at
 most one sum, the open middle loses two) and its difference bound no lower,
 so a cut node has no uncut descendant.  A node tests each child against the
-next step's bound before it descends, so a cut child costs no call.  With
-the cut off the walk yields every class.
+next step's bound before it descends, so a cut child costs no call.  Once
+w > d - w nothing is open: every sum is final, no slot is left, and the test
+is exact, |A+A| > |A-A|.  So the cut walk yields exactly the sum-dominant
+classes, and with the cut off it yields every class.
 
 The walk is partitioned by (diameter, decisions on the first pairs);
 partitions are independent work units whose tallies merge by addition, so
@@ -74,7 +76,7 @@ DEFAULT_SWEEP_DIAMETER = 24
 CHECKPOINT_FORMAT = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchConfig:
     diameter_min: int = 0
     diameter_max: int = DEFAULT_SWEEP_DIAMETER
@@ -86,7 +88,7 @@ class SearchConfig:
     def __post_init__(self):
         for name in ("diameter_min", "diameter_max", "size_min", "size_max", "workers"):
             if getattr(self, name) is not None:  # a float or Fraction: TypeError
-                setattr(self, name, index(getattr(self, name)))
+                object.__setattr__(self, name, index(getattr(self, name)))
         if not 0 <= self.diameter_min <= self.diameter_max:
             raise ValueError("need 0 <= diameter_min <= diameter_max")
         lo, hi = self.size_range()
@@ -192,13 +194,15 @@ def _fringes(d: int) -> tuple[tuple[int, int], ...]:
     """(final sums mask, open sum slots) at each step w: the fringe lemma's terms.
 
     With the pairs (i, d - i), i < w, decided, the sums in [0, w) and
-    (2d - w, 2d] are final, and at most 2d - 2w + 1 others can occur.  Built
-    once per diameter and shared by its partitions, hence a tuple.
+    (2d - w, 2d] are final, and at most 2d - 2w + 1 others can occur.  At
+    the leaf step, w > d - w, nothing is open: every sum in [0, 2d] is final,
+    the slots are 0 and the test is exact.  Built once per diameter and
+    shared by its partitions, hence a tuple.
     """
     return tuple(
         (((1 << w) - 1) | (((1 << w) - 1) << (2 * d - w + 1)), 2 * (d - w) + 1)
-        for w in range(d // 2 + 2)
-    )
+        for w in range(d // 2 + 1)
+    ) + (((1 << 2 * d + 1) - 1, 0),)
 
 
 def _canonical_classes(
@@ -207,12 +211,11 @@ def _canonical_classes(
     """(mask, |A+A|, |A-A|) of the canonical classes of one partition, in walk order.
 
     The partition holds the sets of diameter d whose first t pairs, 2t < d,
-    are as key j decides them.  With ``cut`` the list holds every
-    sum-dominant class of the partition and the other classes the walk
-    reached; without it, every class.
+    are as key j decides them.  With ``cut`` the list holds exactly the
+    sum-dominant classes of the partition; without it, every class.
     """
     if d == 0:
-        return [(1, 1, 1)] if size_lo <= 1 <= size_hi else []
+        return [(1, 1, 1)] if size_lo <= 1 <= size_hi and not cut else []
     a, m = _prefix_masks(d, j, t)
     s, p_diffs = _sum_diff_masks(a)
     p_diffs ^= 1  # the positive differences
@@ -228,8 +231,9 @@ def _canonical_classes(
             x = leaf  # the size cap leaves every open position out
         y = d - x
         ndiff = 2 * p_diffs.bit_count() + 1
-        if x > y:
-            if g == 1 and size_lo <= n <= size_hi:
+        if x > y:  # a leaf at the size cap skipped its test: test it here
+            final, slots = fringes[leaf]
+            if g == 1 and size_lo <= n <= size_hi and (s & final).bit_count() + slots > ndiff:
                 out.append((a, s.bit_count(), ndiff))
             return
         final, slots = fringes[x + 1]

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import multiprocessing
@@ -17,7 +18,8 @@ from mstd import (
     classify,
     is_symmetric,
 )
-from mstd import search
+from mstd import search, verify
+from mstd.cli import main
 from mstd.reports import render_json
 from mstd.search import (
     SearchConfig,
@@ -32,7 +34,7 @@ from mstd.search import (
     iter_normalized,
     scan_sum_dominant,
 )
-from mstd.setcore import _bit_indices, _sum_diff_masks
+from mstd.setcore import _bit_indices
 from conftest import (
     A1,
     Index,
@@ -123,19 +125,19 @@ class TestEnumeration:
         # key 0: neither of 1, d - 1; key 1: 1 alone; key 3: both
         "part, tallies",
         [
-            ((17, 0, 1), (853, 0, 8_255)),
-            ((17, 1, 1), (759, 1, 16_384)),
-            ((17, 3, 1), (413, 7, 8_256)),
-            ((18, 0, 1), (1_168, 3, 16_359)),
-            ((18, 1, 1), (963, 6, 32_768)),
-            ((18, 3, 1), (573, 12, 16_512)),
+            ((17, 0, 1), (0, 0, 8_255)),
+            ((17, 1, 1), (1, 1, 16_384)),
+            ((17, 3, 1), (7, 7, 8_256)),
+            ((18, 0, 1), (3, 3, 16_359)),
+            ((18, 1, 1), (6, 6, 32_768)),
+            ((18, 3, 1), (12, 12, 16_512)),
         ],
     )
     def test_partition_tallies(self, part, tallies):
         # checkpoint records are per partition: a resume only reaches the right
         # totals if no class moves between partitions.  The record's examined
-        # count is the classes the cut walk reached; the last figure is all
-        # classes of the partition
+        # count is the classes the cut walk lists, its sum-dominant ones; the
+        # last figure is all classes of the partition
         d, j, t = part
         examined, sd_masks = _scan_partition((d, j, t, 1, d + 1, True))
         classes = len(_canonical_classes(d, j, t, 1, d + 1, cut=False))
@@ -235,32 +237,31 @@ class TestFringeCut:
         assert (examined, len(found)) == (7_867_238, 3_266)
 
     def test_cut_list_is_the_uncut_list_filtered_by_each_leafs_bound(self):
-        # the bound only falls along a path, so the cut walk lists exactly the
-        # classes that pass the fringe test of their path's last step, in walk
-        # order: a test the walk drops lets through more, and the list's
-        # length is the ``examined`` count a checkpoint records.  A leaf below
-        # the size cap was last tested at w = d // 2 + 1.  A leaf at the cap
-        # skips every open step, so its last test was the one after its
-        # innermost decided pair i, w = i + 1, or the root's, w = t + 1.  At
-        # d = 0 there is no walk: {0} is listed with the cut too
-        parts = _partitions(SearchConfig(1, 20))
+        # at a leaf every sum is final, so the leaf's bound is |A+A| > |A-A|
+        # and the cut walk lists exactly the sum-dominant classes, in walk
+        # order, at the size cap too.  The list's length is the ``examined``
+        # count a checkpoint records.  At d = 0 there is no walk: {0} is
+        # balanced, so the cut lists nothing
+        parts = _partitions(SearchConfig(0, 20))
         for lo, hi in ((1, None), (3, 5), (6, 8), (8, 9)):
             for d, j, t in parts:
                 cap = d + 1 if hi is None else hi
-                want = []
-                for mask, nsum, ndiff in _canonical_classes(
-                    d, j, t, lo, cap, cut=False
-                ):
-                    w = d // 2 + 1
-                    if mask.bit_count() == cap:
-                        inner = max(min(e, d - e) for e in _bit_indices(mask))
-                        w = max(t + 1, inner + 1)
-                    fringe = ((1 << w) - 1) | (((1 << w) - 1) << (2 * d - w + 1))
-                    sums = _sum_diff_masks(mask)[0]
-                    if (sums & fringe).bit_count() + 2 * (d - w) + 1 > ndiff:
-                        want.append((mask, nsum, ndiff))
+                uncut = _canonical_classes(d, j, t, lo, cap, cut=False)
+                want = [c for c in uncut if c[1] > c[2]]
                 assert _canonical_classes(d, j, t, lo, cap) == want, (lo, hi, d, j)
-        assert len(parts) == 42
+        assert len(parts) == 43
+
+    def test_cut_lists_only_the_sum_dominant_leaves(self):
+        # 417 of the 1,049,071 classes of d = 22 are sum-dominant.  A leaf
+        # bound that counts 2d - 2w + 1 open sums where none is open lists
+        # 22,368
+        listed = [
+            c
+            for d, j, t in _partitions(SearchConfig(22, 22))
+            for c in _canonical_classes(d, j, t, 1, 23)
+        ]
+        assert len(listed) == 417
+        assert all(nsum > ndiff for _, nsum, ndiff in listed)
 
     @pytest.mark.parametrize(
         "mutate",
@@ -414,6 +415,27 @@ class TestFindMinMstd:
         with pytest.raises(TypeError):
             SearchConfig(**{**fields, field: Fraction(5)})
         SearchConfig(**{**fields, field: 5})
+
+    def test_config_is_frozen(self):
+        # a field set after the checks was never checked: size_max = 0 then
+        # reported 0 sets examined and no size, with no error
+        config = SearchConfig(diameter_max=6)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.size_max = 0
+        assert config.size_range() == (1, 7)
+
+    def test_callers_build_their_config_once(self, monkeypatch, capsys):
+        # the CLI and verify_small_cardinality pass every field to the
+        # constructor, so each config is checked once, as it is used
+        want = SearchConfig(diameter_max=9, size_max=5)
+        built, check = [], SearchConfig.__post_init__
+        monkeypatch.setattr(
+            SearchConfig, "__post_init__", lambda c: (check(c), built.append(c))
+        )
+        assert main(["--json", "search", "--size-max", "5", "--diameter-max", "9"]) == 0
+        assert json.loads(capsys.readouterr().out)["sets_examined"] == 127
+        assert verify.verify_small_cardinality(5, 9).cases == 127
+        assert built == [want, want]
 
     def test_index_fields_are_stored_as_plain_ints(self, tmp_path):
         # diameter_max=True printed "diameter_max":true, and an Index field
