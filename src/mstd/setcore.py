@@ -2,11 +2,12 @@
 
 Sets are immutable, sorted tuples of integers.  Sumset/difference-set
 cardinalities are computed on a dense bitmask over the set's window (a Python
-int doubles as an arbitrary-width machine bitset), at about |A| x window bit
-operations.  A set given by its elements goes pairwise, |A|^2 / 2 hashed
-visits, when its window exceeds a fixed number of bits per element; a built
-mask always runs dense.  A mask is decoded in one pass over its binary digits,
-so `sumset` and `diffset` decode one only if it has no more bits than pairs.
+int doubles as an arbitrary-width machine bitset), shifted by each element the
+caller holds, or by each set bit of a mask alone: |A| x window bit operations.
+A set given by its elements goes pairwise, |A|^2 / 2 hashed visits, when its
+window exceeds a fixed number of bits per element; a built mask always runs
+dense.  A mask is decoded in one pass over its binary digits, so `sumset` and
+`diffset` decode one only if it has no more bits than pairs.
 Equal-sum and equal-difference pair counts likewise convolve the window by
 big-int multiplication (Kronecker substitution) or count the pairs.
 """
@@ -72,16 +73,23 @@ class IntSet:
             raise ValueError(f"elements must be strictly increasing: {els}")
 
     @classmethod
+    def _trusted(cls, els: tuple[int, ...]) -> "IntSet":
+        """The set of els, a strictly increasing tuple of exact ints, unchecked."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "elements", els)
+        return a
+
+    @classmethod
     def from_iterable(cls, xs: Iterable[int]) -> "IntSet":
         """The set of the integers xs; a float or Fraction raises TypeError."""
-        return cls(tuple(sorted(set(map(index, xs)))))
+        return cls._trusted(tuple(sorted(set(map(index, xs)))))  # index: exact int
 
     @classmethod
     def from_mask(cls, mask: int, lo: int = 0) -> "IntSet":
         """The set {lo + i : bit i of mask is set}; the inverse of ``mask``."""
         if mask < 0:
             raise ValueError(f"mask must be nonnegative: {mask}")
-        return cls(tuple(_bit_indices(mask, lo)))
+        return cls._trusted(tuple(_bit_indices(mask, lo)))  # a float lo: TypeError
 
     @classmethod
     def parse(cls, text: str) -> "IntSet":
@@ -263,10 +271,18 @@ def _bit_indices(mask: int, lo: int = 0) -> list[int]:
     return [i for i, c in enumerate(bin(mask)[:1:-1], lo) if c == "1"]
 
 
-def _sum_diff_masks(mask: int) -> tuple[int, int]:
-    """Bit-parallel A+A (width 2D+1) and nonnegative A-A (width D+1) of a mask."""
+def _sum_diff_masks(mask: int, els=None, lo: int = 0) -> tuple[int, int]:
+    """Bit-parallel A+A (width 2D+1) and nonnegative A-A (width D+1) of a mask,
+    shifted by the elements els of A = lo + mask (any order, repeats allowed)
+    when the caller holds them, else by each set bit of the mask alone.
+    """
     sums = 0
     diffs = mask  # shift by element 0: the window is anchored at min(A)
+    if els is not None:
+        for x in els:
+            sums |= mask << (x - lo)
+            diffs |= mask >> (x - lo)
+        return sums, diffs
     m = mask
     while m:
         lsb = m & -m
@@ -436,7 +452,7 @@ def sizes_of(xs: Sequence[int]) -> tuple[int, int]:
     mask = 0
     for x in xs:
         mask |= 1 << (x - lo)
-    sums, diffs = _sum_diff_masks(mask)
+    sums, diffs = _sum_diff_masks(mask, xs, lo)
     return sums.bit_count(), 2 * diffs.bit_count() - 1
 
 
@@ -452,9 +468,11 @@ def sumset(a: IntSet) -> IntSet:
     n = len(a)
     if 2 * a.diameter + 1 <= n * (n + 1) // 2:  # decode no more bits than pairs
         mask, lo = a.mask()
-        sums, _ = _sum_diff_masks(mask)
+        sums = 0
+        for x in a.elements:
+            sums |= mask << (x - lo)
         return IntSet.from_mask(sums, 2 * lo)
-    return IntSet(tuple(sorted(_pair_sums(a.elements))))
+    return IntSet._trusted(tuple(sorted(_pair_sums(a.elements))))
 
 
 def diffset(a: IntSet) -> IntSet:
@@ -462,12 +480,14 @@ def diffset(a: IntSet) -> IntSet:
     a._require_nonempty()
     n = len(a)
     if a.diameter + 1 <= n * (n - 1) // 2:  # decode no more bits than pairs
-        mask, _ = a.mask()
-        _, diffs = _sum_diff_masks(mask)
+        mask, lo = a.mask()
+        diffs = 0
+        for x in a.elements:
+            diffs |= mask >> (x - lo)
         pos = _bit_indices(diffs)[1:]
     else:
         pos = sorted(_positive_diffs(a.elements))
-    return IntSet(tuple([-v for v in reversed(pos)] + [0] + pos))
+    return IntSet._trusted(tuple([-v for v in reversed(pos)] + [0] + pos))
 
 
 def classify(a: IntSet) -> SetClass:

@@ -69,9 +69,9 @@ def cardinality_bounds(n: int) -> tuple[int, int]:
 
 def insertion_delta(a: IntSet, x: int) -> DeltaProfile:
     """Cardinality growth from inserting x: (new sums, new positive differences)."""
+    x = index(x)  # a float or Fraction: TypeError, before 3.0 could match 3
     if x in a:
         raise ValueError(f"{x} is already a member")
     s0, d0 = sum_diff_sizes(a)
-    # a float or Fraction: TypeError, on either side of the dense gate
-    s1, d1 = sizes_of(a.elements + (index(x),))
+    s1, d1 = sizes_of(a.elements + (x,))
     return DeltaProfile(s1 - s0, (d1 - d0) // 2)

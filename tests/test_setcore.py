@@ -64,13 +64,42 @@ class TestIntSet:
 
     @pytest.mark.parametrize(
         "els",
-        [(0.5, 1.5), (0, 2.0), (0, Fraction(7, 2)), (Fraction(1), 3)],
-        ids=["floats", "integral-float", "fraction", "integral-fraction"],
+        [(0.5, 1.5), (0, 2.0), (0, Fraction(7, 2)), (Fraction(1), 3), (1.0,)],
+        ids=["floats", "integral-float", "fraction", "integral-fraction", "one-float"],
     )
     def test_constructor_refuses_non_integers(self, els):
         # IntSet((0.5, 1.5)) printed 0.5,1.5 and detect_ap gave a float APSpec
         with pytest.raises(TypeError):
             IntSet(els)
+
+    def test_sets_built_sorted_are_not_checked_again(self, monkeypatch):
+        # each builder makes a strictly increasing tuple of exact ints itself;
+        # checking it again cost ~40% of a |A| = 256 sumset
+        def no_check(self):
+            raise AssertionError("checked a set its builder made sorted")
+
+        dense = IntSet((False, True, Index(2), Index(4)))  # both decode a mask
+        sparse = IntSet((0, 1, 10**9))  # both go pairwise
+        monkeypatch.setattr(IntSet, "__post_init__", no_check)
+        built = {
+            "from_iterable": IntSet.from_iterable([Index(3), True, False, -2, True]),
+            "from_mask": IntSet.from_mask(True, Index(4)),
+            "from_mask lo": IntSet.from_mask(0b1011, Index(-7)),
+            "sumset": sumset(dense),
+            "diffset": diffset(dense),
+            "sumset sparse": sumset(sparse),
+            "diffset sparse": diffset(sparse),
+        }
+        assert {k: a.elements for k, a in built.items()} == {
+            "from_iterable": (-2, 0, 1, 3),
+            "from_mask": (4,),
+            "from_mask lo": (-7, -6, -4),
+            "sumset": (0, 1, 2, 3, 4, 5, 6, 8),
+            "diffset": (-4, -3, -2, -1, 0, 1, 2, 3, 4),
+            "sumset sparse": (0, 1, 2, 10**9, 10**9 + 1, 2 * 10**9),
+            "diffset sparse": (-(10**9), 1 - 10**9, -1, 0, 1, 10**9 - 1, 10**9),
+        }
+        assert all(type(e) is int for a in built.values() for e in a)
 
     def test_index_types_are_stored_as_plain_ints(self):
         a = IntSet((Index(0), Index(70)))
@@ -159,6 +188,32 @@ class TestMaskEntry:
             # any order, repeats allowed
             assert sizes_of([*reversed(els), els[-1]]) == want
         assert paths == {True, False}
+
+    def test_shifting_by_the_elements_matches_the_bit_walk(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            hi = rng.choice((8, 40, 600))
+            els = rng.choices(range(-hi, hi), k=rng.randint(1, 12))  # unsorted, repeats
+            lo = min(els)
+            mask = sum(1 << (x - lo) for x in set(els))
+            walked = setcore._sum_diff_masks(mask)
+            assert setcore._sum_diff_masks(mask, els, lo) == walked, els
+
+    def test_only_a_caller_holding_elements_shifts_by_them(self, monkeypatch):
+        # sizes_of found each set bit of the mask it had just built from xs
+        # again; mask_sizes holds only the mask, so it walks the bits
+        calls, real = [], setcore._sum_diff_masks
+
+        def spy(mask, els=None, lo=0):
+            calls.append(els is not None)
+            return real(mask, els, lo)
+
+        els = random.Random(256).sample(range(1024), 256)
+        want = (len(naive_sumset(els)), len(naive_diffset(els)))
+        monkeypatch.setattr(setcore, "_sum_diff_masks", spy)
+        assert sizes_of(els) == want
+        assert mask_sizes(IntSet.from_iterable(els).mask()[0]) == want
+        assert calls == [True, False]
 
     def test_from_mask_inverts_mask(self, a1_set):
         assert IntSet.from_mask(*a1_set.mask()) == a1_set
@@ -451,13 +506,18 @@ class TestApPlusTwo:
         # one IntSet per one- or two-element removal made each call cubic
         a = IntSet(tuple(sorted(random.Random(256).sample(range(1024), 256))))
         built = []
-        real = IntSet.__post_init__
+        real, trusted = IntSet.__post_init__, IntSet._trusted
 
         def counted(self):
             built.append(self)
             real(self)
 
+        def counted_trusted(cls, els):  # sets built sorted skip __post_init__
+            built.append(els)
+            return trusted(els)
+
         monkeypatch.setattr(IntSet, "__post_init__", counted)
+        monkeypatch.setattr(IntSet, "_trusted", classmethod(counted_trusted))
         assert ap_plus_two_decomposition(a) is None
         assert len(built) <= 2
 

@@ -113,11 +113,16 @@ class TestInsertionDelta:
         with pytest.raises(ValueError):
             insertion_delta(I(5), 3)
 
-    @pytest.mark.parametrize("x", [1.5, Fraction(7, 2)], ids=["float", "fraction"])
+    @pytest.mark.parametrize(
+        "x",
+        [1.5, Fraction(7, 2), 3.0, Fraction(3)],
+        ids=["float", "fraction", "integral-float", "integral-fraction"],
+    )
     def test_rejects_non_integer(self, x):
-        # truncated, 1.5 answered for the member 1 and 7/2 for 3
+        # truncated, 1.5 answered for the member 1 and 7/2 for 3; 3.0 and 3/1
+        # equal the member 3, so they were refused as members
         with pytest.raises(TypeError):
-            insertion_delta(I(3), x)
+            insertion_delta(IntSet((0, 1, 3)), x)
 
     @pytest.mark.parametrize("x", [1.5, Fraction(7, 2)], ids=["float", "fraction"])
     def test_rejects_non_integer_on_the_sparse_path(self, x):

@@ -337,13 +337,18 @@ class TestNoSetPerCase:
         # a set per case would put an IntSet back in the hot loops; the ones
         # left are the two thm3 prefixes and min-additions' first hit
         built = []
-        real = IntSet.__post_init__
+        real, trusted = IntSet.__post_init__, IntSet._trusted
 
         def counted(self):
             built.append(self)
             real(self)
 
+        def counted_trusted(cls, els):  # sets built sorted skip __post_init__
+            built.append(els)
+            return trusted(els)
+
         monkeypatch.setattr(IntSet, "__post_init__", counted)
+        monkeypatch.setattr(IntSet, "_trusted", classmethod(counted_trusted))
         reports = [
             verify_ap_plus_two(),
             verify_insertion_deficit(),
