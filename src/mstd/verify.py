@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import ceil, lcm, log
 from typing import Iterator, Optional, Sequence
 
 from .reports import DEFAULT_SEED, VerificationReport
@@ -283,20 +283,68 @@ def exhaustive_translation_corpus(max_diameter: int) -> Iterator[IntSet]:
 
 
 def _translation_masks(max_diameter: int) -> range:
+    if max_diameter < 0:
+        raise ValueError(f"need max_diameter >= 0, got {max_diameter}")
     return range(1, 2 << max_diameter, 2)
 
 
 def random_corpus(trials: int, seed: int = DEFAULT_SEED) -> Iterator[IntSet]:
     """Seeded random sets: uniform size, then uniform distinct elements."""
+    if trials < 0:
+        raise ValueError(f"need trials >= 0, got {trials}")
     return map(IntSet, _random_tuples(trials, seed))
 
 
+def _sample_uses_pool(n: int, k: int) -> bool:
+    """Whether ``random.sample`` draws k of n by swap-removing from a pool.
+
+    Its own rule: the pool when an n-list is smaller than a k-set.
+    """
+    setsize = 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
+    return n <= setsize
+
+
 def _random_tuples(trials: int, seed: int) -> Iterator[tuple[int, ...]]:
-    rng = random.Random(seed)
-    universe = range(RANDOM_SET_WINDOW[0], RANDOM_SET_WINDOW[1] + 1)
+    """Per trial, ``sorted(rng.sample(window, rng.randint(1, max size)))``.
+
+    ``rng`` is ``random.Random(seed)``.  The draws call its ``getrandbits``
+    directly, with ``_randbelow``'s rejection steps and the method ``sample``
+    picks, so the sets are the stdlib's without its three or four Python
+    frames per draw.
+    """
+    lo, hi = RANDOM_SET_WINDOW
+    n = hi - lo + 1
+    if n < RANDOM_SET_MAX_SIZE:
+        raise ValueError(
+            f"window [{lo},{hi}] holds fewer than {RANDOM_SET_MAX_SIZE} integers"
+        )
+    getrandbits = random.Random(seed).getrandbits
+    size_bits = RANDOM_SET_MAX_SIZE.bit_length()
+    n_bits = n.bit_length()
+    universe = list(range(lo, hi + 1))
+    uses_pool = [_sample_uses_pool(n, k) for k in range(RANDOM_SET_MAX_SIZE + 1)]
     for _ in range(trials):
-        size = rng.randint(1, RANDOM_SET_MAX_SIZE)
-        yield tuple(sorted(rng.sample(universe, size)))
+        k = getrandbits(size_bits)
+        while k >= RANDOM_SET_MAX_SIZE:
+            k = getrandbits(size_bits)
+        k += 1
+        if uses_pool[k]:
+            pool = universe[:]
+            picked = []
+            for m in range(n, n - k, -1):  # pool[:m] is not yet picked
+                bits = m.bit_length()
+                j = getrandbits(bits)
+                while j >= m:
+                    j = getrandbits(bits)
+                picked.append(pool[j])
+                pool[j] = pool[m - 1]
+        else:
+            picked = set()
+            while len(picked) < k:
+                j = getrandbits(n_bits)
+                if j < n:
+                    picked.add(lo + j)
+        yield tuple(sorted(picked))
 
 
 def verify_observation6(
@@ -311,8 +359,6 @@ def verify_observation6(
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
-    if max_diameter < 0:
-        raise ValueError(f"need max_diameter >= 0, got {max_diameter}")
     report = VerificationReport(
         check="equal-pair-inequality",
         grid=f"exhaustive diameter<={max_diameter} plus {trials} random sets "

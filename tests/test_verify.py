@@ -1,3 +1,4 @@
+import random
 import time
 from collections import Counter
 from decimal import Decimal
@@ -7,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from mstd import IntSet, SetClass, classify, verify
-from mstd.reports import VerificationReport
+from mstd.reports import DEFAULT_SEED, VerificationReport
 from mstd.search import explore_min_additions, explore_two_ap_unions
 from mstd.setcore import RationalSet, _use_dense
 from mstd.verify import (
@@ -437,6 +438,46 @@ class TestObservation6:
         a = [s.elements for s in random_corpus(50, seed=123)]
         b = [s.elements for s in random_corpus(50, seed=123)]
         assert a == b
+
+    @pytest.mark.parametrize(
+        "window, pool_sizes",
+        [
+            ((0, 64), range(6, 13)),  # the default: the set method for k <= 5
+            ((0, 100), ()),  # the set method only
+            ((-3, 10), range(1, 13)),  # the pool method only
+        ],
+    )
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 0, 7, -7, 2**70])
+    def test_random_tuples_are_the_stdlib_stream(
+        self, monkeypatch, window, pool_sizes, seed
+    ):
+        # the corpus draws through getrandbits; it must stay the stream of
+        # randint and sample that the sum of T note and the sha256 pin down
+        monkeypatch.setattr(verify, "RANDOM_SET_WINDOW", window)
+        n = window[1] - window[0] + 1
+        assert [k for k in range(1, 13) if verify._sample_uses_pool(n, k)] == [
+            *pool_sizes
+        ]
+        rng = random.Random(seed)
+        universe = range(window[0], window[1] + 1)
+        expected = [
+            tuple(sorted(rng.sample(universe, rng.randint(1, 12))))
+            for _ in range(20_000)
+        ]
+        assert list(verify._random_tuples(20_000, seed)) == expected
+
+    def test_random_tuples_refuse_a_window_below_the_max_size(self, monkeypatch):
+        monkeypatch.setattr(verify, "RANDOM_SET_WINDOW", (0, 10))
+        with pytest.raises(ValueError, match="fewer than 12 integers"):
+            next(verify._random_tuples(1, 7))
+
+    def test_corpora_refuse_negative_bounds(self):
+        # exhaustive failed on "negative shift count", random yielded nothing
+        with pytest.raises(ValueError, match="need max_diameter >= 0"):
+            exhaustive_translation_corpus(-1)
+        with pytest.raises(ValueError, match="need trials >= 0"):
+            random_corpus(-3)
+        assert list(random_corpus(0)) == []
 
     def test_corpus_shapes(self):
         corpus = list(exhaustive_translation_corpus(5))
