@@ -35,8 +35,8 @@ classes, and with the cut off it yields every class.
 The walk is partitioned by (diameter, decisions on the first pairs);
 partitions are independent work units whose tallies merge by addition, so
 results do not depend on scheduling.  Class counts come from the closed form
-`class_count`, which the uncut walk is checked against.  A checkpoint file
-of line-delimited JSON records lets long sweeps resume.
+`class_count`, which the tests check the uncut walk against.  A checkpoint
+file of line-delimited JSON records lets long sweeps resume.
 """
 
 from __future__ import annotations
@@ -294,10 +294,9 @@ def iter_normalized(config: SearchConfig) -> Iterator[IntSet]:
             yield IntSet.from_mask(mask)
 
 
-def _scan_partition(args) -> tuple[int, list[int]]:
-    """Scan one partition; return (classes examined, sum-dominant masks)."""
-    classes = _canonical_classes(*args)
-    return len(classes), [mask for mask, nsum, ndiff in classes if nsum > ndiff]
+def _scan_partition(args) -> list[int]:
+    """The masks of one partition's sum-dominant classes, in walk order."""
+    return [mask for mask, _, _ in _canonical_classes(*args)]
 
 
 def _partition_id(d: int, j: int) -> str:
@@ -310,8 +309,8 @@ def _record_line(rec: dict) -> bytes:
 
 def _record_tallies(
     rec, parts: dict, sizes: tuple[int, int], where: str
-) -> tuple[str, tuple[int, list[IntSet]]]:
-    """(partition id, (examined, sum-dominant sets)) of a record, re-checked.
+) -> tuple[str, list[IntSet]]:
+    """(partition id, sum-dominant sets) of a record, re-checked.
 
     The record must have the shape `scan_sum_dominant` writes and name a
     partition (d, j, t) of ``parts`` (id -> (d, j, t)) with its diameter d.
@@ -320,7 +319,8 @@ def _record_tallies(
     the partition: normalized, no larger than its reflection, with its
     first t pairs as key j decides them.
     The list must be strictly increasing, the order the sweep writes, and
-    ``examined`` must count at least the sets listed.
+    ``examined`` must count at least the sets listed: the sweep writes their
+    number, and older versions wrote the partition's class count.
     """
     t = rec.get("tallies") if isinstance(rec, dict) else None
     if not (
@@ -338,6 +338,7 @@ def _record_tallies(
         raise ValueError(f"{where} is not a partition of this search")
     (d, j, pairs), (lo, hi) = part, sizes
     decided = _prefix_masks(d, (1 << (2 * pairs)) - 1, pairs)[0]
+    key = _prefix_masks(d, j, pairs)[0]
     sets = []
     for text in t["sum_dominant"]:
         try:
@@ -353,7 +354,7 @@ def _record_tallies(
         if (
             not is_normalized(a)
             or reflect_canonical(a) != a
-            or a.mask()[0] & decided != _prefix_masks(d, j, pairs)[0]
+            or a.mask()[0] & decided != key
         ):
             raise ValueError(
                 f"{where} lists {text!r}, not a canonical class of partition {pid}"
@@ -365,13 +366,13 @@ def _record_tallies(
         raise ValueError(
             f"{where} examined {t['examined']} sets but lists {len(sets)}"
         )
-    return pid, (t["examined"], sets)
+    return pid, sets
 
 
 def _load_checkpoint(
     fh, header: dict, parts: dict, sizes: tuple[int, int]
 ) -> dict:
-    """(examined, sum-dominant sets) of each completed partition, by partition id.
+    """The sum-dominant sets of each completed partition, by partition id.
 
     ``fh`` is the checkpoint, open in "a+b" mode.  The first record must
     equal ``header``; anything else raises ValueError, which names the
@@ -424,29 +425,25 @@ def _load_checkpoint(
     return records
 
 
-def scan_sum_dominant(
-    config: SearchConfig, *, cut: bool = True
-) -> tuple[int, dict, list[IntSet]]:
+def scan_sum_dominant(config: SearchConfig) -> tuple[int, dict, list[IntSet]]:
     """Scan the canonical space and collect every sum-dominant set.
 
     Returns (sets_examined, per-diameter tallies, sum-dominant sets sorted by
     diameter then elements).  Honors workers and checkpoint.  The examined
-    counts are `class_count`'s.  With ``cut`` off the walk visits every
-    class, and a diameter whose tally, fresh or resumed, differs from
-    `class_count` raises ValueError; the tests use that mode.
+    counts are `class_count`'s.
     """
     size_lo, size_hi = config.size_range()
     parts = _partitions(config)
     path = config.checkpoint_path
     with ExitStack() as stack:
-        done = {}  # partition id -> (examined, sum-dominant IntSets)
+        done = {}  # partition id -> sum-dominant IntSets
         if path:
             ckpt = stack.enter_context(open(path, "a+b"))
             header = {"format": CHECKPOINT_FORMAT, "config": config.space_json_dict()}
             by_id = {_partition_id(d, j): (d, j, t) for d, j, t in parts}
             done = _load_checkpoint(ckpt, header, by_id, (size_lo, size_hi))
         todo = [
-            (d, j, t, size_lo, size_hi, cut)
+            (d, j, t, size_lo, size_hi)
             for d, j, t in parts
             if _partition_id(d, j) not in done
         ]
@@ -466,16 +463,16 @@ def scan_sum_dominant(
         # record written; a resume scans the rest, among them the partitions
         # that had finished but not come back: each worker's chunk in hand,
         # and any chunk done ahead of an earlier one still running
-        for (d, j, *_), (examined, sd_masks) in zip(todo, fresh):
+        for (d, j, *_), sd_masks in zip(todo, fresh):
             sets = sorted(map(IntSet.from_mask, sd_masks), key=lambda a: a.elements)
             pid = _partition_id(d, j)
-            done[pid] = (examined, sets)
+            done[pid] = sets
             if path:
                 ckpt.write(_record_line({
                     "partition_id": pid,
                     "diameter": d,
                     "tallies": {
-                        "examined": examined,
+                        "examined": len(sets),
                         "sum_dominant": [str(a) for a in sets],
                     },
                 }))
@@ -485,19 +482,11 @@ def scan_sum_dominant(
         d: {"examined": class_count(d, size_lo, size_hi), "sum_dominant": 0}
         for d in range(config.diameter_min, config.diameter_max + 1)
     }
-    walked = dict.fromkeys(per_diameter, 0)
     found: list[IntSet] = []
     for d, j, _ in parts:
-        examined, sets = done[_partition_id(d, j)]
-        walked[d] += examined
+        sets = done[_partition_id(d, j)]
         per_diameter[d]["sum_dominant"] += len(sets)
         found.extend(sets)
-    for d, tally in per_diameter.items():
-        if not cut and walked[d] != tally["examined"]:
-            raise ValueError(
-                f"diameter {d}: the walk examined {walked[d]} classes, "
-                f"class_count gives {tally['examined']}"
-            )
 
     found.sort(key=lambda w: (w.diameter, w.elements))
     total = sum(t["examined"] for t in per_diameter.values())

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, lcm, log
+from operator import index
 from typing import Iterator, Optional, Sequence
 
 from .reports import DEFAULT_SEED, VerificationReport
@@ -54,9 +55,11 @@ class GrowthSequence:
     r: int
 
     def __post_init__(self):
+        # a float or Fraction raises TypeError; a bool is stored as an int
+        object.__setattr__(self, "r", index(self.r))
+        object.__setattr__(self, "terms", tuple(map(index, self.terms)))
         if self.r < 1:
             raise ValueError("r must be a positive integer")
-        object.__setattr__(self, "terms", tuple(self.terms))
         t, r = self.terms, self.r
         if not t or t[0] < 0:
             raise ValueError("terms must be nonnegative")
@@ -81,9 +84,13 @@ class Theorem3Params:
     window: tuple[int, int] = (-50, 100)
 
     def __post_init__(self):
+        # a float or Fraction raises TypeError; a bool is stored as an int
+        for name in ("r", "n", "ell", "m"):
+            object.__setattr__(self, name, index(getattr(self, name)))
+        lo, hi = map(index, self.window)
+        object.__setattr__(self, "window", (lo, hi))
         if self.r < 1 or self.n < 0 or self.ell < 0 or self.m < 0:
             raise ValueError("need r >= 1 and n, ell, m >= 0")
-        lo, hi = self.window
         if lo > hi:
             raise ValueError("empty window")
         if self.m > hi - lo + 1:

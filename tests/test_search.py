@@ -34,7 +34,7 @@ from mstd.search import (
     iter_normalized,
     scan_sum_dominant,
 )
-from mstd.setcore import _bit_indices
+from mstd.setcore import _bit_indices, mask_sizes
 from conftest import (
     A1,
     Index,
@@ -125,23 +125,24 @@ class TestEnumeration:
         # key 0: neither of 1, d - 1; key 1: 1 alone; key 3: both
         "part, tallies",
         [
-            ((17, 0, 1), (0, 0, 8_255)),
-            ((17, 1, 1), (1, 1, 16_384)),
-            ((17, 3, 1), (7, 7, 8_256)),
-            ((18, 0, 1), (3, 3, 16_359)),
-            ((18, 1, 1), (6, 6, 32_768)),
-            ((18, 3, 1), (12, 12, 16_512)),
+            ((17, 0, 1), (0, 8_255)),
+            ((17, 1, 1), (1, 16_384)),
+            ((17, 3, 1), (7, 8_256)),
+            ((18, 0, 1), (3, 16_359)),
+            ((18, 1, 1), (6, 32_768)),
+            ((18, 3, 1), (12, 16_512)),
         ],
     )
     def test_partition_tallies(self, part, tallies):
         # checkpoint records are per partition: a resume only reaches the right
-        # totals if no class moves between partitions.  The record's examined
-        # count is the classes the cut walk lists, its sum-dominant ones; the
-        # last figure is all classes of the partition
+        # totals if no class moves between partitions.  The first figure is
+        # the partition's sum-dominant classes, which its record lists; the
+        # second is all classes of the partition
         d, j, t = part
-        examined, sd_masks = _scan_partition((d, j, t, 1, d + 1, True))
+        sd_masks = _scan_partition((d, j, t, 1, d + 1))
+        assert all(nsum > ndiff for nsum, ndiff in map(mask_sizes, sd_masks))
         classes = len(_canonical_classes(d, j, t, 1, d + 1, cut=False))
-        assert (examined, len(sd_masks), classes) == tallies
+        assert (len(sd_masks), classes) == tallies
         assert _partitions(SearchConfig(d, d)) == [
             (d, 0, 1), (d, 1, 1), (d, 3, 1)
         ]
@@ -196,9 +197,32 @@ class TestEnumeration:
             assert {d: t["examined"] for d, t in per_d.items() if t["examined"]} == by_d
 
 
+def _uncut_tallies(config):
+    """(per-diameter tallies, sum-dominant sets) of the uncut walk over the
+    sweep's partitions, each class classified by `mask_sizes`.
+
+    The walk is looked up on the module at each call, so a test can swap it.
+    """
+    lo, hi = config.size_range()
+    per_d = {
+        d: {"examined": 0, "sum_dominant": 0}
+        for d in range(config.diameter_min, config.diameter_max + 1)
+    }
+    found = []
+    for d, j, t in _partitions(config):
+        for mask, _, _ in search._canonical_classes(d, j, t, lo, hi, cut=False):
+            per_d[d]["examined"] += 1
+            nsum, ndiff = mask_sizes(mask)
+            if nsum > ndiff:
+                per_d[d]["sum_dominant"] += 1
+                found.append(IntSet.from_mask(mask))
+    found.sort(key=lambda a: (a.diameter, a.elements))
+    return per_d, found
+
+
 def _cut_and_uncut(config):
-    """(per-diameter tallies, sum-dominant sets) of a scan with the cut and without."""
-    return [scan_sum_dominant(config, cut=cut)[1:] for cut in (True, False)]
+    """(per-diameter tallies, sum-dominant sets) of the sweep and of the uncut walk."""
+    return [scan_sum_dominant(config)[1:], _uncut_tallies(config)]
 
 
 def _mutated_walk(monkeypatch, old, new):
@@ -217,7 +241,8 @@ class TestFringeCut:
         ids=["all", "size3to5", "size8to9"],
     )
     def test_cut_lists_what_the_uncut_walk_lists(self, size_range, found):
-        # the uncut walk checks its tallies against class_count as it goes
+        # the sweep's examined counts are class_count's; the uncut walk's
+        # are the classes it visits
         config = SearchConfig(0, 20, *size_range)
         cut, uncut = _cut_and_uncut(config)
         assert cut == uncut
@@ -331,25 +356,17 @@ class TestClassCount:
     def test_kernel_mutation_trips_the_uncut_check(
         self, monkeypatch, old, new, config
     ):
-        scan_sum_dominant(config, cut=False)
-        _mutated_walk(monkeypatch, old, new)
-        with pytest.raises(
-            ValueError, match=rf"diameter {config.diameter_max}: the walk examined"
-        ):
-            scan_sum_dominant(config, cut=False)
+        def walked():
+            return {d: t["examined"] for d, t in _uncut_tallies(config)[0].items()}
 
-    def test_resumed_tally_is_checked_too(self, tmp_path):
-        path = str(tmp_path / "ck.jsonl")
-        config = SearchConfig(diameter_max=8, checkpoint_path=path)
-        scan_sum_dominant(config, cut=False)
-        lines = open(path).read().splitlines()
-        rec = json.loads(lines[-1])
-        rec["tallies"]["examined"] -= 1
-        lines[-1] = json.dumps(rec)
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="diameter 8: the walk examined"):
-            scan_sum_dominant(config, cut=False)
+        lo, hi = config.size_range()
+        want = {
+            d: class_count(d, lo, hi)
+            for d in range(config.diameter_min, config.diameter_max + 1)
+        }
+        assert walked() == want
+        _mutated_walk(monkeypatch, old, new)
+        assert walked()[config.diameter_max] != want[config.diameter_max]
 
 
 class TestFindMinMstd:
@@ -625,6 +642,29 @@ class TestCheckpoint:
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"line {len(lines)} {re.escape(message)}"):
             find_min_mstd(SearchConfig(diameter_max=6, checkpoint_path=path))
+
+    def test_record_of_an_older_version_resumes(self, tmp_path):
+        # versions before the exact leaf test wrote each partition's class
+        # count as its examined count; such a file resumes to the same output
+        path = str(tmp_path / "ck.jsonl")
+        config = SearchConfig(diameter_max=14, checkpoint_path=path)
+        fresh = render_json(find_min_mstd(config).to_json_dict())
+        header, *lines = open(path).read().splitlines()
+        parts = {f"{d}/{j}": (d, j, t) for d, j, t in _partitions(config)}
+        for i, line in enumerate(lines):
+            rec = json.loads(line)
+            d, j, t = parts[rec["partition_id"]]
+            classes = len(_canonical_classes(d, j, t, 1, d + 1, cut=False))
+            rec["tallies"]["examined"] = classes
+            lines[i] = json.dumps(rec)
+        old = "\n".join([header, *lines]) + "\n"
+        assert sum(json.loads(line)["tallies"]["examined"] for line in lines) == sum(
+            class_count(d, 1, d + 1) for d in range(15)
+        )
+        with open(path, "w") as fh:
+            fh.write(old)
+        assert render_json(find_min_mstd(config).to_json_dict()) == fresh
+        assert open(path).read() == old  # nothing re-scanned
 
     def test_record_listing_its_sum_dominant_sets_resumes(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")

@@ -26,7 +26,7 @@ from mstd.verify import (
     verify_small_cardinality,
     verify_symmetric_balanced,
 )
-from conftest import FIB13, GEO10, naive_midpoint_triples, record_kernel
+from conftest import FIB13, GEO10, Index, naive_midpoint_triples, record_kernel
 
 
 class TestSmallCardinality:
@@ -523,6 +523,17 @@ class TestGrowthCondition:
         GrowthSequence((4,), 1)
         GrowthSequence((0, 1), 2)  # no k >= r + 1
 
+    def test_non_integer_terms_and_margin_are_refused(self):
+        # a term of 2.5 constructed, and went on into the prefix checks
+        for bad in (2.5, 2.0, Fraction(5, 2)):
+            with pytest.raises(TypeError):
+                GrowthSequence((0, 1, bad, 7), 1)
+            with pytest.raises(TypeError):
+                GrowthSequence(FIB13, bad)
+        seq = GrowthSequence((False, True, Index(3), 7), Index(1))
+        assert seq.terms == (0, 1, 3, 7) and seq.r == 1
+        assert all(type(x) is int for x in (*seq.terms, seq.r))
+
     def test_sequence_validates_on_construction(self):
         with pytest.raises(ValueError):
             GrowthSequence((0, 1, 2, 3, 5, 8, 13, 21), 2)
@@ -571,6 +582,34 @@ class TestGrowthCriterion:
         for m in (0, 1):
             assert Theorem3Params(r=1, n=5, ell=10, m=m, window=(0, 0)).m == m
         assert Theorem3Params(r=1, n=5, ell=10, m=2, window=(0, 1)).m == 2
+
+    @pytest.mark.parametrize("field", ["r", "n", "ell", "m", "lo", "hi"])
+    def test_non_integer_field_is_refused(self, field):
+        # m=1.0 passed fib13 and printed "m=1.0" and "14.0 < 15"; ell=5.0
+        # ran the pre-checks and then failed on a slice index
+        fields = dict(r=3, n=2, ell=5, m=1, lo=-50, hi=100)
+
+        def build(**changed):
+            f = {**fields, **changed}
+            return Theorem3Params(
+                f["r"], f["n"], f["ell"], f["m"], window=(f["lo"], f["hi"])
+            )
+
+        for bad in (float(fields[field]), Fraction(fields[field])):
+            with pytest.raises(TypeError):
+                build(**{field: bad})
+        params = build(**{field: Index(fields[field])})
+        assert params == build()
+        assert all(type(getattr(params, k)) is int for k in ("r", "n", "ell", "m"))
+        assert all(type(x) is int for x in params.window)
+
+    def test_bool_m_is_stored_as_an_int(self):
+        # m=True printed "m=True" in the report's grid
+        params = Theorem3Params(3, 2, 5, m=True)
+        assert type(params.m) is int and params == Theorem3Params(3, 2, 5, m=1)
+        report = verify_growth_criterion(GrowthSequence(FIB13, 3), params)
+        assert report.passed and "m=1," in report.grid
+        assert "m*|S|+m(m+1)/2 = 14 < 15" in " ".join(report.notes)
 
     def test_mismatched_r_rejected(self):
         seq = GrowthSequence(FIB13, 3)
