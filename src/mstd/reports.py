@@ -65,9 +65,15 @@ class VerificationReport:
 
     def summary_line(self) -> str:
         status = "PASS" if self.passed else f"FAIL ({len(self.violations)} violations)"
+        # elapsed_ms is whole milliseconds, so a report done in under 1 ms has no rate
+        rate = (
+            f", {self.cases * 1000 // self.elapsed_ms} cases/s"
+            if self.elapsed_ms
+            else ""
+        )
         return (
             f"{self.check}: {status} — {self.cases} cases over {self.grid} "
-            f"in {self.elapsed_ms} ms"
+            f"in {self.elapsed_ms} ms{rate}"
         )
 
 

@@ -9,7 +9,8 @@ window exceeds a fixed number of bits per element; a built mask always runs
 dense.  A mask is decoded in one pass over its binary digits, so `sumset` and
 `diffset` decode one only if it has no more bits than pairs.
 Equal-sum and equal-difference pair counts likewise convolve the window by
-big-int multiplication (Kronecker substitution) or count the pairs.
+big-int multiplication (Kronecker substitution), one byte per count up to 256
+elements, or count the pairs.
 """
 
 from __future__ import annotations
@@ -294,16 +295,17 @@ def _sum_diff_masks(mask: int, els=None, lo: int = 0) -> tuple[int, int]:
 
 
 # The pair-count kernel convolves while the window is small next to the |A|^2
-# pairs the Counter path visits.  The products grow faster than the window
+# pairs the Counter path visits: two products of byte-digit windows, then one
+# pass over their digits.  The products grow faster than the window
 # (Karatsuba), so the gate compares diameter^2 with |A|^3; wider windows, and
 # their allocations, go pairwise.  Constants from a measured crossover.
 _CONV_PAIR_FACTOR = 8
 _CONV_SLACK = 4096
-# Up to this many bits built (|A| shifts into a window of b-bit digits), three
-# products read off their middle digits; past it, reading every digit of A*A
-# and A*(-A) costs less.
-_MIDDLE_DIGIT_BITS = 12_000
-_DIGIT_TYPECODES = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+# Low and high byte of i^2: bytes.translate squares a run of one-byte digits
+# with no int per digit.
+_SQ_LO = bytes([i * i & 255 for i in range(256)])
+_SQ_HI = bytes([i * i >> 8 for i in range(256)])
+_DIGIT_TYPECODES = {2: "H", 4: "I", 8: "Q"}
 
 
 def _use_convolution(size: int, diameter: int) -> bool:
@@ -320,57 +322,51 @@ def _pair_sums_pairwise(els: tuple[int, ...]) -> tuple[int, int, int]:
     )
 
 
-def _pair_sums_by_products(els: tuple[int, ...], b: int) -> tuple[int, int, int]:
-    # digit e of p is [min A + e in A]; r, p2, r2 mirror it and double its spacing
-    lo = els[0]
-    db = (els[-1] - lo) * b
-    p = r = p2 = r2 = 0
-    for x in els:
-        e = (x - lo) * b
-        f = db - e
-        p += 1 << e
-        r += 1 << f
-        p2 += 1 << 2 * e
-        r2 += 1 << 2 * f
-    u = (p * p + p2) >> 1  # digit s: unordered pairs {x <= y} with sum 2 min A + s
-    pr = p * r  # digit d + k: ordered pairs at difference k
-    mid, digit = 2 * db, (1 << b) - 1
-    return (
-        (u * ((r * r + r2) >> 1) >> mid) & digit,
-        (((pr * pr >> mid) & digit) - len(els) ** 2) // 2,
-        (u * r2 >> mid) & digit,
-    )
+def _spread(digits: bytearray, width: int) -> bytearray:
+    out = bytearray(len(digits) * width)
+    out[::width] = digits
+    return out
 
 
 def _pair_sums_by_digits(els: tuple[int, ...]) -> tuple[int, int, int]:
+    # digit e of p is [min A + e in A]; r mirrors it, p2 doubles its spacing
     n = len(els)
     lo = els[0]
     d = els[-1] - lo
-    # every digit read out is at most n (D_0 = n), so n < 256^width
-    width, code = next(wc for wc in _DIGIT_TYPECODES if n < 256 ** wc[0])
-    one = bytearray((d + 1) * width)
+    # less the centre digit D_0 = n, every digit read out is at most
+    # max(n - 1, ceil(n/2)), so n <= 256^width
+    width = 1 if n <= 256 else next(w for w in _DIGIT_TYPECODES if n <= 256**w)
+    one = bytearray(d + 1)
     for x in els:
-        one[(x - lo) * width] = 1
-    two = bytearray((2 * d + 1) * width)
-    two[:: 2 * width] = one[::width]
+        one[x - lo] = 1
+    two = bytearray(2 * d + 1)
+    two[::2] = one
+    if width > 1:  # each digit spreads over width bytes
+        one, two = _spread(one, width), _spread(two, width)
     p = int.from_bytes(one, "little")
     p2 = int.from_bytes(two, "little")
-    one[::width] = one[-width::-width]
-    r = int.from_bytes(one, "little")
-
-    def digits(x: int) -> array:
-        out = array(code, x.to_bytes((2 * d + 1) * width, "little"))
+    # read big-endian, the digits run mirrored, each 1 in its digit's top byte
+    r = int.from_bytes(one, "big") >> 8 * (width - 1)
+    # digit s: unordered pairs {x <= y} with sum 2 min A + s; digit d + k:
+    # ordered pairs at difference k, the centre less its n pairs (x, x)
+    size = (2 * d + 1) * width
+    u = ((p * p + p2) >> 1).to_bytes(size, "little")
+    diffs = (p * r - (n << 8 * width * d)).to_bytes(size, "little")
+    if width == 1:
+        sq_sums = sum(u.translate(_SQ_LO))
+        sq_diffs = sum(diffs.translate(_SQ_LO))
+        if n > 16:  # a digit past 15 has a two-byte square
+            sq_sums += sum(u.translate(_SQ_HI)) << 8
+            sq_diffs += sum(diffs.translate(_SQ_HI)) << 8
+    else:
+        code = _DIGIT_TYPECODES[width]
+        u, diffs = array(code, u), array(code, diffs)
         if sys.byteorder == "big":
-            out.byteswap()
-        return out
-
-    u = digits((p * p + p2) >> 1)
-    diffs = digits(p * r)
-    return (
-        sum(map(mul, u, u)),
-        (sum(map(mul, diffs, diffs)) - n * n) // 2,
-        sum([u[2 * (x - lo)] for x in els]),
-    )
+            u.byteswap()
+            diffs.byteswap()
+        sq_sums = sum(map(mul, u, u))
+        sq_diffs = sum(map(mul, diffs, diffs))
+    return sq_sums, sq_diffs // 2, sum([u[2 * (x - lo)] for x in els])
 
 
 def equal_pair_counts(a: IntSet) -> tuple[int, int, int]:
@@ -384,7 +380,8 @@ def equal_pair_counts(a: IntSet) -> tuple[int, int, int]:
     summing to s and D_k the pairs x < y at difference k, the kernel sums
     u_s^2, D_k^2 and u_2a over a in A, from one Counter pass over the pairs
     or, for a small window, by Kronecker substitution: A - min A becomes
-    p = sum 2^(b*e), so p*p and p*mirror(p) hold the counts as b-bit digits.
+    p = sum 256^e, so p*p and p*mirror(p) hold the counts as one-byte digits
+    (wider past 256 elements), each squared through a table.
     """
     a._require_nonempty()
     return pair_counts_of(a.elements)
@@ -397,11 +394,8 @@ def pair_counts_of(els: Sequence[int]) -> tuple[int, int, int]:
     """
     n = len(els)
     d = els[-1] - els[0]
-    b = (n * n * n + 1).bit_length()  # every digit is <= max(n^3, n + 1)
     if not _use_convolution(n, d):
         sq_sums, sq_diffs, doubles = _pair_sums_pairwise(els)
-    elif n * d * b <= _MIDDLE_DIGIT_BITS:
-        sq_sums, sq_diffs, doubles = _pair_sums_by_products(els, b)
     else:
         sq_sums, sq_diffs, doubles = _pair_sums_by_digits(els)
     # sum u_s = n(n+1)/2 and sum D_k = n(n-1)/2; the u_2a - 1 pairs x < y with

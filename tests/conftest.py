@@ -62,6 +62,27 @@ def naive_midpoint_triples(xs):
     return sum(1 for x in xs for y in xs for a in xs if x + y == 2 * a)
 
 
+def tallied_pair_counts(xs):
+    """(equal-sum pairs, equal-difference pairs, midpoint triples) by tallies.
+
+    For sets too large for the quadruple loops above: double loops tally each
+    pair sum and positive difference, and a value shared by c pairs gives
+    c(c-1)/2 equal pairs; midpoint triples by a double loop and a lookup.
+    """
+    sums, diffs = {}, {}
+    for i in range(len(xs)):
+        for j in range(i, len(xs)):
+            sums[xs[i] + xs[j]] = sums.get(xs[i] + xs[j], 0) + 1
+            if j > i:
+                diffs[xs[j] - xs[i]] = diffs.get(xs[j] - xs[i], 0) + 1
+    members = set(xs)
+    return (
+        sum(c * (c - 1) // 2 for c in sums.values()),
+        sum(c * (c - 1) // 2 for c in diffs.values()),
+        sum(1 for x in xs for y in xs if (x + y) % 2 == 0 and (x + y) // 2 in members),
+    )
+
+
 def lex_canonical_classes(d_min, d_max, size_lo, size_hi):
     """Canonical affine classes as element tuples, by a plain tuple DFS.
 

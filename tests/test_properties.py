@@ -25,7 +25,6 @@ from mstd import (
 )
 from mstd.setcore import (
     _pair_sums_by_digits,
-    _pair_sums_by_products,
     _pair_sums_pairwise,
     _use_convolution,
     _use_dense,
@@ -39,6 +38,7 @@ from conftest import (
     naive_equal_sum_pairs,
     naive_midpoint_triples,
     naive_sumset,
+    tallied_pair_counts,
 )
 
 int_sets = st.builds(
@@ -127,25 +127,51 @@ def test_pair_counts_pairwise_path_matches_naive(a):
 @given(int_sets)
 def test_pair_count_paths_agree(a):
     els = a.elements
-    b = (len(els) ** 3 + 1).bit_length()
-    want = _pair_sums_pairwise(els)
-    assert _pair_sums_by_products(els, b) == want
-    assert _pair_sums_by_digits(els) == want
+    assert _pair_sums_by_digits(els) == _pair_sums_pairwise(els)
 
 
-@pytest.mark.parametrize("n", [255, 256])
+def _width_edge_sets():
+    # one-byte digits up to 256 elements, the low square table alone up to
+    # 16; 257 elements read two-byte digits
+    rng = random.Random(26)
+    for n in (1, 2, 16, 17):
+        yield tuple(range(n))
+        yield tuple(range(-n, n, 2))
+        yield tuple(sorted(rng.sample(range(-40, 41), n)))
+    yield tuple(range(256))
+    yield tuple(range(-128, 128))
+    yield tuple(sorted(rng.sample(range(1024), 256)))
+    yield tuple(sorted(rng.sample(range(-512, 512), 256)))
+    yield tuple(range(257))
+    yield tuple(sorted(rng.sample(range(-512, 512), 257)))
+
+
+@pytest.mark.parametrize(
+    "els", list(_width_edge_sets()), ids=lambda els: f"n{len(els)}@{els[0]}..{els[-1]}"
+)
+def test_pair_counts_at_digit_width_edges(els):
+    assert _use_convolution(len(els), els[-1] - els[0])
+    want = tallied_pair_counts(els)
+    if len(els) <= 17:
+        assert _naive_pair_counts(els) == want
+    assert equal_pair_counts(IntSet(els)) == want
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
 def test_digit_width_holds_every_count(n):
-    # one byte per digit holds the counts of an AP of 255 elements, not 256
+    # less D_0 = n, an AP's digits peak at D_1 = n - 1: one byte each holds
+    # every count up to 256 elements, and 257 takes two
     els = tuple(range(n))
     assert _pair_sums_by_digits(els) == _pair_sums_pairwise(els)
+    esp, edp, t = equal_pair_counts(IntSet(els))
+    assert edp == sum((n - k) * (n - k - 1) // 2 for k in range(1, n))
+    assert t == sum(2 * min(a, n - 1 - a) + 1 for a in range(n))
 
 
 def test_pair_count_paths_agree_at_size_256():
     # the interactive size class: 256 elements on a window of 1024
     els = tuple(sorted(random.Random(256).sample(range(1024), 256)))
-    want = _pair_sums_pairwise(els)
-    assert _pair_sums_by_digits(els) == want
-    assert _pair_sums_by_products(els, (256**3 + 1).bit_length()) == want
+    assert _pair_sums_by_digits(els) == _pair_sums_pairwise(els)
     esp, edp, t = equal_pair_counts(IntSet(els))
     doubles = {2 * z for z in els}
     assert t == sum(1 for x in els for y in els if x + y in doubles)

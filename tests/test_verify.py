@@ -643,6 +643,16 @@ class TestReportClock:
         assert a == b and repr(a) == repr(b)
         assert "started" not in a.to_json_dict()
 
+    def test_summary_line_gives_cases_per_second(self):
+        report = VerificationReport(
+            check="c", grid="g", cases=104_096, elapsed_ms=1_250
+        )
+        assert report.summary_line() == (
+            "c: PASS — 104096 cases over g in 1250 ms, 83276 cases/s"
+        )
+        report.elapsed_ms = 0  # under 1 ms: no rate, and no division by zero
+        assert report.summary_line() == "c: PASS — 104096 cases over g in 0 ms"
+
 
 class TestReportDeterminism:
     def test_reports_reproduce(self):
