@@ -11,6 +11,8 @@ dense.  A mask is decoded in one pass over its binary digits, so `sumset` and
 Equal-sum and equal-difference pair counts likewise convolve the window by
 big-int multiplication (Kronecker substitution), one byte per count up to 256
 elements, or count the pairs.
+An IntSet keeps its (|A+A|, |A-A|) after the first count, outside ==, hash
+and repr, so every query on one set shares that count.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from numbers import Rational
 from operator import index, lt, mul
@@ -114,6 +117,10 @@ class IntSet:
     def _require_nonempty(self):
         if not self.elements:
             raise EmptySetError("operation requires a nonempty set")
+
+    @cached_property
+    def _sizes(self) -> tuple[int, int]:
+        return sizes_of(self.elements)  # kept in __dict__, not a dataclass field
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -451,9 +458,13 @@ def sizes_of(xs: Sequence[int]) -> tuple[int, int]:
 
 
 def sum_diff_sizes(a: IntSet) -> tuple[int, int]:
-    """(|A+A|, |A-A|) without materializing either set."""
+    """(|A+A|, |A-A|) without materializing either set.
+
+    Counted once per IntSet and kept on it; `classify`, `profile` and
+    `insertion_delta` read the same pair.  It is no part of ==, hash or repr.
+    """
     a._require_nonempty()
-    return sizes_of(a.elements)
+    return a._sizes
 
 
 def sumset(a: IntSet) -> IntSet:

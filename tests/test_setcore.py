@@ -1,7 +1,13 @@
+import copy
+import dataclasses
+import pickle
 import random
+import sys
+import threading
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 from hypothesis import given
@@ -17,13 +23,14 @@ from mstd import (
     classify,
     detect_ap,
     diffset,
+    insertion_delta,
     is_symmetric,
     profile,
     reflect_canonical,
     sum_diff_sizes,
     sumset,
 )
-from mstd import setcore
+from mstd import setcore, structure
 from mstd.search import explore_two_ap_unions
 from mstd.setcore import (
     RationalSet,
@@ -298,6 +305,124 @@ class TestMaskEntry:
     def test_ap_mask(self):
         ap = APSpec(7, 3, 4)
         assert ap.mask() == IntSet(ap.elements()).mask()[0] == 0b1001001001
+
+
+# one set per constructor, each with a dense and a pairwise window
+_FRESH_SETS = {
+    "IntSet-dense": lambda: IntSet((0, 2, 3, 4, 7, 11, 12, 14)),
+    "IntSet-pairwise": lambda: IntSet((-5, 0, 1, 10**6)),
+    "parse-dense": lambda: IntSet.parse("0,2,3,4,7,11,12,14"),
+    "parse-pairwise": lambda: IntSet.parse("-5,0,1,1000000"),
+    "from_iterable-dense": lambda: IntSet.from_iterable([14, 0, 2, 3, 4, 7, 11, 12, 2]),
+    "from_iterable-pairwise": lambda: IntSet.from_iterable([10**6, 1, 0, -5, 1]),
+    "from_mask-dense": lambda: IntSet.from_mask(0b101100010011101),
+    "from_mask-pairwise": lambda: IntSet.from_mask(0b1100001 | 1 << 10**6 + 5, -5),
+    "sumset-dense": lambda: sumset(IntSet((0, 1, 3, 7))),
+    "sumset-pairwise": lambda: sumset(IntSet((0, 1, 10**6))),
+    "diffset-dense": lambda: diffset(IntSet((0, 1, 3, 7))),
+    "diffset-pairwise": lambda: diffset(IntSet((0, 1, 10**6))),
+}
+
+
+def _spy_on_sizes(monkeypatch) -> Counter:
+    """Count each set that the sizes kernel is asked about, by its elements."""
+    counted = Counter()
+    real = setcore.sizes_of
+
+    def spy(xs):
+        counted[tuple(sorted(xs))] += 1
+        return real(xs)
+
+    monkeypatch.setattr(setcore, "sizes_of", spy)
+    monkeypatch.setattr(structure, "sizes_of", spy)  # imported by name there
+    return counted
+
+
+class TestStoredSizes:
+    @pytest.mark.parametrize("name", _FRESH_SETS)
+    def test_one_count_per_set(self, monkeypatch, name):
+        # each of the four calls counted A again: 4 counts of A, 1 of A + {x}
+        a = _FRESH_SETS[name]()
+        assert _use_dense(len(a), a.diameter) == name.endswith("-dense")
+        x = next(i for i in count(a.min) if i not in a)
+        counted = _spy_on_sizes(monkeypatch)
+        sizes = sum_diff_sizes(a)
+        kind = classify(a)
+        prof = profile(a)
+        delta = insertion_delta(a, x)
+        grown = tuple(sorted(a.elements + (x,)))
+        assert counted == {a.elements: 1, grown: 1}
+        els = list(a)
+        want = (len(naive_sumset(els)), len(naive_diffset(els)))
+        grown_sums, grown_diffs = naive_sumset(grown), naive_diffset(grown)
+        assert sizes == want == (prof.sum_size, prof.diff_size)
+        assert kind is prof.set_class is SetClass.from_sizes(*want)
+        assert delta.as_tuple() == (
+            len(grown_sums) - want[0],
+            (len(grown_diffs) - want[1]) // 2,
+        )
+
+
+    def test_the_stored_pair_is_invisible(self):
+        counted, fresh = IntSet.parse("0,2,3,4,7,11,12,14"), IntSet(A1)
+        assert sum_diff_sizes(counted) == (26, 25)
+        assert vars(counted) != vars(fresh)  # the pair is kept on the instance
+        assert counted == fresh and hash(counted) == hash(fresh)
+        assert repr(counted) == repr(fresh) and str(counted) == str(fresh)
+        assert dataclasses.asdict(counted) == {"elements": A1}
+
+    @pytest.mark.parametrize("counted_first", [False, True], ids=["fresh", "counted"])
+    def test_copies_have_the_same_sizes(self, counted_first):
+        a = IntSet((-5, 0, 1, 10**6))
+        want = (len(naive_sumset(list(a))), len(naive_diffset(list(a))))
+        if counted_first:
+            assert sum_diff_sizes(a) == want
+        for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
+            assert sum_diff_sizes(b) == want and classify(b) is classify(a)
+
+    def test_replace_counts_its_new_elements(self, monkeypatch):
+        a = IntSet(A1)
+        assert sum_diff_sizes(a) == (26, 25)
+        counted = _spy_on_sizes(monkeypatch)
+        b = dataclasses.replace(a, elements=[0, 1, 3])
+        assert b == IntSet((0, 1, 3)) and sum_diff_sizes(b) == (6, 7)
+        assert classify(b) is SetClass.DIFFERENCE_DOMINANT
+        assert counted == {(0, 1, 3): 1}
+        with pytest.raises(ValueError, match="strictly increasing"):
+            dataclasses.replace(a, elements=(3, 1))
+
+    def test_an_empty_set_raises_every_time_and_stores_nothing(self):
+        empty = IntSet(())
+        ops = (sum_diff_sizes, classify, profile, lambda a: insertion_delta(a, 0))
+        for _ in range(2):
+            for op in ops:
+                with pytest.raises(EmptySetError):
+                    op(empty)
+        assert vars(empty) == {"elements": ()}
+
+    def test_threads_counting_one_fresh_set_agree(self):
+        els = random.Random(8).sample(range(1 << 30), 300)  # pairwise, ~45k pairs
+        want = (len(naive_sumset(els)), len(naive_diffset(els)))
+        a = IntSet.from_iterable(els)
+        start = threading.Barrier(8, timeout=30)
+        results = []
+
+        def work():
+            start.wait()
+            results.append((classify(a), sum_diff_sizes(a)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-count
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [(SetClass.from_sizes(*want), want)] * 8
 
 
 class TestClassify:
