@@ -9,12 +9,13 @@ integer comparison against the mirrored mask, which reads the pairs
 [d - i in A], that of its mirror is [i in A].
 
 One depth-first walk per diameter decides the pairs in that order.  Each
-step adds at most two elements and carries the set, mirror, sum and
-positive-difference masks, the gcd and the size, at a constant number of
-big-int operations.  Tie rule: while each decided pair is symmetric, the
-walk refuses a pair that holds d - i but not i; once a pair holds i alone,
-A is below its mirror whatever follows.  So each class is one leaf, and the
-leaves still tied are the symmetric classes.
+step adds at most two elements.  A node carries one int holding both A+A
+and the signed A-A, a second holding the set and its mirror, the gcd and
+the size; a child costs a constant number of big-int operations, and its
+fringe test (below) one popcount.  Tie rule: while each decided pair is
+symmetric, the walk refuses a pair that holds d - i but not i; once a pair
+holds i alone, A is below its mirror whatever follows.  So each class is
+one leaf, and the leaves still tied are the symmetric classes.
 
 Fringe lemma (sum-dominance is decided at the fringes, as Martin and
 O'Bryant, and Zhao, view it).  Let the pairs with i < w be decided, so only
@@ -42,7 +43,6 @@ file of line-delimited JSON records lets long sweeps resume.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import signal
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -58,7 +58,6 @@ from .setcore import (
     IntSet,
     SetClass,
     _bit_indices,
-    _sum_diff_masks,
     classify,
     is_normalized,
     mask_sizes,
@@ -205,6 +204,43 @@ def _fringes(d: int) -> tuple[tuple[int, int], ...]:
     ) + (((1 << 2 * d + 1) - 1, 0),)
 
 
+@cache
+def _steps(d: int, cut: bool) -> tuple[tuple[int, ...], ...]:
+    """The walk's constants at each step x, 0 <= x <= d // 2 + 1, built from `_fringes`.
+
+    A node's sums and differences are one int c: A+A in bits [0, 2d] and
+    the signed A-A, difference k at bit off + d + k, with off = 2d + 1.
+    With dm the difference window, ``(c ^ dm) & final`` holds the final
+    sums and ``(c ^ dm) & dm`` the off - |A-A| differences still missing,
+    so the fringe test (final sums) + slots > |A-A| is
+
+        ((c ^ dm) & (final | dm)).bit_count() > off - slots.
+
+    Row x holds y = d - x; the shifts x + off and y + off; the test of step
+    x + 1 (at the leaf step, the leaf's own) as that mask and threshold;
+    the bits that x, y and both add to am = a | m << off, a the set's mask
+    and m its mirror's; and those they add to c, both's with the cross
+    differences +-(y - x).  Without the cut each threshold is -1, below any
+    count.
+    """
+    off = 2 * d + 1
+    dm = ((1 << off) - 1) << off
+    leaf = d // 2 + 1
+    fringes = _fringes(d) if cut else [(0, 2 * d + 2)] * (leaf + 1)
+    rows = []
+    for x in range(leaf + 1):
+        y = d - x
+        final, slots = fringes[min(x + 1, leaf)]
+        ax, ay = 1 << x | 1 << off + y, 1 << y | 1 << off + x
+        kx, ky = 1 << 2 * x, 1 << 2 * y
+        cross = 1 << off + 2 * x | 1 << off + 2 * y
+        rows.append((
+            y, x + off, y + off, final | dm, off - slots,
+            ax, ay, ax | ay, kx, ky, kx | ky | cross,
+        ))
+    return tuple(rows)
+
+
 def _canonical_classes(
     d: int, j: int, t: int, size_lo: int, size_hi: int, cut: bool = True
 ) -> list[tuple[int, int, int]]:
@@ -217,51 +253,53 @@ def _canonical_classes(
     if d == 0:
         return [(1, 1, 1)] if size_lo <= 1 <= size_hi and not cut else []
     a, m = _prefix_masks(d, j, t)
-    s, p_diffs = _sum_diff_masks(a)
-    p_diffs ^= 1  # the positive differences
+    off = 2 * d + 1
+    amask, smask, dm = (1 << d + 1) - 1, (1 << off) - 1, ((1 << off) - 1) << off
+    am = a | m << off
+    elements = _bit_indices(a)
+    c = 0
+    for e in elements:  # e + A, and e - A from the mirror
+        c |= am << e
     leaf = d // 2 + 1
-    # without the cut each sum bound is 2d + 2, above any difference bound
-    fringes = _fringes(d) if cut else [(0, 2 * d + 2)] * (leaf + 1)
+    steps = _steps(d, cut)
     out = []
 
-    def visit(x, a, m, s, p_diffs, g, n, tied):
-        # the pairs (i, d - i) with i < x are decided, m is the mirror of a,
-        # and the node has passed the fringe test of step x
+    def visit(x, c, am, g, n, tied):
+        # the pairs (i, d - i) with i < x are decided, and the node has
+        # passed the fringe test of step x
         if n >= size_hi:
             x = leaf  # the size cap leaves every open position out
-        y = d - x
-        ndiff = 2 * p_diffs.bit_count() + 1
+        y, xo, yo, mask, thr, ax, ay, ab, kx, ky, kb = steps[x]
         if x > y:  # a leaf at the size cap skipped its test: test it here
-            final, slots = fringes[leaf]
-            if g == 1 and size_lo <= n <= size_hi and (s & final).bit_count() + slots > ndiff:
-                out.append((a, s.bit_count(), ndiff))
+            if g == 1 and size_lo <= n <= size_hi:
+                if ((c ^ dm) & mask).bit_count() > thr:
+                    nsum, ndiff = (c & smask).bit_count(), (c >> off).bit_count()
+                    out.append((am & amask, nsum, ndiff))
             return
-        final, slots = fringes[x + 1]
-        if (s & final).bit_count() + slots > ndiff:
-            visit(x + 1, a, m, s, p_diffs, g, n, tied)
-        g1 = gcd(g, x)  # gcd(g, y) too, as d is an element
-        # the masks with x added: x + e, and the differences x - e and e - x
-        sx = s | (a << x) | (1 << 2 * x)
-        px = p_diffs | (a >> x) | ((m << x) >> d)
-        x_passes = (sx & final).bit_count() + slots > 2 * px.bit_count() + 1
+        if ((c ^ dm) & mask).bit_count() > thr:
+            visit(x + 1, c, am, g, n, tied)
+        if g != 1:
+            g = gcd(g, x)  # gcd(g, y) too, as d is an element
+        # x added: the sums x + A and 2x, the differences x - A and A - x
+        a = am & amask
+        cx = c | am << x | kx | a << yo
+        x_passes = ((cx ^ dm) & mask).bit_count() > thr
         if x == y:  # the midpoint
             if x_passes:
-                visit(x + 1, a | 1 << x, m | 1 << x, sx, px, g1, n + 1, tied)
+                visit(x + 1, cx, am | ax, g, n + 1, tied)
             return
         if x_passes:
-            visit(x + 1, a | 1 << x, m | 1 << y, sx, px, g1, n + 1, False)
-        sy = s | (a << y) | (1 << 2 * y)
-        py = p_diffs | (a >> y) | ((m << y) >> d)
-        if not tied and (sy & final).bit_count() + slots > 2 * py.bit_count() + 1:
-            visit(x + 1, a | 1 << y, m | 1 << x, sy, py, g1, n + 1, False)
-        b = 1 << x | 1 << y  # x + y = d is a sum already
-        sb, pb = sx | sy, px | py | 1 << (y - x)
-        if n + 2 <= size_hi and (sb & final).bit_count() + slots > 2 * pb.bit_count() + 1:
-            visit(x + 1, a | b, m | b, sb, pb, g1, n + 2, tied)
+            visit(x + 1, cx, am | ax, g, n + 1, False)
+        cy = c | am << y | ky | a << xo
+        if not tied and ((cy ^ dm) & mask).bit_count() > thr:
+            visit(x + 1, cy, am | ay, g, n + 1, False)
+        cb = cx | cy | kb  # x + y = d is a sum already
+        if n + 2 <= size_hi and ((cb ^ dm) & mask).bit_count() > thr:
+            visit(x + 1, cb, am | ab, g, n + 2, tied)
 
-    final, slots = fringes[t + 1]
-    if (s & final).bit_count() + slots > 2 * p_diffs.bit_count() + 1:
-        visit(t + 1, a, m, s, p_diffs, gcd(*_bit_indices(a)), a.bit_count(), a == m)
+    _, _, _, mask, thr, *_ = steps[t]
+    if ((c ^ dm) & mask).bit_count() > thr:
+        visit(t + 1, c, am, gcd(*elements), len(elements), a == m)
     del visit  # visit holds itself: unbind it, or the cycle keeps ``out`` alive
     return out
 
@@ -450,7 +488,10 @@ def scan_sum_dominant(config: SearchConfig) -> tuple[int, dict, list[IntSet]]:
         if config.workers > 1 and len(todo) > 1:
             # leaving the block terminates the workers, so an error or an
             # interrupt stops the sweep at once.  Ctrl-C reaches the whole
-            # process group; the workers ignore it and leave it to this one
+            # process group; the workers ignore it and leave it to this one.
+            # Imported here: no other path pays for it
+            import multiprocessing
+
             pool = stack.enter_context(multiprocessing.Pool(
                 config.workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)
             ))

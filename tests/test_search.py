@@ -3,6 +3,7 @@ import inspect
 import json
 import multiprocessing
 import re
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -225,13 +226,14 @@ def _cut_and_uncut(config):
     return [scan_sum_dominant(config)[1:], _uncut_tallies(config)]
 
 
-def _mutated_walk(monkeypatch, old, new):
-    """Swap the walk for a copy of its source with ``old`` replaced by ``new``."""
-    source = inspect.getsource(search._canonical_classes)
+def _mutated_walk(monkeypatch, old, new, name="_canonical_classes"):
+    """Swap the walk (or the function ``name`` of the search module) for a
+    copy of its source with ``old`` replaced by ``new``."""
+    source = inspect.getsource(getattr(search, name))
     assert source.count(old) == 1, old
     namespace = dict(vars(search))
     exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(search, "_canonical_classes", namespace["_canonical_classes"])
+    monkeypatch.setattr(search, name, namespace[name])
 
 
 class TestFringeCut:
@@ -304,9 +306,42 @@ class TestFringeCut:
     def test_off_by_one_bound_fails_the_list_test(self, monkeypatch, mutate):
         real = search._fringes
         monkeypatch.setattr(search, "_fringes", lambda d: mutate(real(d)))
+        # the step tables are cached per diameter: build them afresh from
+        # the mutated fringes, and keep them out of the cache
+        monkeypatch.setattr(search, "_steps", search._steps.__wrapped__)
         cut, uncut = _cut_and_uncut(SearchConfig(0, 20))
         assert cut != uncut
         assert set(map(str, cut[1])) < set(map(str, uncut[1]))
+
+    def test_threshold_one_lower_fails_the_list_test(self, monkeypatch):
+        # the one-popcount test with its threshold off - slots one lower: a
+        # leaf with |A+A| = |A-A| passes, so the cut lists balanced classes
+        _mutated_walk(
+            monkeypatch, "final | dm, off - slots,", "final | dm, off - slots - 1,",
+            name="_steps",
+        )
+        cut, uncut = _cut_and_uncut(SearchConfig(0, 20))
+        assert cut != uncut
+        assert set(map(str, cut[1])) > set(map(str, uncut[1]))
+
+    @pytest.mark.parametrize("d, calls", [(18, 7_348), (22, 65_771)])
+    def test_walk_call_count(self, d, calls):
+        # the cut walk's calls over every partition of diameter d: a faster
+        # step must not come from a different cut
+        counted = 0
+
+        def count(frame, event, arg):
+            nonlocal counted
+            if event == "call" and frame.f_code.co_name == "visit":
+                counted += 1
+
+        sys.setprofile(count)
+        try:
+            for _, j, t in _partitions(SearchConfig(d, d)):
+                _canonical_classes(d, j, t, 1, d + 1)
+        finally:
+            sys.setprofile(None)
+        assert counted == calls
 
 
 class TestClassCount:
@@ -343,7 +378,7 @@ class TestClassCount:
             ("if not tied and", "if False and", SearchConfig(17, 17)),
             ("if n >= size_hi:", "if n >= size_hi - 1:",
              SearchConfig(17, 17, size_max=5)),
-            ("visit(x + 1, a | 1 << x, m | 1 << x, sx, px, g1, n + 1, tied)", "pass",
+            ("visit(x + 1, cx, am | ax, g, n + 1, tied)", "pass",
              SearchConfig(18, 18)),
             # two child tests in a size-capped walk, which takes the same steps
             ("if not tied and", "if False and", SearchConfig(17, 17, size_max=5)),
