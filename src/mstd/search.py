@@ -58,7 +58,6 @@ from .setcore import (
     IntSet,
     SetClass,
     _bit_indices,
-    classify,
     is_normalized,
     mask_sizes,
     profile,
@@ -383,7 +382,11 @@ def _record_tallies(
             a = IntSet.parse(text)
         except ValueError as exc:
             raise ValueError(f"{where} lists {text!r}: {exc}") from None
-        if a.diameter != d or classify(a) is not SetClass.SUM_DOMINANT:
+        # counted from the elements, so the loaded set keeps no count
+        if (
+            a.diameter != d
+            or SetClass.from_sizes(*sizes_of(a.elements)) is not SetClass.SUM_DOMINANT
+        ):
             raise ValueError(
                 f"{where} lists {text!r}, not a sum-dominant set of diameter {d}"
             )

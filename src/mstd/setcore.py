@@ -11,8 +11,12 @@ dense.  A mask is decoded in one pass over its binary digits, so `sumset` and
 Equal-sum and equal-difference pair counts likewise convolve the window by
 big-int multiplication (Kronecker substitution), one byte per count up to 256
 elements, or count the pairs.
-An IntSet keeps its (|A+A|, |A-A|) after the first count, outside ==, hash
-and repr, so every query on one set shares that count.
+An IntSet keeps what its first count builds, outside ==, hash, repr and
+asdict: its sizes, and A+A and A-A as bitmasks over a dense window (with the
+element mask) or as sorted tuples over a wider one.  `sum_diff_sizes`,
+`classify`, `profile`, `sumset` and `diffset` read it, and
+`insertion_growth` counts only what a new element x adds: x + A, 2x and
+|x - A|, against the kept sets.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +32,7 @@ from functools import cached_property
 from math import gcd, lcm
 from numbers import Rational
 from operator import index, lt, mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
 class EmptySetError(ValueError):
@@ -119,8 +124,8 @@ class IntSet:
             raise EmptySetError("operation requires a nonempty set")
 
     @cached_property
-    def _sizes(self) -> tuple[int, int]:
-        return sizes_of(self.elements)  # kept in __dict__, not a dataclass field
+    def _kept(self) -> "_SumDiff":
+        return _sum_diff_of(self.elements)  # kept in __dict__, not a dataclass field
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -457,42 +462,106 @@ def sizes_of(xs: Sequence[int]) -> tuple[int, int]:
     return sums.bit_count(), 2 * diffs.bit_count() - 1
 
 
-def sum_diff_sizes(a: IntSet) -> tuple[int, int]:
-    """(|A+A|, |A-A|) without materializing either set.
+class _SumDiff(NamedTuple):
+    """What an IntSet's first count builds and keeps.
 
-    Counted once per IntSet and kept on it; `classify`, `profile` and
-    `insertion_delta` read the same pair.  It is no part of ==, hash or repr.
+    Over a dense window, ``mask`` is A - min A, ``sums`` is A+A - 2 min A and
+    ``diffs`` the nonnegative half of A-A, all bitmasks.  Over a wider one,
+    ``mask`` is None and ``sums`` (A+A) and ``diffs`` (the positive
+    differences) are sorted tuples.
+    """
+
+    sizes: tuple[int, int]
+    mask: Optional[int]
+    sums: Union[int, tuple[int, ...]]
+    diffs: Union[int, tuple[int, ...]]
+
+
+def _sum_diff_of(els: tuple[int, ...]) -> _SumDiff:
+    """The kept A+A and A-A of the nonempty, strictly increasing els."""
+    lo = els[0]
+    if not _use_dense(len(els), els[-1] - lo):
+        sums = tuple(sorted(_pair_sums(els)))
+        diffs = tuple(sorted(_positive_diffs(els)))
+        return _SumDiff((len(sums), 2 * len(diffs) + 1), None, sums, diffs)
+    mask = 0
+    for x in els:
+        mask |= 1 << (x - lo)
+    sums, diffs = _sum_diff_masks(mask, els, lo)
+    return _SumDiff((sums.bit_count(), 2 * diffs.bit_count() - 1), mask, sums, diffs)
+
+
+def sum_diff_sizes(a: IntSet) -> tuple[int, int]:
+    """(|A+A|, |A-A|), counted once per IntSet.
+
+    The first count keeps A+A and A-A on the set (bitmasks over a dense
+    window, sorted tuples over a wider one); `classify`, `profile`,
+    `sumset`, `diffset` and `insertion_growth` read them.  They are no part
+    of ==, hash, repr or asdict.
     """
     a._require_nonempty()
-    return a._sizes
+    return a._kept.sizes
 
 
 def sumset(a: IntSet) -> IntSet:
     """All pairwise sums a_i + a_j (i = j allowed)."""
     a._require_nonempty()
+    _, mask, sums, _ = a._kept
+    if mask is None:
+        return IntSet._trusted(sums)
     n = len(a)
     if 2 * a.diameter + 1 <= n * (n + 1) // 2:  # decode no more bits than pairs
-        mask, lo = a.mask()
-        sums = 0
-        for x in a.elements:
-            sums |= mask << (x - lo)
-        return IntSet.from_mask(sums, 2 * lo)
+        return IntSet.from_mask(sums, 2 * a.elements[0])
     return IntSet._trusted(tuple(sorted(_pair_sums(a.elements))))
 
 
 def diffset(a: IntSet) -> IntSet:
     """All pairwise differences a_i - a_j, symmetric about 0."""
     a._require_nonempty()
-    n = len(a)
-    if a.diameter + 1 <= n * (n - 1) // 2:  # decode no more bits than pairs
-        mask, lo = a.mask()
-        diffs = 0
-        for x in a.elements:
-            diffs |= mask >> (x - lo)
-        pos = _bit_indices(diffs)[1:]
-    else:
-        pos = sorted(_positive_diffs(a.elements))
-    return IntSet._trusted(tuple([-v for v in reversed(pos)] + [0] + pos))
+    _, mask, _, pos = a._kept
+    if mask is not None:
+        n = len(a)
+        if a.diameter + 1 <= n * (n - 1) // 2:  # decode no more bits than pairs
+            pos = _bit_indices(pos)[1:]
+        else:
+            pos = sorted(_positive_diffs(a.elements))
+    return IntSet._trusted((*[-v for v in reversed(pos)], 0, *pos))
+
+
+def _shift(mask: int, k: int) -> int:
+    return mask << k if k >= 0 else mask >> -k
+
+
+def _holds(values: tuple[int, ...], v: int) -> bool:
+    i = bisect_left(values, v)
+    return i < len(values) and values[i] == v
+
+
+def insertion_growth(a: IntSet, x: int) -> tuple[int, int]:
+    """(new sums, new positive differences) of inserting x, not in A, into A.
+
+    Counts only what x adds, x + A, 2x and |x - A|, against A's kept sets: a
+    few mask operations over a dense window, never wider than three windows
+    (the bit-reversed mirror of A gives x - e for the e below x), or a
+    bisection of the kept tuples per element over a wider one.
+    """
+    a._require_nonempty()
+    _, mask, sums, diffs = a._kept
+    els = a.elements
+    n = len(els)
+    if mask is None:
+        new_sums = sum([not _holds(sums, x + e) for e in els])
+        new_sums += not _holds(sums, 2 * x)
+        dists = {abs(x - e) for e in els}  # a midpoint x meets two e at one distance
+        return new_sums, sum([not _holds(diffs, v) for v in dists])
+    t, d = x - els[0], els[-1] - els[0]
+    if not -d <= t <= 2 * d:  # x + A and |x - A| miss both windows
+        return n + 1, n
+    new_sums = n - (_shift(mask, t) & sums).bit_count()
+    new_sums += t < 0 or not sums >> 2 * t & 1
+    mirror = int(bin(mask)[:1:-1], 2)  # bit j is bit d - j of the mask
+    dists = _shift(mask, -t) | _shift(mirror, t - d)  # e - x above x, x - e below
+    return new_sums, dists.bit_count() - (dists & diffs).bit_count()
 
 
 def classify(a: IntSet) -> SetClass:

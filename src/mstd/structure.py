@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import index
 
-from .setcore import IntSet, equal_pair_counts, sizes_of, sum_diff_sizes
+from .setcore import IntSet, equal_pair_counts, insertion_growth
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,12 @@ def cardinality_bounds(n: int) -> tuple[int, int]:
 
 
 def insertion_delta(a: IntSet, x: int) -> DeltaProfile:
-    """Cardinality growth from inserting x: (new sums, new positive differences)."""
+    """Cardinality growth from inserting x: (new sums, new positive differences).
+
+    Counts only what x adds (x + A, 2x and |x - A|) against the A+A and A-A
+    that A's first count keeps; A ∪ {x} is never counted.
+    """
     x = index(x)  # a float or Fraction: TypeError, before 3.0 could match 3
     if x in a:
         raise ValueError(f"{x} is already a member")
-    s0, d0 = sum_diff_sizes(a)
-    s1, d1 = sizes_of(a.elements + (x,))
-    return DeltaProfile(s1 - s0, (d1 - d0) // 2)
+    return DeltaProfile(*insertion_growth(a, x))

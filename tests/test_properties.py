@@ -1,6 +1,10 @@
 """Property-based invariants plus the bulk bit-parallel-vs-naive oracle run."""
 
+import copy
+import dataclasses
+import pickle
 import random
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -69,27 +73,83 @@ def wide_dense_sets(draw):
     return IntSet.from_iterable(xs)
 
 
-@given(int_sets)
-def test_bit_parallel_matches_naive(a):
-    assert list(sumset(a)) == naive_sumset(a.elements)
-    assert list(diffset(a)) == naive_diffset(a.elements)
+# each makes a new IntSet of the same elements; only replace drops the kept sets
+COPIES = {
+    "pickle": lambda a: pickle.loads(pickle.dumps(a)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "replace": lambda a: dataclasses.replace(a, elements=list(a.elements)),
+}
+
+
+@st.composite
+def insertion_points(draw, a):
+    """An x not in A: below, inside or above the window, midway between two
+    elements (so two distances |x - e| are equal), or on or just past the
+    window reflected about either end."""
+    els, span = a.elements, a.diameter + 1
+    reflected = (2 * els[0] - els[-1], 2 * els[-1] - els[0])
+    edges = [e + k for e in reflected for k in (-1, 0, 1)]
+    midpoints = [
+        (u + v) // 2
+        for u, v in combinations(els, 2)
+        if (u + v) % 2 == 0 and (u + v) // 2 not in a
+    ]
+    where = [
+        st.integers(els[0] - 3 * span, els[0] - 1),
+        st.integers(els[0], els[-1]).filter(lambda x: x not in a),
+        st.integers(els[-1] + 1, els[-1] + 3 * span),
+    ]
+    for points in (midpoints, [x for x in edges if x not in a]):
+        if points:
+            where.append(st.sampled_from(points))
+    return draw(st.one_of(where))
+
+
+def check_reads_match_naive(a, data):
+    """sumset, diffset, sizes and insertion_delta at a drawn x and at
+    +-10**18 against the oracles, on a and on copies made before and after
+    its first count, which keeps A+A and A-A for the others to read."""
+    els = list(a.elements)
+    sums, diffs = naive_sumset(els), naive_diffset(els)
+    x = data.draw(insertion_points(a))
+    deltas = {}
+    for y in (x, 10**18, -(10**18)):
+        grown = len(naive_sumset([*els, y])), len(naive_diffset([*els, y]))
+        deltas[y] = (grown[0] - len(sums), (grown[1] - len(diffs)) // 2)
+
+    def check(b):
+        assert b == a
+        assert list(sumset(b)) == sums and list(diffset(b)) == diffs
+        assert {y: insertion_delta(b, y).as_tuple() for y in deltas} == deltas
+        assert sum_diff_sizes(b) == (len(sums), len(diffs))
+
+    if data.draw(st.booleans()):
+        assert insertion_delta(a, x).as_tuple() == deltas[x]  # counts a first
+    for b in [a, *[make(a) for make in COPIES.values()]]:
+        check(b)
+    for make in COPIES.values():  # copies of a set already counted
+        check(make(a))
+
+
+@given(int_sets, st.data())
+def test_bit_parallel_matches_naive(a, data):
+    assert _use_dense(len(a), a.diameter)
+    check_reads_match_naive(a, data)
 
 
 @settings(max_examples=60, deadline=None)
-@given(wide_dense_sets())
-def test_wide_windows_match_naive(a):
-    assert list(sumset(a)) == naive_sumset(a.elements)
-    assert list(diffset(a)) == naive_diffset(a.elements)
+@given(wide_dense_sets(), st.data())
+def test_wide_windows_match_naive(a, data):
+    assert _use_dense(len(a), a.diameter)
+    check_reads_match_naive(a, data)
     assert IntSet.from_mask(*a.mask()) == a
 
 
-@given(wide_sets)
-def test_sparse_path_matches_naive(a):
+@given(wide_sets, st.data())
+def test_sparse_path_matches_naive(a, data):
     assert not _use_dense(len(a), a.diameter)
-    sums, diffs = naive_sumset(a.elements), naive_diffset(a.elements)
-    assert list(sumset(a)) == sums
-    assert list(diffset(a)) == diffs
-    assert sum_diff_sizes(a) == (len(sums), len(diffs))
+    check_reads_match_naive(a, data)
 
 
 @pytest.mark.parametrize("sets, dense", [(int_sets, True), (wide_sets, False)])

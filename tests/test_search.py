@@ -19,7 +19,7 @@ from mstd import (
     classify,
     is_symmetric,
 )
-from mstd import search, verify
+from mstd import search, setcore, verify
 from mstd.cli import main
 from mstd.reports import render_json
 from mstd.search import (
@@ -518,6 +518,25 @@ class TestCheckpoint:
         second = find_min_mstd(SearchConfig(diameter_max=12, checkpoint_path=path))
         assert render_json(first.to_json_dict()) == render_json(second.to_json_dict())
         assert open(path).read().splitlines() == lines  # nothing re-scanned
+
+    def test_a_resume_counts_only_the_witnesses(self, tmp_path, monkeypatch):
+        # each listed set was classified through its IntSet, which then kept
+        # its sums and differences for the rest of the sweep
+        path = tmp_path / "ck.jsonl"
+        config = SearchConfig(diameter_max=16, checkpoint_path=str(path))
+        fresh = find_min_mstd(config)
+        listed = sum(
+            len(json.loads(line)["tallies"]["sum_dominant"])
+            for line in path.read_text().splitlines()[1:]
+        )
+        counted, real = [], setcore._sum_diff_of
+        monkeypatch.setattr(
+            setcore, "_sum_diff_of", lambda els: counted.append(els) or real(els)
+        )
+        resumed = find_min_mstd(config)
+        assert render_json(resumed.to_json_dict()) == render_json(fresh.to_json_dict())
+        assert counted == [w.elements for w, _ in resumed.witnesses] != []
+        assert listed > len(counted)
 
     def test_partial_resume_completes(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")

@@ -30,7 +30,7 @@ from mstd import (
     sum_diff_sizes,
     sumset,
 )
-from mstd import setcore, structure
+from mstd import setcore
 from mstd.search import explore_two_ap_unions
 from mstd.setcore import (
     RationalSet,
@@ -324,49 +324,51 @@ _FRESH_SETS = {
 }
 
 
-def _spy_on_sizes(monkeypatch) -> Counter:
-    """Count each set that the sizes kernel is asked about, by its elements."""
+def _spy_on_counts(monkeypatch) -> Counter:
+    """Count each set whose kept A+A and A-A an IntSet builds, by its elements."""
     counted = Counter()
-    real = setcore.sizes_of
+    real = setcore._sum_diff_of
 
-    def spy(xs):
-        counted[tuple(sorted(xs))] += 1
-        return real(xs)
+    def spy(els):
+        counted[els] += 1
+        return real(els)
 
-    monkeypatch.setattr(setcore, "sizes_of", spy)
-    monkeypatch.setattr(structure, "sizes_of", spy)  # imported by name there
+    monkeypatch.setattr(setcore, "_sum_diff_of", spy)
     return counted
 
 
 class TestStoredSizes:
     @pytest.mark.parametrize("name", _FRESH_SETS)
     def test_one_count_per_set(self, monkeypatch, name):
-        # each of the four calls counted A again: 4 counts of A, 1 of A + {x}
+        # each of the four calls counted A again, and insertion_delta counted
+        # A + {x} from scratch; sumset and diffset built A+A and A-A again
         a = _FRESH_SETS[name]()
         assert _use_dense(len(a), a.diameter) == name.endswith("-dense")
         x = next(i for i in count(a.min) if i not in a)
-        counted = _spy_on_sizes(monkeypatch)
+        counted = _spy_on_counts(monkeypatch)
         sizes = sum_diff_sizes(a)
         kind = classify(a)
         prof = profile(a)
+        sums, diffs = sumset(a), diffset(a)
         delta = insertion_delta(a, x)
-        grown = tuple(sorted(a.elements + (x,)))
-        assert counted == {a.elements: 1, grown: 1}
+        assert counted == {a.elements: 1}
         els = list(a)
-        want = (len(naive_sumset(els)), len(naive_diffset(els)))
+        naive = naive_sumset(els), naive_diffset(els)
+        want = (len(naive[0]), len(naive[1]))
+        grown = sorted(els + [x])
         grown_sums, grown_diffs = naive_sumset(grown), naive_diffset(grown)
         assert sizes == want == (prof.sum_size, prof.diff_size)
         assert kind is prof.set_class is SetClass.from_sizes(*want)
+        assert (list(sums), list(diffs)) == naive
         assert delta.as_tuple() == (
             len(grown_sums) - want[0],
             (len(grown_diffs) - want[1]) // 2,
         )
 
-
     def test_the_stored_pair_is_invisible(self):
         counted, fresh = IntSet.parse("0,2,3,4,7,11,12,14"), IntSet(A1)
         assert sum_diff_sizes(counted) == (26, 25)
-        assert vars(counted) != vars(fresh)  # the pair is kept on the instance
+        assert vars(counted) != vars(fresh)  # the sets are kept on the instance
         assert counted == fresh and hash(counted) == hash(fresh)
         assert repr(counted) == repr(fresh) and str(counted) == str(fresh)
         assert dataclasses.asdict(counted) == {"elements": A1}
@@ -384,7 +386,7 @@ class TestStoredSizes:
     def test_replace_counts_its_new_elements(self, monkeypatch):
         a = IntSet(A1)
         assert sum_diff_sizes(a) == (26, 25)
-        counted = _spy_on_sizes(monkeypatch)
+        counted = _spy_on_counts(monkeypatch)
         b = dataclasses.replace(a, elements=[0, 1, 3])
         assert b == IntSet((0, 1, 3)) and sum_diff_sizes(b) == (6, 7)
         assert classify(b) is SetClass.DIFFERENCE_DOMINANT

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,13 @@ from mstd.structure import (
     equal_sum_pairs,
     render_difference_table,
 )
-from conftest import A1, naive_equal_diff_pairs, naive_equal_sum_pairs
+from conftest import (
+    A1,
+    naive_diffset,
+    naive_equal_diff_pairs,
+    naive_equal_sum_pairs,
+    naive_sumset,
+)
 
 
 def I(n):
@@ -137,3 +144,22 @@ class TestInsertionDelta:
         for n in range(2, 21):
             for k in range(1, n):
                 assert insertion_delta(I(n), (n - 1) + k) == DeltaProfile(k + 1, k)
+
+    @pytest.mark.parametrize("far", [10**8, -(10**8), 10**18, -(10**18)])
+    def test_a_far_x_builds_no_int_as_wide_as_its_distance(self, far):
+        # shifting the dense masks by x - min A would allocate |x|/8 bytes:
+        # 12.5 MB at 10**8, past memory at 10**18
+        a = IntSet(A1)
+        assert _use_dense(len(a), a.diameter)
+        els = list(A1)
+        want = (
+            len(naive_sumset([*els, far])) - len(naive_sumset(els)),
+            (len(naive_diffset([*els, far])) - len(naive_diffset(els))) // 2,
+        )
+        tracemalloc.start()
+        try:
+            got = insertion_delta(a, far).as_tuple()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want == (9, 8) and peak < 100_000
