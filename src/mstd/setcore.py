@@ -11,12 +11,12 @@ dense.  A mask is decoded in one pass over its binary digits, so `sumset` and
 Equal-sum and equal-difference pair counts likewise convolve the window by
 big-int multiplication (Kronecker substitution), one byte per count up to 256
 elements, or count the pairs.
-An IntSet keeps what its first count builds, outside ==, hash, repr and
-asdict: its sizes, and A+A and A-A as bitmasks over a dense window (with the
-element mask) or as sorted tuples over a wider one.  `sum_diff_sizes`,
-`classify`, `profile`, `sumset` and `diffset` read it, and
-`insertion_growth` counts only what a new element x adds: x + A, 2x and
-|x - A|, against the kept sets.
+`sizes_of` and an IntSet's first count share one builder.  An IntSet keeps
+what it builds, outside ==, hash, repr and asdict: its sizes, and A+A and
+A-A as bitmasks over a dense window (with the element mask) or as unsorted
+tuples over a wider one.  `sum_diff_sizes`, `classify` and `profile` read
+it, `sumset` and `diffset` decode or sort it, and `insertion_growth` counts
+only what a new element x adds: x + A, 2x and |x - A|, against the kept sets.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +31,7 @@ from functools import cached_property
 from math import gcd, lcm
 from numbers import Rational
 from operator import index, lt, mul
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class EmptySetError(ValueError):
@@ -124,7 +123,7 @@ class IntSet:
             raise EmptySetError("operation requires a nonempty set")
 
     @cached_property
-    def _kept(self) -> "_SumDiff":
+    def _kept(self) -> tuple:
         return _sum_diff_of(self.elements)  # kept in __dict__, not a dataclass field
 
     def __len__(self) -> int:
@@ -446,61 +445,42 @@ def mask_sizes(mask: int) -> tuple[int, int]:
 
 
 def sizes_of(xs: Sequence[int]) -> tuple[int, int]:
-    """(|A+A|, |A-A|) of the set of the integers xs, in any order, repeats allowed.
+    """(|A+A|, |A-A|) of the set of the integers xs, in any order, repeats allowed."""
+    return _sum_diff_of(xs)[0]
 
-    The dense gate is checked once, before any mask is built, so a window too
-    wide for the dense kernel costs no big int.
+
+def _sum_diff_of(xs: Sequence[int]) -> tuple:
+    """((|A+A|, |A-A|), mask, sums, diffs) of the set of the integers xs.
+
+    xs may come in any order, with repeats.  Over a window that passes the
+    dense gate, ``mask`` is A - min A, ``sums`` A+A - 2 min A and ``diffs``
+    the nonnegative half of A-A, all bitmasks.  Over a wider one, ``mask`` is
+    None and ``sums`` (A+A) and ``diffs`` (the positive differences) are
+    tuples in set order, unsorted.  The gate is checked before any mask is
+    built, so a window too wide for the dense kernel costs no big int.
     """
     lo = min(xs)
     if not _use_dense(len(xs), max(xs) - lo):
         els = sorted(set(xs))
-        return len(_pair_sums(els)), 2 * len(_positive_diffs(els)) + 1
+        sums, diffs = tuple(_pair_sums(els)), tuple(_positive_diffs(els))
+        return (len(sums), 2 * len(diffs) + 1), None, sums, diffs
     mask = 0
     for x in xs:
         mask |= 1 << (x - lo)
     sums, diffs = _sum_diff_masks(mask, xs, lo)
-    return sums.bit_count(), 2 * diffs.bit_count() - 1
-
-
-class _SumDiff(NamedTuple):
-    """What an IntSet's first count builds and keeps.
-
-    Over a dense window, ``mask`` is A - min A, ``sums`` is A+A - 2 min A and
-    ``diffs`` the nonnegative half of A-A, all bitmasks.  Over a wider one,
-    ``mask`` is None and ``sums`` (A+A) and ``diffs`` (the positive
-    differences) are sorted tuples.
-    """
-
-    sizes: tuple[int, int]
-    mask: Optional[int]
-    sums: Union[int, tuple[int, ...]]
-    diffs: Union[int, tuple[int, ...]]
-
-
-def _sum_diff_of(els: tuple[int, ...]) -> _SumDiff:
-    """The kept A+A and A-A of the nonempty, strictly increasing els."""
-    lo = els[0]
-    if not _use_dense(len(els), els[-1] - lo):
-        sums = tuple(sorted(_pair_sums(els)))
-        diffs = tuple(sorted(_positive_diffs(els)))
-        return _SumDiff((len(sums), 2 * len(diffs) + 1), None, sums, diffs)
-    mask = 0
-    for x in els:
-        mask |= 1 << (x - lo)
-    sums, diffs = _sum_diff_masks(mask, els, lo)
-    return _SumDiff((sums.bit_count(), 2 * diffs.bit_count() - 1), mask, sums, diffs)
+    return (sums.bit_count(), 2 * diffs.bit_count() - 1), mask, sums, diffs
 
 
 def sum_diff_sizes(a: IntSet) -> tuple[int, int]:
     """(|A+A|, |A-A|), counted once per IntSet.
 
     The first count keeps A+A and A-A on the set (bitmasks over a dense
-    window, sorted tuples over a wider one); `classify`, `profile`,
+    window, unsorted tuples over a wider one); `classify`, `profile`,
     `sumset`, `diffset` and `insertion_growth` read them.  They are no part
     of ==, hash, repr or asdict.
     """
     a._require_nonempty()
-    return a._kept.sizes
+    return a._kept[0]
 
 
 def sumset(a: IntSet) -> IntSet:
@@ -508,7 +488,7 @@ def sumset(a: IntSet) -> IntSet:
     a._require_nonempty()
     _, mask, sums, _ = a._kept
     if mask is None:
-        return IntSet._trusted(sums)
+        return IntSet._trusted(tuple(sorted(sums)))
     n = len(a)
     if 2 * a.diameter + 1 <= n * (n + 1) // 2:  # decode no more bits than pairs
         return IntSet.from_mask(sums, 2 * a.elements[0])
@@ -519,7 +499,9 @@ def diffset(a: IntSet) -> IntSet:
     """All pairwise differences a_i - a_j, symmetric about 0."""
     a._require_nonempty()
     _, mask, _, pos = a._kept
-    if mask is not None:
+    if mask is None:
+        pos = sorted(pos)
+    else:
         n = len(a)
         if a.diameter + 1 <= n * (n - 1) // 2:  # decode no more bits than pairs
             pos = _bit_indices(pos)[1:]
@@ -532,28 +514,22 @@ def _shift(mask: int, k: int) -> int:
     return mask << k if k >= 0 else mask >> -k
 
 
-def _holds(values: tuple[int, ...], v: int) -> bool:
-    i = bisect_left(values, v)
-    return i < len(values) and values[i] == v
-
-
 def insertion_growth(a: IntSet, x: int) -> tuple[int, int]:
     """(new sums, new positive differences) of inserting x, not in A, into A.
 
     Counts only what x adds, x + A, 2x and |x - A|, against A's kept sets: a
     few mask operations over a dense window, never wider than three windows
-    (the bit-reversed mirror of A gives x - e for the e below x), or a
-    bisection of the kept tuples per element over a wider one.
+    (the bit-reversed mirror of A gives x - e for the e below x), or over a
+    wider one the set of x's sums less the kept sums, and of its distances
+    less the kept differences.
     """
     a._require_nonempty()
     _, mask, sums, diffs = a._kept
     els = a.elements
     n = len(els)
-    if mask is None:
-        new_sums = sum([not _holds(sums, x + e) for e in els])
-        new_sums += not _holds(sums, 2 * x)
-        dists = {abs(x - e) for e in els}  # a midpoint x meets two e at one distance
-        return new_sums, sum([not _holds(diffs, v) for v in dists])
+    if mask is None:  # x + x is 2x; a midpoint x meets two e at one distance
+        new_sums = {x + e for e in (x, *els)}.difference(sums)
+        return len(new_sums), len({abs(x - e) for e in els}.difference(diffs))
     t, d = x - els[0], els[-1] - els[0]
     if not -d <= t <= 2 * d:  # x + A and |x - A| miss both windows
         return n + 1, n

@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +20,7 @@ from mstd import (
     classify,
     is_symmetric,
 )
-from mstd import search, setcore, verify
+from mstd import search, verify
 from mstd.cli import main
 from mstd.reports import render_json
 from mstd.search import (
@@ -513,46 +514,43 @@ class TestCheckpoint:
     def test_full_resume_is_identity(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
         first = find_min_mstd(SearchConfig(diameter_max=12, checkpoint_path=path))
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines
         second = find_min_mstd(SearchConfig(diameter_max=12, checkpoint_path=path))
         assert render_json(first.to_json_dict()) == render_json(second.to_json_dict())
-        assert open(path).read().splitlines() == lines  # nothing re-scanned
+        assert Path(path).read_text().splitlines() == lines  # nothing re-scanned
 
-    def test_a_resume_counts_only_the_witnesses(self, tmp_path, monkeypatch):
+    def test_a_resume_counts_only_the_witnesses(self, tmp_path):
         # each listed set was classified through its IntSet, which then kept
-        # its sums and differences for the rest of the sweep
+        # its sums and differences for the rest of the sweep; the loader
+        # checks each from its elements, so only profile's witnesses keep them
         path = tmp_path / "ck.jsonl"
         config = SearchConfig(diameter_max=16, checkpoint_path=str(path))
         fresh = find_min_mstd(config)
-        listed = sum(
-            len(json.loads(line)["tallies"]["sum_dominant"])
-            for line in path.read_text().splitlines()[1:]
-        )
-        counted, real = [], setcore._sum_diff_of
-        monkeypatch.setattr(
-            setcore, "_sum_diff_of", lambda els: counted.append(els) or real(els)
-        )
+        written = path.read_bytes()
+        _, _, listed = scan_sum_dominant(config)
+        assert path.read_bytes() == written  # resumed: nothing re-scanned
+        assert len(listed) > len(fresh.witnesses) > 0
+        assert [str(a) for a in listed if "_kept" in vars(a)] == []
         resumed = find_min_mstd(config)
         assert render_json(resumed.to_json_dict()) == render_json(fresh.to_json_dict())
-        assert counted == [w.elements for w, _ in resumed.witnesses] != []
-        assert listed > len(counted)
+        assert all("_kept" in vars(w) for w, _ in resumed.witnesses)
 
     def test_partial_resume_completes(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
         fresh = find_min_mstd(SearchConfig(diameter_max=14))
         find_min_mstd(SearchConfig(diameter_max=14, checkpoint_path=path))
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         with open(path, "w") as fh:
             fh.write("\n".join(lines[: len(lines) // 2]) + "\n")
         resumed = find_min_mstd(SearchConfig(diameter_max=14, checkpoint_path=path))
         assert render_json(resumed.to_json_dict()) == render_json(fresh.to_json_dict())
-        assert len(open(path).read().splitlines()) == len(lines)
+        assert len(Path(path).read_text().splitlines()) == len(lines)
 
     def test_record_schema(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
         find_min_mstd(SearchConfig(diameter_max=5, checkpoint_path=path))
-        header, *records = open(path).read().splitlines()
+        header, *records = Path(path).read_text().splitlines()
         assert json.loads(header) == {
             "format": 3,
             "config": {
@@ -569,10 +567,10 @@ class TestCheckpoint:
     def test_checkpoint_of_another_config_is_refused(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
         find_min_mstd(SearchConfig(diameter_max=14, size_max=5, checkpoint_path=path))
-        written = open(path).read()
+        written = Path(path).read_text()
         with pytest.raises(ValueError, match="another search"):
             find_min_mstd(SearchConfig(diameter_max=14, checkpoint_path=path))
-        assert open(path).read() == written
+        assert Path(path).read_text() == written
         # a file without the header (the record layout before it) is refused too
         with open(path, "w") as fh:
             fh.write("\n".join(written.splitlines()[1:]) + "\n")
@@ -582,30 +580,30 @@ class TestCheckpoint:
     def test_worker_count_is_not_part_of_the_header(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
         first = find_min_mstd(SearchConfig(diameter_max=17, checkpoint_path=path))
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         with open(path, "w") as fh:
             fh.write("\n".join(lines[:10]) + "\n")
         resumed = find_min_mstd(
             SearchConfig(diameter_max=17, workers=2, checkpoint_path=path)
         )
         assert render_json(resumed.to_json_dict()) == render_json(first.to_json_dict())
-        assert open(path).read().splitlines() == lines
+        assert Path(path).read_text().splitlines() == lines
 
     def test_torn_final_record_is_rescanned(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
         fresh = find_min_mstd(SearchConfig(diameter_max=12))
         find_min_mstd(SearchConfig(diameter_max=12, checkpoint_path=path))
-        complete = open(path, "rb").read()
+        complete = Path(path).read_bytes()
         with open(path, "wb") as fh:
             fh.write(complete[:-20])
         resumed = find_min_mstd(SearchConfig(diameter_max=12, checkpoint_path=path))
         assert render_json(resumed.to_json_dict()) == render_json(fresh.to_json_dict())
-        assert open(path, "rb").read() == complete
+        assert Path(path).read_bytes() == complete
 
     def test_bad_line_before_the_end_raises(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
         find_min_mstd(SearchConfig(diameter_max=8, checkpoint_path=path))
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         lines[3] = lines[3][:-5]
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -634,7 +632,7 @@ class TestCheckpoint:
     def test_record_of_another_shape_raises(self, tmp_path, bad):
         path = str(tmp_path / "ck.jsonl")
         find_min_mstd(SearchConfig(diameter_max=6, checkpoint_path=path))
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         lines[3] = bad.replace("ID", json.loads(lines[3])["partition_id"])
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -645,7 +643,7 @@ class TestCheckpoint:
         """A whole d <= 6 checkpoint, plus an edited copy of its last record."""
         path = str(tmp_path / "ck.jsonl")
         find_min_mstd(SearchConfig(diameter_max=6, checkpoint_path=path))
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         rec = json.loads(lines[-1])
         edit(rec)
         with open(path, "a") as fh:
@@ -688,7 +686,7 @@ class TestCheckpoint:
     ):
         path = str(tmp_path / "ck.jsonl")
         find_min_mstd(SearchConfig(diameter_max=6, checkpoint_path=path))
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         rec = json.loads(lines[-1])
         rec["tallies"].update(examined=examined, sum_dominant=listed)
         lines[-1] = json.dumps(rec)
@@ -703,7 +701,7 @@ class TestCheckpoint:
         path = str(tmp_path / "ck.jsonl")
         config = SearchConfig(diameter_max=14, checkpoint_path=path)
         fresh = render_json(find_min_mstd(config).to_json_dict())
-        header, *lines = open(path).read().splitlines()
+        header, *lines = Path(path).read_text().splitlines()
         parts = {f"{d}/{j}": (d, j, t) for d, j, t in _partitions(config)}
         for i, line in enumerate(lines):
             rec = json.loads(line)
@@ -718,12 +716,12 @@ class TestCheckpoint:
         with open(path, "w") as fh:
             fh.write(old)
         assert render_json(find_min_mstd(config).to_json_dict()) == fresh
-        assert open(path).read() == old  # nothing re-scanned
+        assert Path(path).read_text() == old  # nothing re-scanned
 
     def test_record_listing_its_sum_dominant_sets_resumes(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
         first = find_min_mstd(SearchConfig(diameter_max=14, checkpoint_path=path))
-        assert '"0,2,3,4,7,11,12,14"' in open(path).read()  # A1, in record 14/0
+        assert '"0,2,3,4,7,11,12,14"' in Path(path).read_text()  # A1, in record 14/0
         second = find_min_mstd(SearchConfig(diameter_max=14, checkpoint_path=path))
         assert render_json(second.to_json_dict()) == render_json(first.to_json_dict())
 

@@ -365,6 +365,28 @@ class TestStoredSizes:
             (len(grown_diffs) - want[1]) // 2,
         )
 
+    def test_a_wide_count_sorts_no_more_than_the_elements(self, monkeypatch):
+        # the first count over a wide window sorted the A+A and the positive
+        # differences it kept, 528 and 496 entries here, for callers that
+        # wanted only the sizes; now sumset and diffset sort what they return
+        els = sorted(random.Random(32).sample(range(1 << 24), 32))
+        assert not _use_dense(len(els), els[-1] - els[0])
+        lengths = []
+
+        def spy(xs, **kw):
+            out = sorted(xs, **kw)
+            lengths.append(len(out))
+            return out
+
+        monkeypatch.setattr(setcore, "sorted", spy, raising=False)
+        a = IntSet(tuple(els))
+        want = (len(naive_sumset(els)), len(naive_diffset(els)))
+        assert sum_diff_sizes(a) == want and sizes_of(els[::-1]) == want
+        assert classify(a) is SetClass.from_sizes(*want)
+        assert max(lengths, default=0) <= len(els)
+        assert list(sumset(a)) == naive_sumset(els)
+        assert list(diffset(a)) == naive_diffset(els)
+
     def test_the_stored_pair_is_invisible(self):
         counted, fresh = IntSet.parse("0,2,3,4,7,11,12,14"), IntSet(A1)
         assert sum_diff_sizes(counted) == (26, 25)
