@@ -359,10 +359,14 @@ def _pair_sums_by_digits(els: tuple[int, ...]) -> tuple[int, int, int]:
     # read big-endian, the digits run mirrored, each 1 in its digit's top byte
     r = int.from_bytes(one, "big") >> 8 * (width - 1)
     # digit s: unordered pairs {x <= y} with sum 2 min A + s; digit d + k:
-    # ordered pairs at difference k, the centre less its n pairs (x, x)
+    # ordered pairs at difference k.  Digits d - k and d + k are equal, so
+    # only k >= 1 is read; the centre's n pairs (x, x) come off first, as n
+    # itself may not fit one digit
     size = (2 * d + 1) * width
     u = ((p * p + p2) >> 1).to_bytes(size, "little")
-    diffs = (p * r - (n << 8 * width * d)).to_bytes(size, "little")
+    diffs = ((p * r - (n << 8 * width * d)) >> 8 * width * (d + 1)).to_bytes(
+        d * width, "little"
+    )
     if width == 1:
         sq_sums = sum(u.translate(_SQ_LO))
         sq_diffs = sum(diffs.translate(_SQ_LO))
@@ -377,7 +381,7 @@ def _pair_sums_by_digits(els: tuple[int, ...]) -> tuple[int, int, int]:
             diffs.byteswap()
         sq_sums = sum(map(mul, u, u))
         sq_diffs = sum(map(mul, diffs, diffs))
-    return sq_sums, sq_diffs // 2, sum([u[2 * (x - lo)] for x in els])
+    return sq_sums, sq_diffs, sum([u[2 * (x - lo)] for x in els])
 
 
 def equal_pair_counts(a: IntSet) -> tuple[int, int, int]:
@@ -392,7 +396,9 @@ def equal_pair_counts(a: IntSet) -> tuple[int, int, int]:
     u_s^2, D_k^2 and u_2a over a in A, from one Counter pass over the pairs
     or, for a small window, by Kronecker substitution: A - min A becomes
     p = sum 256^e, so p*p and p*mirror(p) hold the counts as one-byte digits
-    (wider past 256 elements), each squared through a table.
+    (wider past 256 elements), each squared through a table.  The digits of
+    p*mirror(p) mirror about its centre, so only those above it, the D_k at
+    k >= 1, are read.
     """
     a._require_nonempty()
     return pair_counts_of(a.elements)

@@ -27,11 +27,14 @@ from mstd import (
     sum_diff_sizes,
     sumset,
 )
+from mstd.search import _shifted_union_sizes
 from mstd.setcore import (
+    _bit_indices,
     _pair_sums_by_digits,
     _pair_sums_pairwise,
     _use_convolution,
     _use_dense,
+    mask_sizes,
     sizes_of,
 )
 from mstd.structure import equal_diff_pairs, equal_sum_pairs
@@ -162,6 +165,20 @@ def test_sizes_of_takes_any_order_with_repeats(sets, dense, data):
     rnd.shuffle(xs)
     want = len(naive_sumset(a.elements)), len(naive_diffset(a.elements))
     assert sizes_of(xs) == want
+
+
+# a finite set of nonnegative integers that holds 0, as a mask with bit 0 set
+part_masks = st.integers(0, 1 << 40).map(lambda m: m << 1 | 1)
+
+
+@given(part_masks, part_masks)
+def test_shifted_union_sizes_match_the_union_mask(f, g):
+    # shifts both ways, past both widths; elements in any order, with repeats
+    fe, ge = _bit_indices(f), _bit_indices(g)
+    reach = f.bit_length() + g.bit_length()
+    shifts = range(-reach, reach + 1)
+    want = [(s, *mask_sizes(f | g << s if s >= 0 else f << -s | g)) for s in shifts]
+    assert list(_shifted_union_sizes(fe[::-1] + fe, ge, shifts)) == want
 
 
 def _naive_pair_counts(xs):

@@ -19,6 +19,7 @@ from mstd import (
     ap_plus_two_decomposition,
     classify,
     is_symmetric,
+    sum_diff_sizes,
 )
 from mstd import search, verify
 from mstd.cli import main
@@ -795,20 +796,43 @@ def _min_additions_tried(ap, k_max, window):
     return tried
 
 
+def record_unions(monkeypatch, force=False):
+    """Each case the two-ap grid counts, in order, as (union, sizes).
+
+    The union is built from the parts and shift the grid hands
+    `_shifted_union_sizes`.  With ``force`` every case gets the sizes
+    (1, 0), so each case is a violation.
+    """
+    seen = []
+    real = search._shifted_union_sizes
+
+    def record(fe, ge, shifts):
+        for s, nsum, ndiff in real(fe, ge, shifts):
+            if force:
+                nsum, ndiff = 1, 0
+            union = IntSet.from_iterable(fe + tuple(s + y for y in ge))
+            seen.append((union, (nsum, ndiff)))
+            yield s, nsum, ndiff
+
+    monkeypatch.setattr(search, "_shifted_union_sizes", record)
+    return seen
+
+
 class TestTwoApUnions:
     @pytest.mark.parametrize(
-        # wide: {0, a2} with |a2| up to 300; a built mask is never gated, however wide
+        # wide: {0, a2} with |a2| up to 300; the part masks are never gated
         "grid", [(6, 5, 40), (3, 2, 300)], ids=["default", "wide"]
     )
     def test_masks_match_the_intset_build(self, monkeypatch, grid):
-        seen = record_kernel(monkeypatch, search)
+        seen = record_unions(monkeypatch)
         report = explore_two_ap_unions(*grid)
         sets = [a for a, _ in _two_ap_unions(*grid)]
         assert report.passed and report.cases == len(sets)
-        assert seen == [a.mask()[0] for a in sets]
+        assert [u for u, _ in seen] == sets
+        assert [sizes for _, sizes in seen] == [sum_diff_sizes(a) for a in sets]
 
     def test_forced_violations_keep_their_format(self, monkeypatch):
-        record_kernel(monkeypatch, search, force=True)
+        record_unions(monkeypatch, force=True)
         report = explore_two_ap_unions(3, 2, 5)
         assert [(v["set"], v["context"]) for v in report.violations] == [
             (str(a), context) for a, context in _two_ap_unions(3, 2, 5)
