@@ -10,7 +10,10 @@ dense.  A mask is decoded in one pass over its binary digits, so `sumset` and
 `diffset` decode one only if it has no more bits than pairs.
 Equal-sum and equal-difference pair counts likewise convolve the window by
 big-int multiplication (Kronecker substitution), one byte per count up to 256
-elements, or count the pairs.
+elements, or count the pairs; they take the elements in any order.  p*p
+holds the ordered pairs r_s per sum, and since (x, y) and (y, x) match up
+unless x = y, the unordered count is ceil(r_s / 2), read through a table.
+Only the middle sum, min + max, can hold |A| pairs; one comes off it first.
 `sizes_of` and an IntSet's first count share one builder.  An IntSet keeps
 what it builds, outside ==, hash, repr and asdict: its sizes, and A+A and
 A-A as bitmasks over a dense window (with the element mask) or as unsorted
@@ -312,24 +315,27 @@ def _sum_diff_masks(mask: int, els=None, lo: int = 0) -> tuple[int, int]:
 # their allocations, go pairwise.  Constants from a measured crossover.
 _CONV_PAIR_FACTOR = 8
 _CONV_SLACK = 4096
-# Low and high byte of i^2: bytes.translate squares a run of one-byte digits
-# with no int per digit.
+# Low and high byte of i^2 and of ceil(i/2)^2: bytes.translate squares a run
+# of one-byte digits with no int per digit.
 _SQ_LO = bytes([i * i & 255 for i in range(256)])
 _SQ_HI = bytes([i * i >> 8 for i in range(256)])
+_HALF_SQ_LO = bytes([(i + 1 >> 1) ** 2 & 255 for i in range(256)])
+_HALF_SQ_HI = bytes([(i + 1 >> 1) ** 2 >> 8 for i in range(256)])
 _DIGIT_TYPECODES = {2: "H", 4: "I", 8: "Q"}
 
 
 def _use_convolution(size: int, diameter: int) -> bool:
-    return diameter * diameter <= _CONV_PAIR_FACTOR * size**3 + _CONV_SLACK
+    return diameter * diameter <= _CONV_PAIR_FACTOR * size * size * size + _CONV_SLACK
 
 
-def _pair_sums_pairwise(els: tuple[int, ...]) -> tuple[int, int, int]:
+def _pair_sums_pairwise(els: Sequence[int]) -> tuple[int, int, int]:
     sums = Counter([x + y for i, x in enumerate(els) for y in els[i:]])
     diffs = Counter([y - x for i, x in enumerate(els) for y in els[i + 1 :]])
     return (
         sum(c * c for c in sums.values()),
         sum(c * c for c in diffs.values()),
-        sum(sums[2 * x] for x in els),
+        # r_2a = 2 u_2a - 1 ordered pairs: (a, a) and both orders of the rest
+        2 * sum(sums[2 * x] for x in els) - len(els),
     )
 
 
@@ -339,49 +345,65 @@ def _spread(digits: bytearray, width: int) -> bytearray:
     return out
 
 
-def _pair_sums_by_digits(els: tuple[int, ...]) -> tuple[int, int, int]:
-    # digit e of p is [min A + e in A]; r mirrors it, p2 doubles its spacing
+def _pair_sums_by_digits(els: Sequence[int], lo: int, d: int) -> tuple[int, int, int]:
+    # els in any order, lo = min A and d = max A - lo; digit e of p is
+    # [lo + e in A], and r mirrors it
     n = len(els)
-    lo = els[0]
-    d = els[-1] - lo
-    # less the centre digit D_0 = n, every digit read out is at most
-    # max(n - 1, ceil(n/2)), so n <= 256^width
-    width = 1 if n <= 256 else next(w for w in _DIGIT_TYPECODES if n <= 256**w)
+    # digit d of p*p loses one pair; then every digit read out is at most
+    # n - 1, which one byte holds up to n = 256; a wider digit also holds
+    # the n its halving below may reach
+    width = 1 if n <= 256 else next(w for w in _DIGIT_TYPECODES if n < 256**w)
     one = bytearray(d + 1)
     for x in els:
         one[x - lo] = 1
-    two = bytearray(2 * d + 1)
-    two[::2] = one
-    if width > 1:  # each digit spreads over width bytes
-        one, two = _spread(one, width), _spread(two, width)
-    p = int.from_bytes(one, "little")
-    p2 = int.from_bytes(two, "little")
-    # read big-endian, the digits run mirrored, each 1 in its digit's top byte
-    r = int.from_bytes(one, "big") >> 8 * (width - 1)
-    # digit s: unordered pairs {x <= y} with sum 2 min A + s; digit d + k:
-    # ordered pairs at difference k.  Digits d - k and d + k are equal, so
-    # only k >= 1 is read; the centre's n pairs (x, x) come off first, as n
-    # itself may not fit one digit
-    size = (2 * d + 1) * width
-    u = ((p * p + p2) >> 1).to_bytes(size, "little")
-    diffs = ((p * r - (n << 8 * width * d)) >> 8 * width * (d + 1)).to_bytes(
+    if width == 1:
+        digits = one
+        r = int.from_bytes(one, "big")
+    else:  # each digit spreads over width bytes
+        digits = _spread(one, width)
+        # read big-endian, the digits run mirrored, each 1 in its top byte
+        r = int.from_bytes(digits, "big") >> 8 * (width - 1)
+    p = int.from_bytes(digits, "little")
+    # digit s of p*p: r_s ordered pairs (x, y) with sum 2 lo + s.  r_s <= n,
+    # with equality only at s = d (A = 2 lo + s - A forces s = d), and digit d
+    # holds at least the pair (max, min), which comes off so that n = 256
+    # stays on one byte; digit d + k of p*r: ordered pairs at difference k.
+    # Digits d - k and d + k are equal, so only k >= 1 is read; the centre's
+    # n pairs (x, x) come off first, as n itself may not fit one digit
+    centre = 8 * width * d
+    pp = p * p - (1 << centre)
+    sums = pp.to_bytes((2 * d + 1) * width, "little")
+    diffs = ((p * r - (n << centre)) >> centre + 8 * width).to_bytes(
         d * width, "little"
     )
-    if width == 1:
-        sq_sums = sum(u.translate(_SQ_LO))
-        sq_diffs = sum(diffs.translate(_SQ_LO))
-        if n > 16:  # a digit past 15 has a two-byte square
-            sq_sums += sum(u.translate(_SQ_HI)) << 8
-            sq_diffs += sum(diffs.translate(_SQ_HI)) << 8
+    # (x, y) and (y, x) pair up unless x = y, so r_s is odd exactly when
+    # s = 2(a - lo) for a in A, and u_s, the pairs {x <= y}, is ceil(r_s / 2)
+    if width == 1:  # zero digits, most of a sparse window's, are dropped
+        sq_sums = sum(sums.translate(_HALF_SQ_LO, b"\0"))
+        sq_diffs = sum(diffs.translate(_SQ_LO, b"\0"))
+        if n > 16:  # a digit past 15 (past 30 halved) has a two-byte square
+            sq_sums += sum(sums.translate(_HALF_SQ_HI, b"\0")) << 8
+            sq_diffs += sum(diffs.translate(_SQ_HI, b"\0")) << 8
     else:
         code = _DIGIT_TYPECODES[width]
-        u, diffs = array(code, u), array(code, diffs)
+        # digit by digit, ceil(r / 2) = (r + (r & 1)) >> 1: each digit is made
+        # even, so the shift moves no bit into the digit below
+        ones = int.from_bytes((b"\1" + bytes(width - 1)) * (2 * d + 1), "little")
+        half = (pp + (pp & ones)) >> 1
+        half = array(code, half.to_bytes(len(sums), "little"))
+        sums, diffs = array(code, sums), array(code, diffs)
         if sys.byteorder == "big":
-            u.byteswap()
+            half.byteswap()
+            sums.byteswap()
             diffs.byteswap()
-        sq_sums = sum(map(mul, u, u))
+        sq_sums = sum(map(mul, half, half))
         sq_diffs = sum(map(mul, diffs, diffs))
-    return sq_sums, sq_diffs, sum([u[2 * (x - lo)] for x in els])
+    t = sum([sums[2 * (x - lo)] for x in els])  # r_2(a - lo) for a in A
+    mid = sums[d]  # r_d - 1
+    if not mid & 1:  # r_d is odd: d = 2(a - lo), a the midpoint of min and max
+        sq_sums += mid + 1  # ceil((mid + 1) / 2)^2 - ceil(mid / 2)^2
+        t += 1
+    return sq_sums, sq_diffs, t
 
 
 def equal_pair_counts(a: IntSet) -> tuple[int, int, int]:
@@ -392,35 +414,46 @@ def equal_pair_counts(a: IntSet) -> tuple[int, int, int]:
     share a positive difference.  Midpoint triples: T = #{(x, y, a) in A^3 :
     x + y = 2a}.  Each comes from its own representation function, never from
     another through the additive-energy identity: with u_s the pairs {x <= y}
-    summing to s and D_k the pairs x < y at difference k, the kernel sums
-    u_s^2, D_k^2 and u_2a over a in A, from one Counter pass over the pairs
-    or, for a small window, by Kronecker substitution: A - min A becomes
-    p = sum 256^e, so p*p and p*mirror(p) hold the counts as one-byte digits
-    (wider past 256 elements), each squared through a table.  The digits of
-    p*mirror(p) mirror about its centre, so only those above it, the D_k at
-    k >= 1, are read.
+    summing to s, r_s the ordered pairs and D_k the pairs x < y at difference
+    k, the kernel sums u_s^2, D_k^2 and r_2a over a in A, from one Counter
+    pass over the pairs or, for a small window, by Kronecker substitution:
+    A - min A becomes p = sum 256^e, so p*p and p*mirror(p) hold r_s and D_k
+    as one-byte digits (wider past 256 elements).  The pairs (x, y) and
+    (y, x) match up unless x = y, so r_s is odd exactly when s/2 is in A and
+    u_s = ceil(r_s / 2): the u_s^2 come from p*p's digits through a table of
+    ceil(i/2)^2, and T reads the same digits at 2a, so a wrong table moves
+    ESP and not T.  Only the middle digit of p*p, at max A + min A, can reach
+    |A|; one pair comes off it before the readout and its share is added
+    back.  The digits of p*mirror(p) mirror about its centre, so only those
+    above it, the D_k at k >= 1, are read, each squared through a table.
     """
     a._require_nonempty()
-    return pair_counts_of(a.elements)
+    els = a.elements
+    return _pair_counts(els, els[0], els[-1] - els[0])
 
 
 def pair_counts_of(els: Sequence[int]) -> tuple[int, int, int]:
-    """`equal_pair_counts` of the nonempty, strictly increasing integers els.
+    """`equal_pair_counts` of the nonempty, distinct integers els, in any order.
 
-    The verifier corpora call this with tuples and mask decodes, no IntSet.
+    The verifier corpora call this with mask decodes and unsorted random
+    draws, no IntSet.  The digit kernel needs only min and max; the pairwise
+    path sorts for itself.
     """
+    lo = min(els)
+    return _pair_counts(els, lo, max(els) - lo)
+
+
+def _pair_counts(els: Sequence[int], lo: int, d: int) -> tuple[int, int, int]:
     n = len(els)
-    d = els[-1] - els[0]
-    if not _use_convolution(n, d):
-        sq_sums, sq_diffs, doubles = _pair_sums_pairwise(els)
+    if _use_convolution(n, d):
+        sq_sums, sq_diffs, t = _pair_sums_by_digits(els, lo, d)
     else:
-        sq_sums, sq_diffs, doubles = _pair_sums_by_digits(els)
-    # sum u_s = n(n+1)/2 and sum D_k = n(n-1)/2; the u_2a - 1 pairs x < y with
-    # midpoint a give two ordered triples each, and (a, a, a) one more
+        sq_sums, sq_diffs, t = _pair_sums_pairwise(sorted(els))
+    # sum u_s = n(n+1)/2 and sum D_k = n(n-1)/2
     return (
         (sq_sums - n * (n + 1) // 2) // 2,
         (sq_diffs - n * (n - 1) // 2) // 2,
-        2 * doubles - n,
+        t,
     )
 
 
@@ -452,23 +485,29 @@ def mask_sizes(mask: int) -> tuple[int, int]:
 
 def sizes_of(xs: Sequence[int]) -> tuple[int, int]:
     """(|A+A|, |A-A|) of the set of the integers xs, in any order, repeats allowed."""
-    return _sum_diff_of(xs)[0]
+    return _sum_diff_of(xs, keep=False)[0]
 
 
-def _sum_diff_of(xs: Sequence[int]) -> tuple:
+def _sum_diff_of(xs: Sequence[int], keep: bool = True) -> tuple:
     """((|A+A|, |A-A|), mask, sums, diffs) of the set of the integers xs.
 
     xs may come in any order, with repeats.  Over a window that passes the
     dense gate, ``mask`` is A - min A, ``sums`` A+A - 2 min A and ``diffs``
     the nonnegative half of A-A, all bitmasks.  Over a wider one, ``mask`` is
     None and ``sums`` (A+A) and ``diffs`` (the positive differences) are
-    tuples in set order, unsorted.  The gate is checked before any mask is
-    built, so a window too wide for the dense kernel costs no big int.
+    tuples in set order, unsorted: a tuple holds a set's members in about a
+    quarter of the set's memory.  With ``keep`` false, for a caller that
+    keeps nothing, they are the sets they are counted from, with no copy.
+    The gate is checked before any mask is built, so a window too wide for
+    the dense kernel costs no big int.
     """
     lo = min(xs)
     if not _use_dense(len(xs), max(xs) - lo):
         els = sorted(set(xs))
-        sums, diffs = tuple(_pair_sums(els)), tuple(_positive_diffs(els))
+        if keep:  # each set goes before the next is built
+            sums, diffs = tuple(_pair_sums(els)), tuple(_positive_diffs(els))
+        else:
+            sums, diffs = _pair_sums(els), _positive_diffs(els)
         return (len(sums), 2 * len(diffs) + 1), None, sums, diffs
     mask = 0
     for x in xs:

@@ -296,10 +296,13 @@ def _translation_masks(max_diameter: int) -> range:
 
 
 def random_corpus(trials: int, seed: int = DEFAULT_SEED) -> Iterator[IntSet]:
-    """Seeded random sets: uniform size, then uniform distinct elements."""
+    """Seeded random sets: uniform size, then uniform distinct elements.
+
+    The sets of `_random_tuples`, each sorted into an IntSet.
+    """
     if trials < 0:
         raise ValueError(f"need trials >= 0, got {trials}")
-    return map(IntSet, _random_tuples(trials, seed))
+    return map(IntSet.from_iterable, _random_tuples(trials, seed))
 
 
 def _sample_uses_pool(n: int, k: int) -> bool:
@@ -312,12 +315,13 @@ def _sample_uses_pool(n: int, k: int) -> bool:
 
 
 def _random_tuples(trials: int, seed: int) -> Iterator[tuple[int, ...]]:
-    """Per trial, ``sorted(rng.sample(window, rng.randint(1, max size)))``.
+    """Per trial, the set of ``rng.sample(window, rng.randint(1, max size))``.
 
     ``rng`` is ``random.Random(seed)``.  The draws call its ``getrandbits``
     directly, with ``_randbelow``'s rejection steps and the method ``sample``
     picks, so the sets are the stdlib's without its three or four Python
-    frames per draw.
+    frames per draw.  Each comes unsorted, as the pool method draws it or as
+    the set method's set iterates: `pair_counts_of` takes any order.
     """
     lo, hi = RANDOM_SET_WINDOW
     n = hi - lo + 1
@@ -330,6 +334,11 @@ def _random_tuples(trials: int, seed: int) -> Iterator[tuple[int, ...]]:
     n_bits = n.bit_length()
     universe = list(range(lo, hi + 1))
     uses_pool = [_sample_uses_pool(n, k) for k in range(RANDOM_SET_MAX_SIZE + 1)]
+    # the pool method's k steps: pool[:m] is not yet picked, m has bits bits
+    steps = [
+        tuple((m, m.bit_length()) for m in range(n, n - k, -1))
+        for k in range(RANDOM_SET_MAX_SIZE + 1)
+    ]
     for _ in range(trials):
         k = getrandbits(size_bits)
         while k >= RANDOM_SET_MAX_SIZE:
@@ -338,8 +347,7 @@ def _random_tuples(trials: int, seed: int) -> Iterator[tuple[int, ...]]:
         if uses_pool[k]:
             pool = universe[:]
             picked = []
-            for m in range(n, n - k, -1):  # pool[:m] is not yet picked
-                bits = m.bit_length()
+            for m, bits in steps[k]:
                 j = getrandbits(bits)
                 while j >= m:
                     j = getrandbits(bits)
@@ -351,7 +359,7 @@ def _random_tuples(trials: int, seed: int) -> Iterator[tuple[int, ...]]:
                 j = getrandbits(n_bits)
                 if j < n:
                     picked.add(lo + j)
-        yield tuple(sorted(picked))
+        yield tuple(picked)
 
 
 def verify_observation6(
@@ -385,7 +393,7 @@ def verify_observation6(
             total_t += t
             if 2 * (2 * esp - edp) != t - len(els):
                 report.add_violation(
-                    IntSet(tuple(els)),
+                    IntSet.from_iterable(els),
                     f"{label} #{i}: 2*ESP-EDP={2 * esp - edp}, T={t}",
                 )
     report.notes.append(

@@ -35,6 +35,7 @@ from mstd.setcore import (
     _use_convolution,
     _use_dense,
     mask_sizes,
+    pair_counts_of,
     sizes_of,
 )
 from mstd.structure import equal_diff_pairs, equal_sum_pairs
@@ -68,9 +69,10 @@ small_sets = st.builds(
 @st.composite
 def wide_dense_sets(draw):
     # |A| <= 300 in a window of up to 4,096 at any offset, decoded from sum
-    # masks of up to 8,191 bits
+    # masks of up to 8,191 bits; at least one element per 512 bits of window
+    # keeps it inside the dense gate
     width = draw(st.integers(1, 4096))
-    n = draw(st.integers(1, min(300, width)))
+    n = draw(st.integers(-(-width // 512), min(300, width)))
     lo = draw(st.integers(-8192, 8192))
     xs = draw(st.randoms(use_true_random=False)).sample(range(lo, lo + width), n)
     return IntSet.from_iterable(xs)
@@ -201,10 +203,16 @@ def test_pair_counts_pairwise_path_matches_naive(a):
     assert equal_pair_counts(a) == _naive_pair_counts(a.elements)
 
 
+def _by_digits(els):
+    # the digit kernel on els in any order, with the ends pair_counts_of finds
+    lo = min(els)
+    return _pair_sums_by_digits(els, lo, max(els) - lo)
+
+
 @given(int_sets)
 def test_pair_count_paths_agree(a):
     els = a.elements
-    assert _pair_sums_by_digits(els) == _pair_sums_pairwise(els)
+    assert _by_digits(els) == _pair_sums_pairwise(els)
 
 
 def _width_edge_sets():
@@ -234,12 +242,51 @@ def test_pair_counts_at_digit_width_edges(els):
     assert equal_pair_counts(IntSet(els)) == want
 
 
+@given(st.one_of(int_sets, wide_sets), st.randoms(use_true_random=False))
+def test_pair_counts_take_any_order(a, rng):
+    # obs6 hands the kernel its random draws unsorted
+    els = list(a.elements)
+    rng.shuffle(els)
+    want = pair_counts_of(a.elements)
+    assert pair_counts_of(els) == pair_counts_of(tuple(els)) == want
+    assert pair_counts_of(a.elements[::-1]) == want
+    if _use_convolution(len(a), a.diameter):
+        assert _by_digits(els) == _by_digits(a.elements)
+
+
+def _symmetric_sets():
+    # A = c - A puts all |A| ordered pairs on the middle sum, min A + max A:
+    # the one digit of p*p that reaches |A|, 256 on one byte at |A| = 256
+    rng = random.Random(32)
+    sets = {(0,): None, tuple(range(10**9, 10**9 + 17)): None}  # an AP far from 0
+    for n in [*range(2, 18), 255, 256, 257]:
+        for span in (n, 2 * n, 4 * n):
+            half = rng.sample(range(1, span + 1), n // 2)
+            mid = [0] if n % 2 else []
+            sets[tuple(sorted([*(-x for x in half), *mid, *half]))] = None
+    return list(sets)
+
+
+@pytest.mark.parametrize(
+    "els", _symmetric_sets(), ids=lambda els: f"n{len(els)}@{els[0]}..{els[-1]}"
+)
+def test_pair_counts_of_symmetric_sets(els):
+    assert is_symmetric(IntSet(els)) is not None
+    assert _use_convolution(len(els), els[-1] - els[0])
+    assert _by_digits(els) == _pair_sums_pairwise(els)
+    want = tallied_pair_counts(els)
+    if len(els) <= 17:
+        assert _naive_pair_counts(els) == want
+    assert pair_counts_of(els[::-1]) == equal_pair_counts(IntSet(els)) == want
+
+
 @pytest.mark.parametrize("n", [255, 256, 257])
 def test_digit_width_holds_every_count(n):
-    # less D_0 = n, an AP's digits peak at D_1 = n - 1: one byte each holds
-    # every count up to 256 elements, and 257 takes two
+    # less D_0 = n, an AP's digits peak at D_1 = n - 1, and less the pair
+    # taken off its middle sum, at r = n - 1: one byte each holds every count
+    # up to 256 elements, and 257 takes two
     els = tuple(range(n))
-    assert _pair_sums_by_digits(els) == _pair_sums_pairwise(els)
+    assert _by_digits(els) == _pair_sums_pairwise(els)
     esp, edp, t = equal_pair_counts(IntSet(els))
     assert edp == sum((n - k) * (n - k - 1) // 2 for k in range(1, n))
     assert t == sum(2 * min(a, n - 1 - a) + 1 for a in range(n))
@@ -248,7 +295,7 @@ def test_digit_width_holds_every_count(n):
 def test_pair_count_paths_agree_at_size_256():
     # the interactive size class: 256 elements on a window of 1024
     els = tuple(sorted(random.Random(256).sample(range(1024), 256)))
-    assert _pair_sums_by_digits(els) == _pair_sums_pairwise(els)
+    assert _by_digits(els) == _pair_sums_pairwise(els)
     esp, edp, t = equal_pair_counts(IntSet(els))
     doubles = {2 * z for z in els}
     assert t == sum(1 for x in els for y in els if x + y in doubles)

@@ -414,6 +414,26 @@ class TestObservation6:
         assert [v["set"] for v in report.violations] == ["0,1,2,4"]
         assert report.violations[0]["context"].startswith("exhaustive #")
 
+    def test_one_extra_midpoint_triple_fails(self, monkeypatch):
+        # T is read apart from ESP, so a wrong T fails the identity; the
+        # random draw comes unsorted, and its witness is the sorted set
+        from mstd import verify
+
+        draw = next(verify._random_tuples(1, 7))
+        target = tuple(sorted(draw))
+        assert draw != target
+        real = verify.pair_counts_of
+
+        def skewed(els):
+            esp, edp, t = real(els)
+            return esp, edp, (t + 2 if tuple(sorted(els)) == target else t)
+
+        monkeypatch.setattr(verify, "pair_counts_of", skewed)
+        report = verify_observation6(1, seed=7)
+        assert not report.passed
+        assert [v["set"] for v in report.violations] == [str(IntSet(target))]
+        assert report.violations[0]["context"].startswith("random #0: ")
+
     def test_rejects_negative_max_diameter(self):
         # the corpus held {0}, of diameter 0, under the label "diameter<=-1"
         with pytest.raises(ValueError, match="max_diameter >= 0"):
@@ -464,7 +484,9 @@ class TestObservation6:
             tuple(sorted(rng.sample(universe, rng.randint(1, 12))))
             for _ in range(20_000)
         ]
-        assert list(verify._random_tuples(20_000, seed)) == expected
+        # the draws come unsorted; each is the stdlib's set
+        got = [tuple(sorted(t)) for t in verify._random_tuples(20_000, seed)]
+        assert got == expected
 
     def test_random_tuples_refuse_a_window_below_the_max_size(self, monkeypatch):
         monkeypatch.setattr(verify, "RANDOM_SET_WINDOW", (0, 10))
