@@ -207,8 +207,8 @@ def _cmd_explain(args) -> int:
     if args.json:
         payload = {
             "set": str(a),
-            "gaps": list(gaps),
-            "difference_table": [list(r) for r in table],
+            "gaps": gaps,
+            "difference_table": table,
         }
         print(render_json(payload))
     else:

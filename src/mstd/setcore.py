@@ -614,19 +614,35 @@ def detect_ap(a: IntSet) -> Optional[APSpec]:
 
 
 def profile(a: IntSet) -> SetProfile:
-    """Aggregate classification, pair counts, symmetry and AP structure."""
+    """Aggregate classification, pair counts, symmetry and AP structure.
+
+    Three exact facts read off (|A+A|, |A-A|) decide which scans can find
+    anything, for n = |A|:
+    - |A+A| = n(n+1)/2 exactly when A is a Sidon set (every sum a + b,
+      a <= b, is distinct), and then no two index pairs share a sum or a
+      positive difference: ESP = EDP = 0 with no pair count;
+    - A = c - A gives A+A = c + (A-A), so only a set with |A+A| = |A-A|
+      can be symmetric;
+    - |A+A| >= 2n - 1, with equality exactly when A is an arithmetic
+      progression (Freiman's 2k - 1 bound), so only then can the gap scan
+      find one.
+    """
     nsum, ndiff = sum_diff_sizes(a)
-    esp, edp, _ = equal_pair_counts(a)
+    n = len(a)
+    if nsum == n * (n + 1) // 2:
+        esp = edp = 0
+    else:
+        esp, edp, _ = equal_pair_counts(a)
     return SetProfile(
-        size=len(a),
+        size=n,
         sum_size=nsum,
         diff_size=ndiff,
         set_class=SetClass.from_sizes(nsum, ndiff),
         equal_sum_pairs=esp,
         equal_diff_pairs=edp,
         diameter=a.diameter,
-        symmetry_center=is_symmetric(a),
-        ap=detect_ap(a),
+        symmetry_center=is_symmetric(a) if nsum == ndiff else None,
+        ap=detect_ap(a) if nsum == 2 * n - 1 else None,
     )
 
 

@@ -27,6 +27,7 @@ from mstd import (
     sum_diff_sizes,
     sumset,
 )
+from mstd import setcore
 from mstd.search import _shifted_union_sizes
 from mstd.setcore import (
     _bit_indices,
@@ -41,6 +42,7 @@ from mstd.setcore import (
 from mstd.structure import equal_diff_pairs, equal_sum_pairs
 from mstd.verify import _symmetric_masks, random_corpus
 from conftest import (
+    A1,
     naive_diffset,
     naive_equal_diff_pairs,
     naive_equal_sum_pairs,
@@ -331,6 +333,66 @@ def test_profile_invariant_under_dilation(a, c):
     p, q = profile(a), profile(IntSet.from_iterable(c * e for e in a))
     assert (p.sum_size, p.diff_size, p.set_class) == (q.sum_size, q.diff_size, q.set_class)
     assert (p.equal_sum_pairs, p.equal_diff_pairs) == (q.equal_sum_pairs, q.equal_diff_pairs)
+
+
+@settings(deadline=None)
+@given(st.one_of(int_sets, wide_dense_sets(), wide_sets))
+def test_profile_reads_what_the_scans_find(a):
+    # profile skips each scan that |A+A| and |A-A| show can find nothing
+    p = profile(a)
+    got = (p.equal_sum_pairs, p.equal_diff_pairs), p.symmetry_center, p.ap
+    assert got == (equal_pair_counts(a)[:2], is_symmetric(a), detect_ap(a))
+
+
+# the greedy Sidon sequence (OEIS A005282)
+_MIAN_CHOWLA = (
+    1, 2, 4, 8, 13, 21, 31, 45, 66, 81, 97, 123, 148, 182, 204, 252, 290, 361, 401, 475
+)
+_STEP = 1 << 30
+# Sidon sets, symmetric sets, short APs, sets near an AP and sum-dominant
+# sets, on dense and wide windows
+_PROFILED = {
+    "powers-of-two-to-2^10": tuple(1 << k for k in range(11)),
+    "powers-of-two-to-2^40": tuple(1 << k for k in range(41)),
+    "mian-chowla-5": _MIAN_CHOWLA[:5],
+    "mian-chowla-20": _MIAN_CHOWLA,
+    "symmetric-pair": (0, 1),
+    "symmetric-dense": (-3, -1, 0, 1, 3),
+    "symmetric-wide": (0, 1, 10**9 - 1, 10**9),
+    "ap-1": (7,),
+    "ap-2": (-7, _STEP - 7),
+    "ap-3": (-7, _STEP - 7, 2 * _STEP - 7),
+    # |A+A| = 10 = |A|(|A|-1)/2 at |A| = 5, one short of the Sidon bound
+    "ap-plus-one-5": (0, 1, 2, 3, 5),
+    "ap-plus-one-6": (0, 1, 2, 3, 4, 6),
+    "ap-plus-one-wide": tuple(10**9 * x for x in (0, 1, 2, 3, 5)),
+    "ap-plus-far-one": (0, 1, 2, 3, 10**9),
+    "3-ap-spanning-2^30": (0, _STEP >> 1, _STEP),
+    "3-ap-plus-far-one": (0, 1, 2, _STEP),
+    "sum-dominant": A1,
+    "sum-dominant-wide": tuple(_STEP * x for x in A1),
+}
+
+
+@pytest.mark.parametrize("els", _PROFILED.values(), ids=_PROFILED)
+def test_profile_scans_only_what_the_sizes_leave_open(monkeypatch, els):
+    a = IntSet(els)
+    want = equal_pair_counts(a)[:2], is_symmetric(a), detect_ap(a)
+    gaps = {y - x for x, y in zip(els, els[1:])}
+    scans = {
+        "equal_pair_counts": naive_equal_sum_pairs(els) > 0,  # not Sidon
+        "is_symmetric": len(naive_sumset(els)) == len(naive_diffset(els)),
+        "detect_ap": len(gaps) <= 1,
+    }
+    ran = []
+    for name in scans:
+        real = getattr(setcore, name)
+        monkeypatch.setattr(
+            setcore, name, lambda b, name=name, real=real: ran.append(name) or real(b)
+        )
+    p = profile(IntSet(els))
+    assert ((p.equal_sum_pairs, p.equal_diff_pairs), p.symmetry_center, p.ap) == want
+    assert ran == [name for name, runs in scans.items() if runs]
 
 
 @given(int_sets)
