@@ -8,12 +8,14 @@ A set given by its elements goes pairwise, |A|^2 / 2 hashed visits, when its
 window exceeds a fixed number of bits per element; a built mask always runs
 dense.  A mask is decoded in one pass over its binary digits, so `sumset` and
 `diffset` decode one only if it has no more bits than pairs.
-Equal-sum and equal-difference pair counts likewise convolve the window by
+Equal-sum and equal-difference pair counts likewise convolve a window by
 big-int multiplication (Kronecker substitution), one byte per count up to 256
-elements, or count the pairs; they take the elements in any order.  p*p
+elements, or count the pairs; they take the elements in any order, and a run
+of sets inside one window, such as a verifier corpus, shares its setup.  p*p
 holds the ordered pairs r_s per sum, and since (x, y) and (y, x) match up
 unless x = y, the unordered count is ceil(r_s / 2), read through a table.
-Only the middle sum, min + max, can hold |A| pairs; one comes off it first.
+Only the middle sum, min + max, can hold |A| pairs; below 256 elements a
+byte holds them, and from 256 on one pair comes off it first.
 `sizes_of` and an IntSet's first count share one builder.  An IntSet keeps
 what it builds, outside ==, hash, repr and asdict: its sizes, and A+A and
 A-A as bitmasks over a dense window (with the element mask) or as unsorted
@@ -34,7 +36,7 @@ from functools import cached_property
 from math import gcd, lcm
 from numbers import Rational
 from operator import index, lt, mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 class EmptySetError(ValueError):
@@ -246,6 +248,10 @@ class SetProfile:
 
 
 def _parse_tokens(text: str, allow_rational: bool):
+    try:  # int strips whitespace itself; a p/q token or a bad one takes the loop
+        return list(map(int, text.split(",")))
+    except ValueError:
+        pass
     vals = []
     for i, tok in enumerate(text.split(","), start=1):
         tok = tok.strip()
@@ -345,65 +351,97 @@ def _spread(digits: bytearray, width: int) -> bytearray:
     return out
 
 
-def _pair_sums_by_digits(els: Sequence[int], lo: int, d: int) -> tuple[int, int, int]:
-    # els in any order, lo = min A and d = max A - lo; digit e of p is
-    # [lo + e in A], and r mirrors it
-    n = len(els)
-    # digit d of p*p loses one pair; then every digit read out is at most
-    # n - 1, which one byte holds up to n = 256; a wider digit also holds
-    # the n its halving below may reach
-    width = 1 if n <= 256 else next(w for w in _DIGIT_TYPECODES if n < 256**w)
-    one = bytearray(d + 1)
-    for x in els:
-        one[x - lo] = 1
-    if width == 1:
-        digits = one
-        r = int.from_bytes(one, "big")
-    else:  # each digit spreads over width bytes
-        digits = _spread(one, width)
-        # read big-endian, the digits run mirrored, each 1 in its top byte
-        r = int.from_bytes(digits, "big") >> 8 * (width - 1)
-    p = int.from_bytes(digits, "little")
-    # digit s of p*p: r_s ordered pairs (x, y) with sum 2 lo + s.  r_s <= n,
-    # with equality only at s = d (A = 2 lo + s - A forces s = d), and digit d
-    # holds at least the pair (max, min), which comes off so that n = 256
-    # stays on one byte; digit d + k of p*r: ordered pairs at difference k.
-    # Digits d - k and d + k are equal, so only k >= 1 is read; the centre's
-    # n pairs (x, x) come off first, as n itself may not fit one digit
-    centre = 8 * width * d
-    pp = p * p - (1 << centre)
-    sums = pp.to_bytes((2 * d + 1) * width, "little")
-    diffs = ((p * r - (n << centre)) >> centre + 8 * width).to_bytes(
-        d * width, "little"
-    )
-    # (x, y) and (y, x) pair up unless x = y, so r_s is odd exactly when
-    # s = 2(a - lo) for a in A, and u_s, the pairs {x <= y}, is ceil(r_s / 2)
-    if width == 1:  # zero digits, most of a sparse window's, are dropped
-        sq_sums = sum(sums.translate(_HALF_SQ_LO, b"\0"))
-        sq_diffs = sum(diffs.translate(_SQ_LO, b"\0"))
-        if n > 16:  # a digit past 15 (past 30 halved) has a two-byte square
-            sq_sums += sum(sums.translate(_HALF_SQ_HI, b"\0")) << 8
-            sq_diffs += sum(diffs.translate(_SQ_HI, b"\0")) << 8
-    else:
-        code = _DIGIT_TYPECODES[width]
-        # digit by digit, ceil(r / 2) = (r + (r & 1)) >> 1: each digit is made
-        # even, so the shift moves no bit into the digit below
-        ones = int.from_bytes((b"\1" + bytes(width - 1)) * (2 * d + 1), "little")
-        half = (pp + (pp & ones)) >> 1
-        half = array(code, half.to_bytes(len(sums), "little"))
-        sums, diffs = array(code, sums), array(code, diffs)
-        if sys.byteorder == "big":
-            half.byteswap()
-            sums.byteswap()
-            diffs.byteswap()
-        sq_sums = sum(map(mul, half, half))
-        sq_diffs = sum(map(mul, diffs, diffs))
-    t = sum([sums[2 * (x - lo)] for x in els])  # r_2(a - lo) for a in A
-    mid = sums[d]  # r_d - 1
-    if not mid & 1:  # r_d is odd: d = 2(a - lo), a the midpoint of min and max
-        sq_sums += mid + 1  # ceil((mid + 1) / 2)^2 - ceil(mid / 2)^2
-        t += 1
-    return sq_sums, sq_diffs, t
+def pair_counter(lo: int, d: int) -> Callable[[Sequence[int]], tuple[int, int, int]]:
+    """The `equal_pair_counts` of each set inside the window [lo, lo + d].
+
+    The counter takes the nonempty, distinct elements of a set in any order,
+    each in the window (unchecked); the window-level work is done once, so a
+    run of sets that share a window, such as a verifier corpus, pays it once.
+    Below 256 elements no digit of p*p exceeds |A| <= 255, so min and max are
+    never read; at 256 and past, the pair (max, min) comes off the middle sum.
+    """
+    if d < 0:
+        raise ValueError(f"need d >= 0, got {d}")
+    size = d + 1
+    nsums = 2 * d + 1
+    above = 8 * size  # digit d + 1 of p*mirror(p) on, at one byte per digit
+    gated = d * d > _CONV_SLACK  # else every set convolves
+    from_bytes = int.from_bytes
+    half_lo, half_hi, sq_lo, sq_hi = _HALF_SQ_LO, _HALF_SQ_HI, _SQ_LO, _SQ_HI
+
+    def count(els):
+        n = len(els)
+        if gated and not _use_convolution(n, d):
+            sq_sums, sq_diffs, t = _pair_sums_pairwise(sorted(els))
+        else:
+            # digit e of p is [lo + e in A], and mirror(p) mirrors it
+            one = bytearray(size)
+            for x in els:
+                one[x - lo] = 1
+            if n < 256:  # r_s <= n and D_k <= n fit one byte: nothing comes off
+                width = 1
+                p = from_bytes(one, "little")
+                sums = (p * p).to_bytes(nsums, "little")
+                diffs = (p * from_bytes(one, "big") >> above).to_bytes(d, "little")
+            else:
+                # r_s <= n, with equality only at the middle sum, min + max
+                # (A = min + max - A); it holds at least the pair (max, min),
+                # which comes off so that n = 256 stays on one byte.  A wider
+                # digit also holds the n its halving below may reach
+                m = one.index(1) + one.rindex(1)  # min + max - 2 lo
+                width = 1
+                if n > 256:  # each digit spreads over width bytes
+                    width = next(w for w in _DIGIT_TYPECODES if n < 256**w)
+                digits = one if width == 1 else _spread(one, width)
+                # read big-endian, the digits run mirrored, each 1 in its top byte
+                r = from_bytes(digits, "big") >> 8 * (width - 1)
+                p = from_bytes(digits, "little")
+                pp = p * p - (1 << 8 * width * m)
+                sums = pp.to_bytes(nsums * width, "little")
+                # the centre's n pairs (x, x) come off, as n may not fit one digit
+                centre = 8 * width * d
+                diffs = ((p * r - (n << centre)) >> centre + 8 * width).to_bytes(
+                    d * width, "little"
+                )
+            # digit s of p*p: r_s ordered pairs (x, y) with sum 2 lo + s; (x, y)
+            # and (y, x) pair up unless x = y, so r_s is odd exactly when
+            # s = 2(a - lo) for a in A, and u_s, the pairs {x <= y}, is
+            # ceil(r_s / 2).  Digit d + k of p*mirror(p): pairs at difference
+            # k, the same as digit d - k, so only k >= 1 is read
+            if width == 1:  # zero digits, most of a sparse window's, are dropped
+                sq_sums = sum(sums.translate(half_lo, b"\0"))
+                sq_diffs = sum(diffs.translate(sq_lo, b"\0"))
+                if n > 16:  # a digit past 15 (past 30 halved) has a two-byte square
+                    sq_sums += sum(sums.translate(half_hi, b"\0")) << 8
+                    sq_diffs += sum(diffs.translate(sq_hi, b"\0")) << 8
+            else:
+                code = _DIGIT_TYPECODES[width]
+                # digit by digit, ceil(r / 2) = (r + (r & 1)) >> 1: each digit is
+                # made even, so the shift moves no bit into the digit below
+                ones = from_bytes((b"\1" + bytes(width - 1)) * nsums, "little")
+                half = (pp + (pp & ones)) >> 1
+                half = array(code, half.to_bytes(len(sums), "little"))
+                sums, diffs = array(code, sums), array(code, diffs)
+                if sys.byteorder == "big":
+                    half.byteswap()
+                    sums.byteswap()
+                    diffs.byteswap()
+                sq_sums = sum(map(mul, half, half))
+                sq_diffs = sum(map(mul, diffs, diffs))
+            t = sum([sums[2 * (x - lo)] for x in els])  # r_2(a - lo) for a in A
+            if n >= 256:
+                rm = sums[m]  # r_m - 1
+                if not rm & 1:  # r_m is odd: m = 2(a - lo), a midway from min to max
+                    sq_sums += rm + 1  # ceil((rm + 1) / 2)^2 - ceil(rm / 2)^2
+                    t += 1
+        # sum u_s = n(n+1)/2 and sum D_k = n(n-1)/2
+        return (
+            (sq_sums - n * (n + 1) // 2) // 2,
+            (sq_diffs - n * (n - 1) // 2) // 2,
+            t,
+        )
+
+    return count
 
 
 def equal_pair_counts(a: IntSet) -> tuple[int, int, int]:
@@ -423,38 +461,26 @@ def equal_pair_counts(a: IntSet) -> tuple[int, int, int]:
     u_s = ceil(r_s / 2): the u_s^2 come from p*p's digits through a table of
     ceil(i/2)^2, and T reads the same digits at 2a, so a wrong table moves
     ESP and not T.  Only the middle digit of p*p, at max A + min A, can reach
-    |A|; one pair comes off it before the readout and its share is added
-    back.  The digits of p*mirror(p) mirror about its centre, so only those
-    above it, the D_k at k >= 1, are read, each squared through a table.
+    |A|; from |A| = 256 on one pair comes off it before the readout and its
+    share is added back.  The digits of p*mirror(p) mirror about its centre,
+    so only those above it, the D_k at k >= 1, are read, each squared
+    through a table.  This is a one-set run of `pair_counter` over the hull
+    [min A, max A]; a verifier corpus runs one counter over a window that
+    holds all its sets.
     """
     a._require_nonempty()
     els = a.elements
-    return _pair_counts(els, els[0], els[-1] - els[0])
+    return pair_counter(els[0], els[-1] - els[0])(els)
 
 
 def pair_counts_of(els: Sequence[int]) -> tuple[int, int, int]:
     """`equal_pair_counts` of the nonempty, distinct integers els, in any order.
 
-    The verifier corpora call this with mask decodes and unsorted random
-    draws, no IntSet.  The digit kernel needs only min and max; the pairwise
-    path sorts for itself.
+    A one-set run of `pair_counter` over the hull [min, max]: no IntSet, no
+    sort (the pairwise path sorts for itself).
     """
     lo = min(els)
-    return _pair_counts(els, lo, max(els) - lo)
-
-
-def _pair_counts(els: Sequence[int], lo: int, d: int) -> tuple[int, int, int]:
-    n = len(els)
-    if _use_convolution(n, d):
-        sq_sums, sq_diffs, t = _pair_sums_by_digits(els, lo, d)
-    else:
-        sq_sums, sq_diffs, t = _pair_sums_pairwise(sorted(els))
-    # sum u_s = n(n+1)/2 and sum D_k = n(n-1)/2
-    return (
-        (sq_sums - n * (n + 1) // 2) // 2,
-        (sq_diffs - n * (n - 1) // 2) // 2,
-        t,
-    )
+    return pair_counter(lo, max(els) - lo)(els)
 
 
 def _pair_sums(els: Sequence[int]) -> set[int]:

@@ -27,7 +27,7 @@ from .setcore import (
     IntSet,
     _bit_indices,
     mask_sizes,
-    pair_counts_of,
+    pair_counter,
     sizes_of,
     sum_diff_sizes,
 )
@@ -321,7 +321,7 @@ def _random_tuples(trials: int, seed: int) -> Iterator[tuple[int, ...]]:
     directly, with ``_randbelow``'s rejection steps and the method ``sample``
     picks, so the sets are the stdlib's without its three or four Python
     frames per draw.  Each comes unsorted, as the pool method draws it or as
-    the set method's set iterates: `pair_counts_of` takes any order.
+    the set method's set iterates: `pair_counter` takes any order.
     """
     lo, hi = RANDOM_SET_WINDOW
     n = hi - lo + 1
@@ -382,14 +382,20 @@ def verify_observation6(
     )
     total_t = 0
     # the corpora of exhaustive_translation_corpus and random_corpus, as
-    # element sequences: an IntSet is built only for a violation
-    for label, corpus in (
-        ("exhaustive", map(_bit_indices, _translation_masks(max_diameter))),
-        ("random", _random_tuples(trials, seed)),
+    # element sequences, each counted in one run over the window that holds
+    # all its sets: an IntSet is built only for a violation
+    lo, hi = RANDOM_SET_WINDOW
+    for label, corpus, count in (
+        (
+            "exhaustive",
+            map(_bit_indices, _translation_masks(max_diameter)),
+            pair_counter(0, max_diameter),
+        ),
+        ("random", _random_tuples(trials, seed), pair_counter(lo, hi - lo)),
     ):
         for i, els in enumerate(corpus):
             report.cases += 1
-            esp, edp, t = pair_counts_of(els)
+            esp, edp, t = count(els)
             total_t += t
             if 2 * (2 * esp - edp) != t - len(els):
                 report.add_violation(

@@ -2,10 +2,13 @@
 
 import copy
 import dataclasses
+import functools
 import pickle
 import random
 from itertools import combinations
-from math import gcd
+from fractions import Fraction
+from math import gcd, inf
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -30,12 +33,12 @@ from mstd import (
 from mstd import setcore
 from mstd.search import _shifted_union_sizes
 from mstd.setcore import (
+    SetLiteralError,
     _bit_indices,
-    _pair_sums_by_digits,
-    _pair_sums_pairwise,
     _use_convolution,
     _use_dense,
     mask_sizes,
+    pair_counter,
     pair_counts_of,
     sizes_of,
 )
@@ -205,16 +208,27 @@ def test_pair_counts_pairwise_path_matches_naive(a):
     assert equal_pair_counts(a) == _naive_pair_counts(a.elements)
 
 
-def _by_digits(els):
-    # the digit kernel on els in any order, with the ends pair_counts_of finds
-    lo = min(els)
-    return _pair_sums_by_digits(els, lo, max(els) - lo)
+def _on_path(els, slack, lo=None, hi=None):
+    # the kernel over [lo, hi] (the hull of els by default), els in any
+    # order, with the convolution gate forced open (slack inf) or shut (-inf)
+    lo = min(els) if lo is None else lo
+    hi = max(els) if hi is None else hi
+    with patch.object(setcore, "_CONV_SLACK", slack):
+        return pair_counter(lo, hi - lo)(els)
+
+
+def _by_digits(els, lo=None, hi=None):
+    return _on_path(els, inf, lo, hi)
+
+
+def _pairwise(els):
+    return _on_path(els, -inf)
 
 
 @given(int_sets)
 def test_pair_count_paths_agree(a):
     els = a.elements
-    assert _by_digits(els) == _pair_sums_pairwise(els)
+    assert _by_digits(els) == _pairwise(els)
 
 
 def _width_edge_sets():
@@ -275,7 +289,7 @@ def _symmetric_sets():
 def test_pair_counts_of_symmetric_sets(els):
     assert is_symmetric(IntSet(els)) is not None
     assert _use_convolution(len(els), els[-1] - els[0])
-    assert _by_digits(els) == _pair_sums_pairwise(els)
+    assert _by_digits(els) == _pairwise(els)
     want = tallied_pair_counts(els)
     if len(els) <= 17:
         assert _naive_pair_counts(els) == want
@@ -288,7 +302,7 @@ def test_digit_width_holds_every_count(n):
     # taken off its middle sum, at r = n - 1: one byte each holds every count
     # up to 256 elements, and 257 takes two
     els = tuple(range(n))
-    assert _by_digits(els) == _pair_sums_pairwise(els)
+    assert _by_digits(els) == _pairwise(els)
     esp, edp, t = equal_pair_counts(IntSet(els))
     assert edp == sum((n - k) * (n - k - 1) // 2 for k in range(1, n))
     assert t == sum(2 * min(a, n - 1 - a) + 1 for a in range(n))
@@ -297,7 +311,7 @@ def test_digit_width_holds_every_count(n):
 def test_pair_count_paths_agree_at_size_256():
     # the interactive size class: 256 elements on a window of 1024
     els = tuple(sorted(random.Random(256).sample(range(1024), 256)))
-    assert _by_digits(els) == _pair_sums_pairwise(els)
+    assert _by_digits(els) == _pairwise(els)
     esp, edp, t = equal_pair_counts(IntSet(els))
     doubles = {2 * z for z in els}
     assert t == sum(1 for x in els for y in els if x + y in doubles)
@@ -309,6 +323,57 @@ def test_pair_count_gate():
     assert not _use_convolution(32, 1 << 24)
     assert _use_convolution(12, 64)
     assert _use_convolution(256, 1023)
+
+
+@given(
+    int_sets, st.integers(0, 70), st.integers(0, 70), st.randoms(use_true_random=False)
+)
+def test_pair_counter_on_any_window_holding_the_set(a, left, right, rng):
+    # obs6 counts a whole corpus over one window: wider than each set's hull
+    # on either side, often below 0; els unsorted, as the draws come
+    els = list(a.elements)
+    rng.shuffle(els)
+    lo, hi = a.min - left, a.max + right
+    want = tallied_pair_counts(a.elements)
+    assert equal_pair_counts(a) == want
+    assert pair_counter(lo, hi - lo)(els) == want
+    assert _by_digits(els, lo, hi) == want
+
+
+_tallied = functools.lru_cache(tallied_pair_counts)
+
+
+@pytest.mark.parametrize("left, right", [(0, 0), (3, 0), (0, 5), (7, 2)])
+@pytest.mark.parametrize(
+    "els",
+    [*_width_edge_sets(), *(s for s in _symmetric_sets() if len(s) == 256)],
+    ids=lambda els: f"n{len(els)}@{els[0]}..{els[-1]}",
+)
+def test_pair_counter_at_digit_width_edges_on_wider_windows(els, left, right):
+    # off the hull, the middle sum min + max is off the window's centre; a
+    # symmetric 256-set puts all 256 ordered pairs there
+    lo, hi = els[0] - left, els[-1] + right
+    shuffled = random.Random(len(els)).sample(els, len(els))
+    want = _tallied(els)
+    assert pair_counter(lo, hi - lo)(shuffled) == want
+    assert _by_digits(shuffled, lo, hi) == want
+
+
+def test_pair_counter_run_mixes_sizes_and_paths():
+    # one window, [-300, 723]: below 51 elements a set fails the gate and
+    # goes pairwise; past 16 a square takes the high table, 256 takes a pair
+    # off its middle sum, 257 reads two-byte digits
+    lo, hi = -300, 723
+    assert not _use_convolution(50, hi - lo) and _use_convolution(51, hi - lo)
+    rng = random.Random(34)
+    half = rng.sample(range(1, 300), 128)
+    symmetric = [100 - x for x in half] + [100 + x for x in half]
+    sizes = (1, 2, 16, 17, 50, 51, 255, 256, 257, 16, 3)
+    sets = [rng.sample(range(lo, hi + 1), n) for n in sizes]
+    sets.insert(8, symmetric)
+    assert is_symmetric(IntSet.from_iterable(symmetric)) == 200
+    want = [tallied_pair_counts(sorted(els)) for els in sets]
+    assert list(map(pair_counter(lo, hi - lo), sets)) == want
 
 
 def test_bit_parallel_matches_naive_bulk():
@@ -487,3 +552,59 @@ def test_mask_reflection_comparison_matches_lex(d, data):
     refl = tuple(sorted(d - e for e in els))
     rmask = sum(1 << e for e in refl)
     assert (mask <= rmask) == (els <= refl)
+
+
+def _parse_token_by_token(text, allow_rational):
+    # the per-token loop alone, as every literal was read before the
+    # all-int fast path: the oracle for its values and its errors
+    vals = []
+    for i, tok in enumerate(text.split(","), start=1):
+        tok = tok.strip()
+        if not tok:
+            raise SetLiteralError(f"empty token at position {i}", i)
+        try:
+            if "/" in tok:
+                if not allow_rational:
+                    raise ValueError("rational tokens not allowed here")
+                p, q = tok.split("/")
+                vals.append(Fraction(int(p), int(q)))
+            else:
+                vals.append(int(tok))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SetLiteralError(
+                f"invalid token {tok!r} at position {i}: {exc}", i
+            ) from None
+    return vals
+
+
+_spaces = st.sampled_from(["", " ", "  ", "\t", "\n", "\x0b", "\u2003", "\u3000"])
+_numbers = st.builds(
+    str.__add__,
+    st.sampled_from(["", "+", "-", "--", "+-"]),
+    st.one_of(
+        st.from_regex(r"[0-9][0-9_]{0,5}", fullmatch=True),
+        st.sampled_from(["_1", "1_", "1__0", "\u0663", "1.5", "0x10", "1e3", "x"]),
+    ),
+)
+_tokens = st.one_of(
+    st.builds(lambda a, t, b: a + t + b, _spaces, _numbers, _spaces),
+    _spaces,
+    st.builds(lambda p, q: f"{p}/{q}", _numbers, _numbers),
+    st.text(max_size=4),
+)
+
+
+def _parsed(text, allow_rational, parse):
+    try:
+        vals = parse(text, allow_rational)
+    except SetLiteralError as exc:
+        return str(exc), exc.position
+    return vals, [type(v) for v in vals]
+
+
+@given(st.lists(_tokens, min_size=1, max_size=6).map(",".join), st.booleans())
+def test_parse_fast_path_matches_the_token_loop(text, allow_rational):
+    # whitespace, signs, underscores, empty tokens and p/q: the same values
+    # (and types), or the same message and position
+    got = _parsed(text, allow_rational, setcore._parse_tokens)
+    assert got == _parsed(text, allow_rational, _parse_token_by_token)

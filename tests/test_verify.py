@@ -400,39 +400,66 @@ class TestObservation6:
         from mstd import verify
 
         target = (0, 1, 2, 4)
-        real = verify.pair_counts_of
+        real = verify.pair_counter
 
-        def skewed(els):
-            esp, edp, t = real(els)
-            return (esp + 1 if tuple(els) == target else esp), edp, t
+        def skewed(lo, d):
+            count = real(lo, d)
 
-        esp, edp, _ = real(target)
+            def skewed_count(els):
+                esp, edp, t = count(els)
+                return (esp + 1 if tuple(els) == target else esp), edp, t
+
+            return skewed_count
+
+        esp, edp, _ = real(0, 4)(target)
         assert 2 * (esp + 1) >= edp
-        monkeypatch.setattr(verify, "pair_counts_of", skewed)
+        monkeypatch.setattr(verify, "pair_counter", skewed)
         report = verify_observation6(1, seed=7)
         assert not report.passed
         assert [v["set"] for v in report.violations] == ["0,1,2,4"]
         assert report.violations[0]["context"].startswith("exhaustive #")
 
+    @staticmethod
+    def _skew_last_random_t(monkeypatch, trials):
+        # obs6 run with T + 2 on the last random draw alone, which comes
+        # unsorted; returns the report, the sorted draw and the windows run
+        from mstd import verify
+
+        *_, draw = verify._random_tuples(trials, 7)
+        target = tuple(sorted(draw))
+        assert draw != target
+        real = verify.pair_counter
+        runs = []
+
+        def skewed(lo, d):
+            count = real(lo, d)
+            runs.append((lo, d))
+            calls = iter(range(trials) if (lo, d) == (0, 64) else ())
+
+            def skewed_count(els):
+                esp, edp, t = count(els)
+                return esp, edp, (t + 2 if next(calls, None) == trials - 1 else t)
+
+            return skewed_count
+
+        monkeypatch.setattr(verify, "pair_counter", skewed)
+        return verify_observation6(trials, seed=7), target, runs
+
     def test_one_extra_midpoint_triple_fails(self, monkeypatch):
         # T is read apart from ESP, so a wrong T fails the identity; the
         # random draw comes unsorted, and its witness is the sorted set
-        from mstd import verify
-
-        draw = next(verify._random_tuples(1, 7))
-        target = tuple(sorted(draw))
-        assert draw != target
-        real = verify.pair_counts_of
-
-        def skewed(els):
-            esp, edp, t = real(els)
-            return esp, edp, (t + 2 if tuple(sorted(els)) == target else t)
-
-        monkeypatch.setattr(verify, "pair_counts_of", skewed)
-        report = verify_observation6(1, seed=7)
+        report, target, _ = self._skew_last_random_t(monkeypatch, 1)
         assert not report.passed
         assert [v["set"] for v in report.violations] == [str(IntSet(target))]
         assert report.violations[0]["context"].startswith("random #0: ")
+
+    def test_skew_on_the_last_random_draw_keeps_its_label(self, monkeypatch):
+        # each corpus is one run on its window, and the stream's index
+        # reaches the label of its last draw
+        report, target, runs = self._skew_last_random_t(monkeypatch, 300)
+        assert runs == [(0, 12), (0, 64)]
+        assert [v["set"] for v in report.violations] == [str(IntSet(target))]
+        assert report.violations[0]["context"].startswith("random #299: ")
 
     def test_rejects_negative_max_diameter(self):
         # the corpus held {0}, of diameter 0, under the label "diameter<=-1"
