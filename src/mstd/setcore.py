@@ -10,12 +10,16 @@ dense.  A mask is decoded in one pass over its binary digits, so `sumset` and
 `diffset` decode one only if it has no more bits than pairs.
 Equal-sum and equal-difference pair counts likewise convolve a window by
 big-int multiplication (Kronecker substitution), one byte per count up to 256
-elements, or count the pairs; they take the elements in any order, and a run
-of sets inside one window, such as a verifier corpus, shares its setup.  p*p
-holds the ordered pairs r_s per sum, and since (x, y) and (y, x) match up
-unless x = y, the unordered count is ceil(r_s / 2), read through a table.
-Only the middle sum, min + max, can hold |A| pairs; below 256 elements a
-byte holds them, and from 256 on one pair comes off it first.
+elements, or count the pairs; the gate reads |A| and the hull before any
+window is built.  The convolution takes a set as its window's indicator, one
+0/1 byte per integer, and a run of sets inside one window, such as a
+verifier corpus, shares its setup.  p*p holds the ordered pairs r_s per sum,
+and since (x, y) and (y, x) match up unless x = y, the unordered count is
+ceil(r_s / 2), read through a table, and r_s is odd exactly at s = 2a for a
+in A, so the midpoint triples are the sum of the odd digits, read through a
+table of their own.  Only the middle sum, min + max, can hold |A| pairs;
+below 256 elements a byte holds them, and from 256 on one pair comes off it
+first.
 `sizes_of` and an IntSet's first count share one builder.  An IntSet keeps
 what it builds, outside ==, hash, repr and asdict: its sizes, and A+A and
 A-A as bitmasks over a dense window (with the element mask) or as unsorted
@@ -33,6 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
 from numbers import Rational
 from operator import index, lt, mul
@@ -283,13 +288,24 @@ def _use_dense(size: int, diameter: int) -> bool:
     return diameter + 1 <= _DENSE_BITS_PER_ELEMENT * size
 
 
+# the binary digits "0" and "1" as the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _indicator(mask: int) -> bytes:
+    """Byte i is bit i of the nonnegative mask, up to its top set bit."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
 def _bit_indices(mask: int, lo: int = 0) -> list[int]:
     """lo + i for each set bit i of mask, ascending.
 
     One pass over the binary digits: clearing the lowest bit in a loop would
     copy the whole int once per set bit.
     """
-    return [i for i, c in enumerate(bin(mask)[:1:-1], lo) if c == "1"]
+    bits = _indicator(mask)
+    lo = index(lo)  # an exact int: a float raises TypeError
+    return list(compress(range(lo, lo + len(bits)), bits))
 
 
 def _sum_diff_masks(mask: int, els=None, lo: int = 0) -> tuple[int, int]:
@@ -321,12 +337,13 @@ def _sum_diff_masks(mask: int, els=None, lo: int = 0) -> tuple[int, int]:
 # their allocations, go pairwise.  Constants from a measured crossover.
 _CONV_PAIR_FACTOR = 8
 _CONV_SLACK = 4096
-# Low and high byte of i^2 and of ceil(i/2)^2: bytes.translate squares a run
-# of one-byte digits with no int per digit.
+# Low and high byte of i^2 and of ceil(i/2)^2, and i kept only when odd:
+# bytes.translate maps a run of one-byte digits with no int per digit.
 _SQ_LO = bytes([i * i & 255 for i in range(256)])
 _SQ_HI = bytes([i * i >> 8 for i in range(256)])
 _HALF_SQ_LO = bytes([(i + 1 >> 1) ** 2 & 255 for i in range(256)])
 _HALF_SQ_HI = bytes([(i + 1 >> 1) ** 2 >> 8 for i in range(256)])
+_ODD = bytes([i if i & 1 else 0 for i in range(256)])
 _DIGIT_TYPECODES = {2: "H", 4: "I", 8: "Q"}
 
 
@@ -334,106 +351,112 @@ def _use_convolution(size: int, diameter: int) -> bool:
     return diameter * diameter <= _CONV_PAIR_FACTOR * size * size * size + _CONV_SLACK
 
 
-def _pair_sums_pairwise(els: Sequence[int]) -> tuple[int, int, int]:
+def _pair_counts_pairwise(els: Sequence[int]) -> tuple[int, int, int]:
     sums = Counter([x + y for i, x in enumerate(els) for y in els[i:]])
     diffs = Counter([y - x for i, x in enumerate(els) for y in els[i + 1 :]])
     return (
-        sum(c * c for c in sums.values()),
-        sum(c * c for c in diffs.values()),
+        sum(c * (c - 1) for c in sums.values()) // 2,
+        sum(c * (c - 1) for c in diffs.values()) // 2,
         # r_2a = 2 u_2a - 1 ordered pairs: (a, a) and both orders of the rest
         2 * sum(sums[2 * x] for x in els) - len(els),
     )
 
 
-def _spread(digits: bytearray, width: int) -> bytearray:
+def _spread(digits: bytes, width: int) -> bytearray:
     out = bytearray(len(digits) * width)
     out[::width] = digits
     return out
 
 
-def pair_counter(lo: int, d: int) -> Callable[[Sequence[int]], tuple[int, int, int]]:
-    """The `equal_pair_counts` of each set inside the window [lo, lo + d].
+def pair_counter(d: int) -> Callable[[bytes], tuple[int, int, int]]:
+    """The `equal_pair_counts` of each set inside a window [lo, lo + d].
 
-    The counter takes the nonempty, distinct elements of a set in any order,
-    each in the window (unchecked); the window-level work is done once, so a
-    run of sets that share a window, such as a verifier corpus, pays it once.
+    The counter takes a nonempty set as the window's indicator: d + 1 bytes
+    (unchecked), byte e 1 when lo + e is in the set and 0 when it is not.
+    The counts are translation-invariant, so lo itself is never needed.
+    The window-level work is done once, so a run of sets that share a
+    window, such as a verifier corpus, pays it once.  The counter always
+    convolves; `equal_pair_counts` gates first.
     Below 256 elements no digit of p*p exceeds |A| <= 255, so min and max are
     never read; at 256 and past, the pair (max, min) comes off the middle sum.
     """
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")
-    size = d + 1
     nsums = 2 * d + 1
-    above = 8 * size  # digit d + 1 of p*mirror(p) on, at one byte per digit
-    gated = d * d > _CONV_SLACK  # else every set convolves
+    above = 8 * (d + 1)  # digit d + 1 of p*mirror(p) on, at one byte per digit
     from_bytes = int.from_bytes
     half_lo, half_hi, sq_lo, sq_hi = _HALF_SQ_LO, _HALF_SQ_HI, _SQ_LO, _SQ_HI
+    odd = _ODD
+    ones = {}  # per digit width past one byte: a 1 in each digit's low byte
 
-    def count(els):
-        n = len(els)
-        if gated and not _use_convolution(n, d):
-            sq_sums, sq_diffs, t = _pair_sums_pairwise(sorted(els))
+    def count(one):
+        # digit e of p is byte e of one, and mirror(p) mirrors it
+        p = from_bytes(one, "little")
+        n = p.bit_count()  # a 1 byte has one bit set
+        if n < 256:  # r_s <= n and D_k <= n fit one byte: nothing comes off
+            width = 1
+            sums = (p * p).to_bytes(nsums, "little")
+            diffs = (p * from_bytes(one, "big") >> above).to_bytes(d, "little")
         else:
-            # digit e of p is [lo + e in A], and mirror(p) mirrors it
-            one = bytearray(size)
-            for x in els:
-                one[x - lo] = 1
-            if n < 256:  # r_s <= n and D_k <= n fit one byte: nothing comes off
-                width = 1
-                p = from_bytes(one, "little")
-                sums = (p * p).to_bytes(nsums, "little")
-                diffs = (p * from_bytes(one, "big") >> above).to_bytes(d, "little")
-            else:
-                # r_s <= n, with equality only at the middle sum, min + max
-                # (A = min + max - A); it holds at least the pair (max, min),
-                # which comes off so that n = 256 stays on one byte.  A wider
-                # digit also holds the n its halving below may reach
-                m = one.index(1) + one.rindex(1)  # min + max - 2 lo
-                width = 1
-                if n > 256:  # each digit spreads over width bytes
-                    width = next(w for w in _DIGIT_TYPECODES if n < 256**w)
-                digits = one if width == 1 else _spread(one, width)
-                # read big-endian, the digits run mirrored, each 1 in its top byte
-                r = from_bytes(digits, "big") >> 8 * (width - 1)
+            # r_s <= n, with equality only at the middle sum, min + max
+            # (A = min + max - A); it holds at least the pair (max, min),
+            # which comes off so that n = 256 stays on one byte.  A wider
+            # digit also holds the n its halving below may reach
+            m = one.index(1) + one.rindex(1)  # min + max - 2 lo
+            width = 1
+            digits = one
+            if n > 256:  # each digit spreads over width bytes
+                width = next(w for w in _DIGIT_TYPECODES if n < 256**w)
+                digits = _spread(one, width)
                 p = from_bytes(digits, "little")
-                pp = p * p - (1 << 8 * width * m)
-                sums = pp.to_bytes(nsums * width, "little")
-                # the centre's n pairs (x, x) come off, as n may not fit one digit
-                centre = 8 * width * d
-                diffs = ((p * r - (n << centre)) >> centre + 8 * width).to_bytes(
-                    d * width, "little"
-                )
-            # digit s of p*p: r_s ordered pairs (x, y) with sum 2 lo + s; (x, y)
-            # and (y, x) pair up unless x = y, so r_s is odd exactly when
-            # s = 2(a - lo) for a in A, and u_s, the pairs {x <= y}, is
-            # ceil(r_s / 2).  Digit d + k of p*mirror(p): pairs at difference
-            # k, the same as digit d - k, so only k >= 1 is read
-            if width == 1:  # zero digits, most of a sparse window's, are dropped
-                sq_sums = sum(sums.translate(half_lo, b"\0"))
-                sq_diffs = sum(diffs.translate(sq_lo, b"\0"))
-                if n > 16:  # a digit past 15 (past 30 halved) has a two-byte square
-                    sq_sums += sum(sums.translate(half_hi, b"\0")) << 8
-                    sq_diffs += sum(diffs.translate(sq_hi, b"\0")) << 8
-            else:
-                code = _DIGIT_TYPECODES[width]
-                # digit by digit, ceil(r / 2) = (r + (r & 1)) >> 1: each digit is
-                # made even, so the shift moves no bit into the digit below
-                ones = from_bytes((b"\1" + bytes(width - 1)) * nsums, "little")
-                half = (pp + (pp & ones)) >> 1
-                half = array(code, half.to_bytes(len(sums), "little"))
-                sums, diffs = array(code, sums), array(code, diffs)
-                if sys.byteorder == "big":
-                    half.byteswap()
-                    sums.byteswap()
-                    diffs.byteswap()
-                sq_sums = sum(map(mul, half, half))
-                sq_diffs = sum(map(mul, diffs, diffs))
-            t = sum([sums[2 * (x - lo)] for x in els])  # r_2(a - lo) for a in A
-            if n >= 256:
-                rm = sums[m]  # r_m - 1
-                if not rm & 1:  # r_m is odd: m = 2(a - lo), a midway from min to max
-                    sq_sums += rm + 1  # ceil((rm + 1) / 2)^2 - ceil(rm / 2)^2
-                    t += 1
+            # read big-endian, the digits run mirrored, each 1 in its top byte
+            r = from_bytes(digits, "big") >> 8 * (width - 1)
+            pp = p * p - (1 << 8 * width * m)
+            sums = pp.to_bytes(nsums * width, "little")
+            # the centre's n pairs (x, x) come off, as n may not fit one digit
+            centre = 8 * width * d
+            diffs = ((p * r - (n << centre)) >> centre + 8 * width).to_bytes(
+                d * width, "little"
+            )
+        # digit s of p*p: r_s ordered pairs (x, y) with sum 2 lo + s; (x, y)
+        # and (y, x) pair up unless x = y, so r_s is odd exactly when
+        # s = 2(a - lo) for a in A: T, the sum of r_2(a - lo), is the sum of
+        # the odd digits, and u_s, the pairs {x <= y}, is ceil(r_s / 2).
+        # Digit d + k of p*mirror(p): pairs at difference k, the same as
+        # digit d - k, so only k >= 1 is read
+        if width == 1:  # zero digits, most of a sparse window's, are dropped
+            t = sum(sums.translate(odd, b"\0"))
+            sq_sums = sum(sums.translate(half_lo, b"\0"))
+            sq_diffs = sum(diffs.translate(sq_lo, b"\0"))
+            if n > 16:  # a digit past 15 (past 30 halved) has a two-byte square
+                sq_sums += sum(sums.translate(half_hi, b"\0")) << 8
+                sq_diffs += sum(diffs.translate(sq_hi, b"\0")) << 8
+        else:
+            code = _DIGIT_TYPECODES[width]
+            if width not in ones:
+                ones[width] = from_bytes((b"\1" + bytes(width - 1)) * nsums, "little")
+            # digit by digit, ceil(r / 2) = (r + (r & 1)) >> 1: each digit is
+            # made even, so the shift moves no bit into the digit below
+            half = (pp + (pp & ones[width])) >> 1
+            half = array(code, half.to_bytes(len(sums), "little"))
+            # only an even digit can be odd: the low bytes of digits 0, 2, ...
+            odd_digits = sums[:: 2 * width].translate(odd)
+            sums, diffs = array(code, sums), array(code, diffs)
+            if sys.byteorder == "big":
+                half.byteswap()
+                sums.byteswap()
+                diffs.byteswap()
+            t = sum(compress(sums[::2], odd_digits))
+            sq_sums = sum(map(mul, half, half))
+            sq_diffs = sum(map(mul, diffs, diffs))
+        if n >= 256:
+            rm = sums[m]  # r_m - 1: the pair taken off flips the digit's parity
+            if rm & 1:  # r_m is even, and T took its digit as odd if it read it
+                if width == 1 or not m & 1:
+                    t -= rm
+            else:  # r_m is odd: m = 2(a - lo), a midway from min to max
+                sq_sums += rm + 1  # ceil((rm + 1) / 2)^2 - ceil(rm / 2)^2
+                t += rm + 1
         # sum u_s = n(n+1)/2 and sum D_k = n(n-1)/2
         return (
             (sq_sums - n * (n + 1) // 2) // 2,
@@ -453,34 +476,30 @@ def equal_pair_counts(a: IntSet) -> tuple[int, int, int]:
     x + y = 2a}.  Each comes from its own representation function, never from
     another through the additive-energy identity: with u_s the pairs {x <= y}
     summing to s, r_s the ordered pairs and D_k the pairs x < y at difference
-    k, the kernel sums u_s^2, D_k^2 and r_2a over a in A, from one Counter
-    pass over the pairs or, for a small window, by Kronecker substitution:
-    A - min A becomes p = sum 256^e, so p*p and p*mirror(p) hold r_s and D_k
-    as one-byte digits (wider past 256 elements).  The pairs (x, y) and
-    (y, x) match up unless x = y, so r_s is odd exactly when s/2 is in A and
+    k, the kernel sums u_s^2, D_k^2 and r_2a over a in A.  The gate reads
+    only |A| and the hull: a wide window goes pairwise, one Counter pass over
+    the pairs, with no indicator built.  A small one runs `pair_counter` over
+    the hull [min A, max A] by Kronecker substitution: A - min A becomes
+    p = sum 256^e, so p*p and p*mirror(p) hold r_s and D_k as one-byte
+    digits (wider past 256 elements).  The pairs (x, y) and (y, x) match up
+    unless x = y, so r_s is odd exactly when s/2 is in A and
     u_s = ceil(r_s / 2): the u_s^2 come from p*p's digits through a table of
-    ceil(i/2)^2, and T reads the same digits at 2a, so a wrong table moves
-    ESP and not T.  Only the middle digit of p*p, at max A + min A, can reach
-    |A|; from |A| = 256 on one pair comes off it before the readout and its
-    share is added back.  The digits of p*mirror(p) mirror about its centre,
-    so only those above it, the D_k at k >= 1, are read, each squared
-    through a table.  This is a one-set run of `pair_counter` over the hull
-    [min A, max A]; a verifier corpus runs one counter over a window that
-    holds all its sets.
+    ceil(i/2)^2, and T is the sum of the odd digits, read through a table of
+    its own, so a wrong ceil(i/2)^2 table moves ESP and not T.  Only the
+    middle digit of p*p, at max A + min A, can reach |A|; from |A| = 256 on
+    one pair comes off it before the readout and its share is added back.
+    The digits of p*mirror(p) mirror about its centre, so only those above
+    it, the D_k at k >= 1, are read, each squared through a table.
     """
     a._require_nonempty()
     els = a.elements
-    return pair_counter(els[0], els[-1] - els[0])(els)
-
-
-def pair_counts_of(els: Sequence[int]) -> tuple[int, int, int]:
-    """`equal_pair_counts` of the nonempty, distinct integers els, in any order.
-
-    A one-set run of `pair_counter` over the hull [min, max]: no IntSet, no
-    sort (the pairwise path sorts for itself).
-    """
-    lo = min(els)
-    return pair_counter(lo, max(els) - lo)(els)
+    lo, d = els[0], els[-1] - els[0]
+    if not _use_convolution(len(els), d):
+        return _pair_counts_pairwise(els)
+    one = bytearray(d + 1)
+    for x in els:
+        one[x - lo] = 1
+    return pair_counter(d)(one)
 
 
 def _pair_sums(els: Sequence[int]) -> set[int]:

@@ -3,7 +3,10 @@
 Each verifier enumerates an explicit search space, asserts the claimed
 property case by case, and returns a VerificationReport whose violations
 list carries counterexample witnesses (re-profiled before emission).  Grids
-and seeds are echoed so any report can be reproduced exactly.
+and seeds are echoed so any report can be reproduced exactly.  The obs6
+corpora come as window indicators, the form `setcore.pair_counter` counts:
+each random draw writes its own bytes, and an IntSet is decoded only for a
+witness.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, count
 from math import ceil, lcm, log
 from operator import index
 from typing import Iterator, Optional, Sequence
@@ -25,7 +28,7 @@ from .search import (
 )
 from .setcore import (
     IntSet,
-    _bit_indices,
+    _indicator,
     mask_sizes,
     pair_counter,
     sizes_of,
@@ -298,11 +301,17 @@ def _translation_masks(max_diameter: int) -> range:
 def random_corpus(trials: int, seed: int = DEFAULT_SEED) -> Iterator[IntSet]:
     """Seeded random sets: uniform size, then uniform distinct elements.
 
-    The sets of `_random_tuples`, each sorted into an IntSet.
+    The sets of `_random_indicators`, each decoded into an IntSet.
     """
     if trials < 0:
         raise ValueError(f"need trials >= 0, got {trials}")
-    return map(IntSet.from_iterable, _random_tuples(trials, seed))
+    lo = RANDOM_SET_WINDOW[0]
+    return (_decode(one, lo) for one in _random_indicators(trials, seed))
+
+
+def _decode(one: bytes, lo: int) -> IntSet:
+    """The set {lo + e : byte e of one is 1} of an indicator."""
+    return IntSet._trusted(tuple(compress(count(lo), one)))
 
 
 def _sample_uses_pool(n: int, k: int) -> bool:
@@ -314,14 +323,15 @@ def _sample_uses_pool(n: int, k: int) -> bool:
     return n <= setsize
 
 
-def _random_tuples(trials: int, seed: int) -> Iterator[tuple[int, ...]]:
+def _random_indicators(trials: int, seed: int) -> Iterator[bytearray]:
     """Per trial, the set of ``rng.sample(window, rng.randint(1, max size))``.
 
-    ``rng`` is ``random.Random(seed)``.  The draws call its ``getrandbits``
-    directly, with ``_randbelow``'s rejection steps and the method ``sample``
-    picks, so the sets are the stdlib's without its three or four Python
-    frames per draw.  Each comes unsorted, as the pool method draws it or as
-    the set method's set iterates: `pair_counter` takes any order.
+    ``rng`` is ``random.Random(seed)`` and the window is RANDOM_SET_WINDOW.
+    The draws call its ``getrandbits`` directly, with ``_randbelow``'s
+    rejection steps and the method ``sample`` picks, so the sets are the
+    stdlib's without its three or four Python frames per draw.  Each comes
+    as a fresh indicator over the window, the form `pair_counter` takes:
+    byte e is 1 when the window's e-th integer was drawn.
     """
     lo, hi = RANDOM_SET_WINDOW
     n = hi - lo + 1
@@ -332,7 +342,7 @@ def _random_tuples(trials: int, seed: int) -> Iterator[tuple[int, ...]]:
     getrandbits = random.Random(seed).getrandbits
     size_bits = RANDOM_SET_MAX_SIZE.bit_length()
     n_bits = n.bit_length()
-    universe = list(range(lo, hi + 1))
+    universe = list(range(n))
     uses_pool = [_sample_uses_pool(n, k) for k in range(RANDOM_SET_MAX_SIZE + 1)]
     # the pool method's k steps: pool[:m] is not yet picked, m has bits bits
     steps = [
@@ -344,22 +354,22 @@ def _random_tuples(trials: int, seed: int) -> Iterator[tuple[int, ...]]:
         while k >= RANDOM_SET_MAX_SIZE:
             k = getrandbits(size_bits)
         k += 1
+        one = bytearray(n)
         if uses_pool[k]:
             pool = universe[:]
-            picked = []
             for m, bits in steps[k]:
                 j = getrandbits(bits)
                 while j >= m:
                     j = getrandbits(bits)
-                picked.append(pool[j])
+                one[pool[j]] = 1
                 pool[j] = pool[m - 1]
-        else:
-            picked = set()
-            while len(picked) < k:
+        else:  # draw again on a repeat, as the set method does
+            while k:
                 j = getrandbits(n_bits)
-                if j < n:
-                    picked.add(lo + j)
-        yield tuple(picked)
+                if j < n and not one[j]:
+                    one[j] = 1
+                    k -= 1
+        yield one
 
 
 def verify_observation6(
@@ -381,25 +391,30 @@ def verify_observation6(
         seed=seed,
     )
     total_t = 0
-    # the corpora of exhaustive_translation_corpus and random_corpus, as
-    # element sequences, each counted in one run over the window that holds
-    # all its sets: an IntSet is built only for a violation
+    # the corpora of exhaustive_translation_corpus and random_corpus, each as
+    # indicators over the window that holds all its sets and counted in one
+    # run over it: an IntSet is built only for a violation
+    masks = _translation_masks(max_diameter)
     lo, hi = RANDOM_SET_WINDOW
-    for label, corpus, count in (
+    for label, cases, corpus, start, d in (
         (
             "exhaustive",
-            map(_bit_indices, _translation_masks(max_diameter)),
-            pair_counter(0, max_diameter),
+            len(masks),
+            # padded to the window: its mirror is the bytes read big-endian
+            (_indicator(mask).ljust(max_diameter + 1, b"\0") for mask in masks),
+            0,
+            max_diameter,
         ),
-        ("random", _random_tuples(trials, seed), pair_counter(lo, hi - lo)),
+        ("random", trials, _random_indicators(trials, seed), lo, hi - lo),
     ):
-        for i, els in enumerate(corpus):
-            report.cases += 1
-            esp, edp, t = count(els)
+        report.cases += cases
+        counter = pair_counter(d)
+        for i, one in enumerate(corpus):
+            esp, edp, t = counter(one)
             total_t += t
-            if 2 * (2 * esp - edp) != t - len(els):
+            if 2 * (2 * esp - edp) != t - one.count(1):
                 report.add_violation(
-                    IntSet.from_iterable(els),
+                    _decode(one, start),
                     f"{label} #{i}: 2*ESP-EDP={2 * esp - edp}, T={t}",
                 )
     report.notes.append(

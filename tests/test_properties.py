@@ -7,8 +7,7 @@ import pickle
 import random
 from itertools import combinations
 from fractions import Fraction
-from math import gcd, inf
-from unittest.mock import patch
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -35,11 +34,11 @@ from mstd.search import _shifted_union_sizes
 from mstd.setcore import (
     SetLiteralError,
     _bit_indices,
+    _pair_counts_pairwise,
     _use_convolution,
     _use_dense,
     mask_sizes,
     pair_counter,
-    pair_counts_of,
     sizes_of,
 )
 from mstd.structure import equal_diff_pairs, equal_sum_pairs
@@ -208,27 +207,25 @@ def test_pair_counts_pairwise_path_matches_naive(a):
     assert equal_pair_counts(a) == _naive_pair_counts(a.elements)
 
 
-def _on_path(els, slack, lo=None, hi=None):
-    # the kernel over [lo, hi] (the hull of els by default), els in any
-    # order, with the convolution gate forced open (slack inf) or shut (-inf)
-    lo = min(els) if lo is None else lo
-    hi = max(els) if hi is None else hi
-    with patch.object(setcore, "_CONV_SLACK", slack):
-        return pair_counter(lo, hi - lo)(els)
+def _indicator_of(els, lo, hi):
+    # the window [lo, hi]'s indicator of els, which come in any order
+    one = bytearray(hi - lo + 1)
+    for x in els:
+        one[x - lo] = 1
+    return one
 
 
 def _by_digits(els, lo=None, hi=None):
-    return _on_path(els, inf, lo, hi)
-
-
-def _pairwise(els):
-    return _on_path(els, -inf)
+    # the kernel over [lo, hi], the hull of els by default, past the gate
+    lo = min(els) if lo is None else lo
+    hi = max(els) if hi is None else hi
+    return pair_counter(hi - lo)(_indicator_of(els, lo, hi))
 
 
 @given(int_sets)
 def test_pair_count_paths_agree(a):
     els = a.elements
-    assert _by_digits(els) == _pairwise(els)
+    assert _by_digits(els) == _pair_counts_pairwise(els)
 
 
 def _width_edge_sets():
@@ -260,14 +257,13 @@ def test_pair_counts_at_digit_width_edges(els):
 
 @given(st.one_of(int_sets, wide_sets), st.randoms(use_true_random=False))
 def test_pair_counts_take_any_order(a, rng):
-    # obs6 hands the kernel its random draws unsorted
+    # an indicator fills from its elements in any order
     els = list(a.elements)
     rng.shuffle(els)
-    want = pair_counts_of(a.elements)
-    assert pair_counts_of(els) == pair_counts_of(tuple(els)) == want
-    assert pair_counts_of(a.elements[::-1]) == want
+    want = _pair_counts_pairwise(a.elements)
+    assert equal_pair_counts(a) == want
     if _use_convolution(len(a), a.diameter):
-        assert _by_digits(els) == _by_digits(a.elements)
+        assert _by_digits(els) == _by_digits(a.elements[::-1]) == want
 
 
 def _symmetric_sets():
@@ -289,11 +285,11 @@ def _symmetric_sets():
 def test_pair_counts_of_symmetric_sets(els):
     assert is_symmetric(IntSet(els)) is not None
     assert _use_convolution(len(els), els[-1] - els[0])
-    assert _by_digits(els) == _pairwise(els)
+    assert _by_digits(els) == _pair_counts_pairwise(els)
     want = tallied_pair_counts(els)
     if len(els) <= 17:
         assert _naive_pair_counts(els) == want
-    assert pair_counts_of(els[::-1]) == equal_pair_counts(IntSet(els)) == want
+    assert _by_digits(els[::-1]) == equal_pair_counts(IntSet(els)) == want
 
 
 @pytest.mark.parametrize("n", [255, 256, 257])
@@ -302,7 +298,7 @@ def test_digit_width_holds_every_count(n):
     # taken off its middle sum, at r = n - 1: one byte each holds every count
     # up to 256 elements, and 257 takes two
     els = tuple(range(n))
-    assert _by_digits(els) == _pairwise(els)
+    assert _by_digits(els) == _pair_counts_pairwise(els)
     esp, edp, t = equal_pair_counts(IntSet(els))
     assert edp == sum((n - k) * (n - k - 1) // 2 for k in range(1, n))
     assert t == sum(2 * min(a, n - 1 - a) + 1 for a in range(n))
@@ -311,7 +307,7 @@ def test_digit_width_holds_every_count(n):
 def test_pair_count_paths_agree_at_size_256():
     # the interactive size class: 256 elements on a window of 1024
     els = tuple(sorted(random.Random(256).sample(range(1024), 256)))
-    assert _by_digits(els) == _pairwise(els)
+    assert _by_digits(els) == _pair_counts_pairwise(els)
     esp, edp, t = equal_pair_counts(IntSet(els))
     doubles = {2 * z for z in els}
     assert t == sum(1 for x in els for y in els if x + y in doubles)
@@ -325,18 +321,28 @@ def test_pair_count_gate():
     assert _use_convolution(256, 1023)
 
 
+def test_pair_count_gate_builds_no_indicator_for_a_wide_hull(monkeypatch):
+    # the gate reads |A| and the hull first: {0, 1, 10**9} would take a
+    # 1 GB indicator
+    def no_counter(d):
+        raise AssertionError(f"built a counter over {d + 1} integers")
+
+    monkeypatch.setattr(setcore, "pair_counter", no_counter)
+    els = (0, 1, 10**9)
+    assert equal_pair_counts(IntSet(els)) == tallied_pair_counts(els) == (0, 0, 3)
+
+
 @given(
     int_sets, st.integers(0, 70), st.integers(0, 70), st.randoms(use_true_random=False)
 )
 def test_pair_counter_on_any_window_holding_the_set(a, left, right, rng):
     # obs6 counts a whole corpus over one window: wider than each set's hull
-    # on either side, often below 0; els unsorted, as the draws come
+    # on either side, often below 0
     els = list(a.elements)
     rng.shuffle(els)
     lo, hi = a.min - left, a.max + right
     want = tallied_pair_counts(a.elements)
     assert equal_pair_counts(a) == want
-    assert pair_counter(lo, hi - lo)(els) == want
     assert _by_digits(els, lo, hi) == want
 
 
@@ -353,16 +359,14 @@ def test_pair_counter_at_digit_width_edges_on_wider_windows(els, left, right):
     # off the hull, the middle sum min + max is off the window's centre; a
     # symmetric 256-set puts all 256 ordered pairs there
     lo, hi = els[0] - left, els[-1] + right
-    shuffled = random.Random(len(els)).sample(els, len(els))
-    want = _tallied(els)
-    assert pair_counter(lo, hi - lo)(shuffled) == want
-    assert _by_digits(shuffled, lo, hi) == want
+    assert _by_digits(els, lo, hi) == _tallied(els)
 
 
 def test_pair_counter_run_mixes_sizes_and_paths():
-    # one window, [-300, 723]: below 51 elements a set fails the gate and
-    # goes pairwise; past 16 a square takes the high table, 256 takes a pair
-    # off its middle sum, 257 reads two-byte digits
+    # one counter over [-300, 723], every set convolved, sets of 50 and fewer
+    # too, which equal_pair_counts would count pairwise there: past 16 a
+    # square takes the high table, 256 takes a pair off its middle sum, 257
+    # reads two-byte digits, and the next set is one byte wide again
     lo, hi = -300, 723
     assert not _use_convolution(50, hi - lo) and _use_convolution(51, hi - lo)
     rng = random.Random(34)
@@ -373,7 +377,8 @@ def test_pair_counter_run_mixes_sizes_and_paths():
     sets.insert(8, symmetric)
     assert is_symmetric(IntSet.from_iterable(symmetric)) == 200
     want = [tallied_pair_counts(sorted(els)) for els in sets]
-    assert list(map(pair_counter(lo, hi - lo), sets)) == want
+    count = pair_counter(hi - lo)
+    assert [count(_indicator_of(els, lo, hi)) for els in sets] == want
 
 
 def test_bit_parallel_matches_naive_bulk():

@@ -302,6 +302,12 @@ class TestMaskEntry:
             IntSet.from_mask(-5)  # was {0, 2}
         assert IntSet.from_mask(0) == IntSet(())
 
+    @pytest.mark.parametrize("lo", [2.0, 0.5, Fraction(1)])
+    @pytest.mark.parametrize("mask", [0, 0b1011])
+    def test_from_mask_refuses_a_non_integer_offset(self, mask, lo):
+        with pytest.raises(TypeError):
+            IntSet.from_mask(mask, lo)
+
     def test_ap_mask(self):
         ap = APSpec(7, 3, 4)
         assert ap.mask() == IntSet(ap.elements()).mask()[0] == 0b1001001001

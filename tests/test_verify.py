@@ -1,9 +1,10 @@
+import inspect
 import random
 import time
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 
 import pytest
 
@@ -399,19 +400,19 @@ class TestObservation6:
         # the inequality alone would pass this set; the identity does not
         from mstd import verify
 
-        target = (0, 1, 2, 4)
+        target = bytes([1, 1, 1, 0, 1])  # (0, 1, 2, 4)
         real = verify.pair_counter
 
-        def skewed(lo, d):
-            count = real(lo, d)
+        def skewed(d):
+            count = real(d)
 
-            def skewed_count(els):
-                esp, edp, t = count(els)
-                return (esp + 1 if tuple(els) == target else esp), edp, t
+            def skewed_count(one):
+                esp, edp, t = count(one)
+                return (esp + 1 if one.rstrip(b"\0") == target else esp), edp, t
 
             return skewed_count
 
-        esp, edp, _ = real(0, 4)(target)
+        esp, edp, _ = real(4)(target)
         assert 2 * (esp + 1) >= edp
         monkeypatch.setattr(verify, "pair_counter", skewed)
         report = verify_observation6(1, seed=7)
@@ -421,23 +422,22 @@ class TestObservation6:
 
     @staticmethod
     def _skew_last_random_t(monkeypatch, trials):
-        # obs6 run with T + 2 on the last random draw alone, which comes
-        # unsorted; returns the report, the sorted draw and the windows run
+        # obs6 run with T + 2 on the last random draw alone; returns the
+        # report, the draw's elements and the window diameters run
         from mstd import verify
 
-        *_, draw = verify._random_tuples(trials, 7)
-        target = tuple(sorted(draw))
-        assert draw != target
+        *_, draw = verify._random_indicators(trials, 7)
+        target = tuple(i for i, bit in enumerate(draw) if bit)
         real = verify.pair_counter
         runs = []
 
-        def skewed(lo, d):
-            count = real(lo, d)
-            runs.append((lo, d))
-            calls = iter(range(trials) if (lo, d) == (0, 64) else ())
+        def skewed(d):
+            count = real(d)
+            runs.append(d)
+            calls = iter(range(trials) if d == 64 else ())
 
-            def skewed_count(els):
-                esp, edp, t = count(els)
+            def skewed_count(one):
+                esp, edp, t = count(one)
                 return esp, edp, (t + 2 if next(calls, None) == trials - 1 else t)
 
             return skewed_count
@@ -447,7 +447,7 @@ class TestObservation6:
 
     def test_one_extra_midpoint_triple_fails(self, monkeypatch):
         # T is read apart from ESP, so a wrong T fails the identity; the
-        # random draw comes unsorted, and its witness is the sorted set
+        # witness is the drawn set, decoded from its indicator
         report, target, _ = self._skew_last_random_t(monkeypatch, 1)
         assert not report.passed
         assert [v["set"] for v in report.violations] == [str(IntSet(target))]
@@ -457,9 +457,39 @@ class TestObservation6:
         # each corpus is one run on its window, and the stream's index
         # reaches the label of its last draw
         report, target, runs = self._skew_last_random_t(monkeypatch, 300)
-        assert runs == [(0, 12), (0, 64)]
+        assert runs == [12, 64]
         assert [v["set"] for v in report.violations] == [str(IntSet(target))]
         assert report.violations[0]["context"].startswith("random #299: ")
+
+    @pytest.mark.parametrize("digit, by", [("pair", 1), ("double", 2)])
+    def test_a_wrong_digit_of_p_squared_fails(self, monkeypatch, digit, by):
+        # the kernel with one digit of p*p raised: +1 at e0 + e1, the sum of
+        # the two least elements, which is no 2a and has r = 2 ordered pairs,
+        # or +2 at 2 e0, with r = 1.  ESP reads the digit through the
+        # ceil(i/2)^2 table and T as an odd digit, so the two move apart and
+        # every set hit fails: T is no function of what ESP reads
+        from mstd import setcore
+
+        def raised(one):
+            e0 = one.index(1)
+            if digit == "double":
+                return by << 16 * e0
+            e1 = one.find(1, e0 + 1)
+            return 0 if e1 < 0 else by << 8 * (e0 + e1)
+
+        src = inspect.getsource(setcore)
+        line = 'sums = (p * p).to_bytes(nsums, "little")'
+        assert src.count(line) == 1
+        mutated = src.replace(line, line.replace("p * p", "(p * p + raised(one))"))
+        # exec'd under setcore's name, so its dataclasses find their module
+        namespace = {"__name__": setcore.__name__, "raised": raised}
+        exec(compile(mutated, setcore.__file__, "exec"), namespace)
+        monkeypatch.setattr(verify, "pair_counter", namespace["pair_counter"])
+        report = verify_observation6(300, seed=7, max_diameter=6)
+        corpus = [*exhaustive_translation_corpus(6), *random_corpus(300, seed=7)]
+        hit = [str(a) for a in corpus if digit == "double" or len(a) > 1]
+        assert report.cases == 64 + 300 and 300 < len(hit) <= 364
+        assert [v["set"] for v in report.violations] == hit
 
     def test_rejects_negative_max_diameter(self):
         # the corpus held {0}, of diameter 0, under the label "diameter<=-1"
@@ -511,14 +541,18 @@ class TestObservation6:
             tuple(sorted(rng.sample(universe, rng.randint(1, 12))))
             for _ in range(20_000)
         ]
-        # the draws come unsorted; each is the stdlib's set
-        got = [tuple(sorted(t)) for t in verify._random_tuples(20_000, seed)]
+        # each draw is a fresh indicator over the window of the stdlib's set
+        draws = list(verify._random_indicators(20_000, seed))
+        assert {type(one) for one in draws} == {bytearray}
+        assert {len(one) for one in draws} == {n}
+        assert len(set(map(id, draws))) == len(draws)
+        got = [tuple(compress(universe, one)) for one in draws]
         assert got == expected
 
     def test_random_tuples_refuse_a_window_below_the_max_size(self, monkeypatch):
         monkeypatch.setattr(verify, "RANDOM_SET_WINDOW", (0, 10))
         with pytest.raises(ValueError, match="fewer than 12 integers"):
-            next(verify._random_tuples(1, 7))
+            next(verify._random_indicators(1, 7))
 
     def test_corpora_refuse_negative_bounds(self):
         # exhaustive failed on "negative shift count", random yielded nothing
