@@ -83,6 +83,28 @@ def tallied_pair_counts(xs):
     )
 
 
+def naive_profile(xs):
+    """A profile's JSON fields of a sorted list, by the loops above.
+
+    (|A+A|, |A-A|, equal-sum pairs, equal-difference pairs, symmetry centre,
+    AP): the centre is min + max when A is its own reflection about it, the
+    AP is the gaps' one value when they share one (step 1 for a singleton).
+    """
+    esp, edp, _ = tallied_pair_counts(xs)
+    centre = xs[0] + xs[-1]
+    gaps = {y - x for x, y in zip(xs, xs[1:])}
+    return (
+        len(naive_sumset(xs)),
+        len(naive_diffset(xs)),
+        esp,
+        edp,
+        centre if {centre - x for x in xs} == set(xs) else None,
+        {"first": xs[0], "step": min(gaps, default=1), "length": len(xs)}
+        if len(gaps) <= 1
+        else None,
+    )
+
+
 def lex_canonical_classes(d_min, d_max, size_lo, size_hi):
     """Canonical affine classes as element tuples, by a plain tuple DFS.
 

@@ -44,6 +44,7 @@ from conftest import (
     A1,
     Index,
     naive_ap_plus_two_decomposition,
+    naive_class,
     naive_diffset,
     naive_sumset,
 )
@@ -410,6 +411,40 @@ class TestStoredSizes:
         for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
             assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
             assert sum_diff_sizes(b) == want and classify(b) is classify(a)
+
+    @pytest.mark.parametrize(
+        "text, sizes, kind",
+        [("0,2,3,4,7,11,12,14", (26, 25), "sum-dominant"),
+         ("0,1,3,10000000", (10, 13), "difference-dominant")],
+        ids=["dense", "sparse"],
+    )
+    def test_pickles_read_as_the_oracles(self, text, sizes, kind):
+        # each read, on the set and on pickles made before and after its
+        # first count, which keeps A+A and A-A for the pickle to carry
+        a = IntSet.parse(text)
+        before = pickle.loads(pickle.dumps(a))
+        xs = list(a)
+        sums, diffs = naive_sumset(xs), naive_diffset(xs)
+        assert ((len(sums), len(diffs)), naive_class(xs)) == (sizes, kind)
+
+        def grown(x):
+            n = len(naive_sumset([*xs, x])), len(naive_diffset([*xs, x]))
+            return n[0] - len(sums), (n[1] - len(diffs)) // 2
+
+        want = (sizes, kind, sizes, sums, diffs, grown(5), grown(10**18))
+
+        def reads(b):
+            p = profile(b)
+            return (
+                sum_diff_sizes(b), classify(b).value, (p.sum_size, p.diff_size),
+                list(sumset(b)), list(diffset(b)),
+                insertion_delta(b, 5).as_tuple(), insertion_delta(b, 10**18).as_tuple(),
+            )
+
+        assert reads(a) == want
+        after = pickle.loads(pickle.dumps(a))
+        assert reads(after) == reads(before) == want
+        assert after == before == a
 
     def test_replace_counts_its_new_elements(self, monkeypatch):
         a = IntSet(A1)

@@ -525,7 +525,7 @@ class TestObservation6:
         ],
     )
     @pytest.mark.parametrize("seed", [DEFAULT_SEED, 0, 7, -7, 2**70])
-    def test_random_tuples_are_the_stdlib_stream(
+    def test_random_indicators_are_the_stdlib_stream(
         self, monkeypatch, window, pool_sizes, seed
     ):
         # the corpus draws through getrandbits; it must stay the stream of
@@ -549,7 +549,7 @@ class TestObservation6:
         got = [tuple(compress(universe, one)) for one in draws]
         assert got == expected
 
-    def test_random_tuples_refuse_a_window_below_the_max_size(self, monkeypatch):
+    def test_random_indicators_refuse_a_window_below_the_max_size(self, monkeypatch):
         monkeypatch.setattr(verify, "RANDOM_SET_WINDOW", (0, 10))
         with pytest.raises(ValueError, match="fewer than 12 integers"):
             next(verify._random_indicators(1, 7))
