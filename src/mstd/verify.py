@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, count
-from math import ceil, lcm, log
+from math import ceil, isqrt, lcm, log
 from operator import index
 from typing import Iterator, Optional, Sequence
 
@@ -76,8 +76,10 @@ class GrowthSequence:
 class Theorem3Params:
     """Prefix/insertion parameters for the growth-sequence criterion.
 
-    The checked prefix has size 2r + n + ell; inserting m arbitrary values is
-    covered when m*size + m(m+1)/2 <= ell*(n+1).
+    The checked prefix has size 2r + n + ell.  One inserted value adds at
+    most size + 1 sums and removes no difference, so m arbitrary real values
+    are covered when m*size + m(m+1)/2 <= ell*(n+1), the paper's bound on
+    the deficit.  The window is where that one-insertion lemma is checked.
     """
 
     r: int
@@ -468,14 +470,17 @@ def verify_growth_criterion(
     subset_budget: int = 50,
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
-    """Check the growth-sequence criterion on prefixes, subsets and insertions.
+    """Check the growth-sequence criterion and its counting lemma.
 
     Pre-checks that no subset of the supplied terms with size <= 2r+n is
-    sum-dominant, then asserts for the prefix of size 2r+n+ell (and up to
-    subset_budget random same-size subsets) that the set is not sum-dominant
-    with |S-S| - |S+S| >= ell*(n+1), and that inserting every m-tuple from
-    the window (exhaustive for m = 1, seeded sample otherwise) never yields a
-    sum-dominant set.
+    sum-dominant, then asserts for the prefix S of size 2r+n+ell (and for
+    subset_budget seeded same-size subsets, drawn only when there are more
+    terms) that |S-S| - |S+S| >= ell*(n+1).  Inserting one real x adds at
+    most |S| + 1 sums (x + S and 2x) and removes no difference, so m
+    insertions leave S not sum-dominant whenever m*|S| + m(m+1)/2 is at most
+    the deficit.  For m >= 1 each integer b of the window is held to that
+    lemma's exact form; the prefix note states the largest k the deficit
+    covers.
     """
     if params.r != seq.r:
         raise ValueError(f"params.r={params.r} does not match sequence r={seq.r}")
@@ -492,10 +497,12 @@ def verify_growth_criterion(
         )
 
     lo, hi = params.window
+    drawn = subset_budget if len(seq.terms) > size else 0
     report = VerificationReport(
         check="growth-criterion",
         grid=f"{len(seq.terms)} terms, r={params.r}, n={params.n}, "
-        f"ell={params.ell}, m={params.m}, window=[{lo},{hi}]",
+        f"ell={params.ell}, m={params.m}, window=[{lo},{hi}]"
+        + (f", subsets={drawn}" if drawn else ""),
         seed=seed,
     )
 
@@ -508,10 +515,10 @@ def verify_growth_criterion(
             if nsum > ndiff:
                 report.add_violation(IntSet(sub), f"hypothesis subset size={k}")
 
-    rng = random.Random(seed)
     subjects = [IntSet(seq.terms[:size])]
-    if len(seq.terms) > size:
-        for _ in range(subset_budget):
+    if drawn:
+        rng = random.Random(seed)
+        for _ in range(drawn):
             idx = sorted(rng.sample(range(len(seq.terms)), size))
             subjects.append(IntSet(tuple(seq.terms[i] for i in idx)))
 
@@ -524,24 +531,23 @@ def verify_growth_criterion(
             report.add_violation(s, f"{label} deficit={deficit} < {bound}")
         if si == 0:
             rel = "=" if deficit == bound else ">"
+            # the largest k with k*|S| + k(k+1)/2 <= deficit
+            k = (isqrt((2 * size + 1) ** 2 + 8 * deficit) - 2 * size - 1) // 2
             report.notes.append(
-                f"prefix deficit |S-S|-|S+S| = {deficit} {rel} {bound} = ell*(n+1)"
+                f"prefix deficit |S-S|-|S+S| = {deficit} {rel} {bound} = ell*(n+1); "
+                f"it covers up to k = {k} real insertions, k*|S|+k(k+1)/2 = "
+                f"{k * size + k * (k + 1) // 2} <= {deficit}"
             )
         if params.m == 0:
             continue
-        if params.m == 1:
-            tuples = ((b,) for b in range(lo, hi + 1))
-        else:
-            tuples = (
-                tuple(sorted(rng.sample(range(lo, hi + 1), params.m)))
-                for _ in range(subset_budget)
-            )
-        for bs in tuples:
+        for b in range(lo, hi + 1):
             report.cases += 1
-            nsum, ndiff = sizes_of(s.elements + bs)
-            if nsum > ndiff:
+            ns, nd = sizes_of(s.elements + (b,))
+            if ns - nsum > size + 1 or nd < ndiff:
                 report.add_violation(
-                    IntSet.from_iterable(s.elements + bs), f"{label} + {list(bs)}"
+                    IntSet.from_iterable(s.elements + (b,)),
+                    f"{label} + [{b}]: sums {nsum} -> {ns}, "
+                    f"differences {ndiff} -> {nd}",
                 )
 
     if params.m >= 1:

@@ -289,7 +289,7 @@ class TestVerifyCommand:
             del r["elapsed_ms"]
         doc = render_json({"reports": reports}).encode()
         assert hashlib.sha256(doc).hexdigest() == (
-            "98ada159fed7bc22ae24e7c3ff26e8e8da4e6c3624c7e38ef13c05b286b985eb"
+            "45677933836cb53c0d3f048ac9e3b04f2f9dd4a3b31a262d813629df70b70e0e"
         )
 
     def test_verify_all_fails_if_any_report_fails(self, capsys, monkeypatch):

@@ -5,6 +5,7 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, compress
+from math import lcm
 
 import pytest
 
@@ -27,7 +28,15 @@ from mstd.verify import (
     verify_small_cardinality,
     verify_symmetric_balanced,
 )
-from conftest import FIB13, GEO10, Index, naive_midpoint_triples, record_kernel
+from conftest import (
+    FIB13,
+    GEO10,
+    Index,
+    naive_diffset,
+    naive_midpoint_triples,
+    naive_sumset,
+    record_kernel,
+)
 
 
 class TestSmallCardinality:
@@ -289,8 +298,12 @@ class TestMaskPaths:
             for k in range(1, 5)
             for sub in combinations(terms, k)
         ]
+        nsum, ndiff = len(naive_sumset(terms)), len(naive_diffset(terms))
         want += [
-            (str(IntSet.from_iterable(terms + (b,))), f"prefix + [{b}]")
+            (
+                str(IntSet.from_iterable(terms + (b,))),
+                f"prefix + [{b}]: sums {nsum} -> 1, differences {ndiff} -> 0",
+            )
             for b in range(-2, 4)
         ]
         assert [(v["set"], v["context"]) for v in report.violations] == want
@@ -646,6 +659,136 @@ class TestGrowthCriterion:
         params = Theorem3Params(r=3, n=2, ell=5, m=1, window=(-10, 20))
         report = verify_growth_criterion(seq, params, subset_budget=10, seed=5)
         assert report.passed and report.seed == 5
+
+    def test_the_grid_names_the_number_of_subsets_it_draws(self):
+        # two budgets printed one grid; the presets draw no subsets
+        seq = GrowthSequence(FIB13 + (377, 610, 987), 3)
+        params = Theorem3Params(r=3, n=2, ell=5, m=1, window=(-3, 3))
+        grids = set()
+        for budget in (4, 10):
+            report = verify_growth_criterion(seq, params, subset_budget=budget)
+            assert report.passed and report.grid.endswith(f", subsets={budget}")
+            grids.add(report.grid)
+        assert len(grids) == 2
+        report = verify_growth_criterion(seq, params, subset_budget=0)
+        assert report.grid.endswith("window=[-3,3]")
+        for terms, r, n, ell in verify.GROWTH_PRESETS.values():
+            report = verify_growth_criterion(
+                GrowthSequence(terms, r), Theorem3Params(r, n, ell)
+            )
+            assert report.grid.endswith("window=[-50,100]")
+
+    def test_the_insertion_lemma_holds_far_outside_the_window(self):
+        # one real x adds at most |S| + 1 sums and removes no difference, and
+        # the k the prefix note names covers k such x at once; each x is a
+        # rational p/q, q <= 12, with |x| up to 1e7, and the set is dilated
+        # by the lcm of the denominators as _segment_with does
+        rng = random.Random(37)
+
+        def draw():
+            q = rng.choice((1, 1, 1, rng.randint(2, 12)))
+            x = Fraction(rng.randint(10**6 * q, 10**7 * q), q)
+            return rng.choice((x, -x))
+
+        def dilated(s, xs):
+            den = lcm(*(x.denominator for x in xs))
+            inserted = [x.numerator * (den // x.denominator) for x in xs]
+            return [a * den for a in s], inserted
+
+        for terms, r, n, ell in verify.GROWTH_PRESETS.values():
+            s = terms[: 2 * r + n + ell]
+            nsum, ndiff = len(naive_sumset(s)), len(naive_diffset(s))
+            assert ndiff - nsum == 3 * len(s) + 6  # k = 3, with equality
+            report = verify_growth_criterion(
+                GrowthSequence(terms, r), Theorem3Params(r, n, ell)
+            )
+            assert "it covers up to k = 3 real insertions" in report.notes[0]
+            for _ in range(40):
+                xs = [draw() for _ in range(3)]
+                for x in xs:
+                    a, (b,) = dilated(s, [x])
+                    assert len(naive_sumset(a + [b])) - nsum <= len(s) + 1
+                    assert set(naive_diffset(a)) <= set(naive_diffset(a + [b]))
+                a, bs = dilated(s, xs)
+                assert len(naive_sumset(a + bs)) <= len(naive_diffset(a + bs))
+
+    def test_a_deficit_one_below_the_bound_fails_the_report(self, monkeypatch):
+        real = verify.sum_diff_sizes
+
+        def short(s):
+            ndiff = real(s)[1]
+            return ndiff - 15 + 1, ndiff  # fib13's bound is ell*(n+1) = 15
+
+        monkeypatch.setattr(verify, "sum_diff_sizes", short)
+        report = verify_growth_criterion(
+            GrowthSequence(FIB13, 3), Theorem3Params(r=3, n=2, ell=5)
+        )
+        assert not report.passed
+        assert [v["context"] for v in report.violations] == [
+            "prefix deficit=14 < 15"
+        ]
+
+    def test_the_note_names_the_largest_k_the_deficit_covers(self, monkeypatch):
+        terms = (0, 1, 3, 7, 15, 31, 63)  # the prefix of size 7 at r=1, n=2, ell=3
+        params = Theorem3Params(r=1, n=2, ell=3, m=0)
+        for deficit in range(80):
+            sizes = (100, 100 + deficit)
+            monkeypatch.setattr(verify, "sum_diff_sizes", lambda s: sizes)
+            note = verify_growth_criterion(GrowthSequence(terms, 1), params).notes[0]
+            cost = {k: 7 * k + k * (k + 1) // 2 for k in range(deficit + 1)}
+            k = max(k for k in cost if cost[k] <= deficit)
+            assert note.endswith(
+                f"up to k = {k} real insertions, "
+                f"k*|S|+k(k+1)/2 = {cost[k]} <= {deficit}"
+            )
+
+    @pytest.mark.parametrize(
+        "change", [(0, -1), (15, 0)], ids=["lost-difference", "sums-past-the-lemma"]
+    )
+    def test_a_point_off_the_lemma_fails_at_that_point_alone(self, monkeypatch, change):
+        # a b already in S keeps both sizes, so one dropped difference is a
+        # loss the lemma forbids, and 15 = |S| + 2 more sums a gain it forbids
+        # though the set stays difference-dominant (85 < 115)
+        real = verify.sizes_of
+        point = FIB13 + (13,)
+
+        def mutant(xs):
+            nsum, ndiff = real(xs)
+            if tuple(xs) == point:
+                return nsum + change[0], ndiff + change[1]
+            return nsum, ndiff
+
+        monkeypatch.setattr(verify, "sizes_of", mutant)
+        report = verify_growth_criterion(
+            GrowthSequence(FIB13, 3), Theorem3Params(r=3, n=2, ell=5)
+        )
+        nsum = len(naive_sumset(point)) + change[0]
+        ndiff = len(naive_diffset(point)) + change[1]
+        assert [(v["set"], v["context"]) for v in report.violations] == [
+            (
+                str(IntSet.from_iterable(point)),
+                f"prefix + [13]: sums 70 -> {nsum}, differences 115 -> {ndiff}",
+            )
+        ]
+
+    def test_every_m_runs_one_window_loop_and_draws_nothing(self, monkeypatch):
+        # m = 1 and m = 3 count the same cases; no Random is built without
+        # subsets to draw
+        def no_random(seed):
+            raise AssertionError("a Random was built with no subsets to draw")
+
+        monkeypatch.setattr(verify.random, "Random", no_random)
+        seq = GrowthSequence(tuple(2**k - 1 for k in range(17)), 1)
+        reports = [
+            verify_growth_criterion(
+                seq, Theorem3Params(r=1, n=5, ell=10, m=m, window=(-5, 5))
+            )
+            for m in (1, 3)
+        ]
+        assert all(r.passed for r in reports)
+        assert reports[0].cases == reports[1].cases
+        assert "admissibility m*|S|+m(m+1)/2 = 57 < 60" in reports[1].notes
+        assert "up to k = 5 real insertions" in reports[1].notes[0]
 
     def test_zero_ell_prefix(self):
         seq = GrowthSequence(FIB13[:8], 3)
