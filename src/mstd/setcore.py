@@ -42,6 +42,7 @@ from math import gcd, lcm
 from numbers import Rational
 from operator import index, lt, mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
+from zlib import adler32
 
 
 class EmptySetError(ValueError):
@@ -368,8 +369,8 @@ def _spread(digits: bytes, width: int) -> bytearray:
     return out
 
 
-def pair_counter(d: int) -> Callable[[bytes], tuple[int, int, int]]:
-    """The `equal_pair_counts` of each set inside a window [lo, lo + d].
+def pair_counter(d: int) -> Callable[[bytes], tuple[int, int, int, int]]:
+    """(ESP, EDP, T) of `equal_pair_counts`, then |A|, per set in [lo, lo + d].
 
     The counter takes a nonempty set as the window's indicator: d + 1 bytes
     (unchecked), byte e 1 when lo + e is in the set and 0 when it is not.
@@ -377,6 +378,10 @@ def pair_counter(d: int) -> Callable[[bytes], tuple[int, int, int]]:
     The window-level work is done once, so a run of sets that share a
     window, such as a verifier corpus, pays it once.  The counter always
     convolves; `equal_pair_counts` gates first.
+    Up to 16 elements every square of a digit fits one byte and each sum of
+    them stays below 65520, so zlib's Adler-32, whose low half is 1 + the
+    byte sum mod 65521, sums the translated digits in C.  Past 16 each sum
+    adds a high-byte table and drops the zero digits first.
     Below 256 elements no digit of p*p exceeds |A| <= 255, so min and max are
     never read; at 256 and past, the pair (max, min) comes off the middle sum.
     """
@@ -424,13 +429,22 @@ def pair_counter(d: int) -> Callable[[bytes], tuple[int, int, int]]:
         # the odd digits, and u_s, the pairs {x <= y}, is ceil(r_s / 2).
         # Digit d + k of p*mirror(p): pairs at difference k, the same as
         # digit d - k, so only k >= 1 is read
-        if width == 1:  # zero digits, most of a sparse window's, are dropped
+        if n <= 16:
+            # u_s <= 8 and D_k <= 15 (k >= 1): every square fits one byte.
+            # At most 136 sums and 120 differences are nonzero, so T <= 240,
+            # sum u_s^2 <= 8704 and sum D_k^2 <= 27000, on any window, and
+            # Adler-32's low half, 1 + (byte sum) mod 65521, is 1 + the sum
+            t = (adler32(sums.translate(odd)) & 0xFFFF) - 1
+            sq_sums = (adler32(sums.translate(half_lo)) & 0xFFFF) - 1
+            sq_diffs = (adler32(diffs.translate(sq_lo)) & 0xFFFF) - 1
+        elif width == 1:
+            # zero digits, most of a sparse window's, are dropped; a digit
+            # past 15 (past 30 halved) has a two-byte square
             t = sum(sums.translate(odd, b"\0"))
             sq_sums = sum(sums.translate(half_lo, b"\0"))
+            sq_sums += sum(sums.translate(half_hi, b"\0")) << 8
             sq_diffs = sum(diffs.translate(sq_lo, b"\0"))
-            if n > 16:  # a digit past 15 (past 30 halved) has a two-byte square
-                sq_sums += sum(sums.translate(half_hi, b"\0")) << 8
-                sq_diffs += sum(diffs.translate(sq_hi, b"\0")) << 8
+            sq_diffs += sum(diffs.translate(sq_hi, b"\0")) << 8
         else:
             code = _DIGIT_TYPECODES[width]
             if width not in ones:
@@ -462,6 +476,7 @@ def pair_counter(d: int) -> Callable[[bytes], tuple[int, int, int]]:
             (sq_sums - n * (n + 1) // 2) // 2,
             (sq_diffs - n * (n - 1) // 2) // 2,
             t,
+            n,
         )
 
     return count
@@ -489,7 +504,10 @@ def equal_pair_counts(a: IntSet) -> tuple[int, int, int]:
     middle digit of p*p, at max A + min A, can reach |A|; from |A| = 256 on
     one pair comes off it before the readout and its share is added back.
     The digits of p*mirror(p) mirror about its centre, so only those above
-    it, the D_k at k >= 1, are read, each squared through a table.
+    it, the D_k at k >= 1, are read, each squared through a table.  Up to
+    |A| = 16 each readout is one Adler-32 of the translated digits: its low
+    half is 1 + their byte sum, which stays below 65520 (T <= 240,
+    sum u_s^2 <= 8704, sum D_k^2 <= 27000).
     """
     a._require_nonempty()
     els = a.elements
@@ -499,7 +517,7 @@ def equal_pair_counts(a: IntSet) -> tuple[int, int, int]:
     one = bytearray(d + 1)
     for x in els:
         one[x - lo] = 1
-    return pair_counter(d)(one)
+    return pair_counter(d)(one)[:3]
 
 
 def _pair_sums(els: Sequence[int]) -> set[int]:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, count
-from math import ceil, isqrt, lcm, log
+from math import ceil, comb, isqrt, lcm, log
 from operator import index
 from typing import Iterator, Optional, Sequence
 
@@ -412,9 +412,9 @@ def verify_observation6(
         report.cases += cases
         counter = pair_counter(d)
         for i, one in enumerate(corpus):
-            esp, edp, t = counter(one)
+            esp, edp, t, n = counter(one)
             total_t += t
-            if 2 * (2 * esp - edp) != t - one.count(1):
+            if 2 * (2 * esp - edp) != t - n:
                 report.add_violation(
                     _decode(one, start),
                     f"{label} #{i}: 2*ESP-EDP={2 * esp - edp}, T={t}",
@@ -474,8 +474,9 @@ def verify_growth_criterion(
 
     Pre-checks that no subset of the supplied terms with size <= 2r+n is
     sum-dominant, then asserts for the prefix S of size 2r+n+ell (and for
-    subset_budget seeded same-size subsets, drawn only when there are more
-    terms) that |S-S| - |S+S| >= ell*(n+1).  Inserting one real x adds at
+    subset_budget seeded same-size subsets, each distinct from the prefix
+    and from one another, so at most C(len(terms), |S|) - 1 of them) that
+    |S-S| - |S+S| >= ell*(n+1).  Inserting one real x adds at
     most |S| + 1 sums (x + S and 2x) and removes no difference, so m
     insertions leave S not sum-dominant whenever m*|S| + m(m+1)/2 is at most
     the deficit.  For m >= 1 each integer b of the window is held to that
@@ -497,7 +498,7 @@ def verify_growth_criterion(
         )
 
     lo, hi = params.window
-    drawn = subset_budget if len(seq.terms) > size else 0
+    drawn = min(subset_budget, comb(len(seq.terms), size) - 1)
     report = VerificationReport(
         check="growth-criterion",
         grid=f"{len(seq.terms)} terms, r={params.r}, n={params.n}, "
@@ -518,9 +519,12 @@ def verify_growth_criterion(
     subjects = [IntSet(seq.terms[:size])]
     if drawn:
         rng = random.Random(seed)
-        for _ in range(drawn):
-            idx = sorted(rng.sample(range(len(seq.terms)), size))
-            subjects.append(IntSet(tuple(seq.terms[i] for i in idx)))
+        seen = {tuple(range(size))}
+        while len(seen) <= drawn:  # a repeat is drawn again
+            idx = tuple(sorted(rng.sample(range(len(seq.terms)), size)))
+            if idx not in seen:
+                seen.add(idx)
+                subjects.append(IntSet(tuple(seq.terms[i] for i in idx)))
 
     for si, s in enumerate(subjects):
         label = "prefix" if si == 0 else f"subset#{si}"

@@ -216,10 +216,13 @@ def _indicator_of(els, lo, hi):
 
 
 def _by_digits(els, lo=None, hi=None):
-    # the kernel over [lo, hi], the hull of els by default, past the gate
+    # the kernel over [lo, hi], the hull of els by default, past the gate;
+    # its counter also returns |A|
     lo = min(els) if lo is None else lo
     hi = max(els) if hi is None else hi
-    return pair_counter(hi - lo)(_indicator_of(els, lo, hi))
+    *counts, n = pair_counter(hi - lo)(_indicator_of(els, lo, hi))
+    assert n == len(els)
+    return tuple(counts)
 
 
 @given(int_sets)
@@ -376,7 +379,30 @@ def test_pair_counter_run_mixes_sizes_and_paths():
     sets = [rng.sample(range(lo, hi + 1), n) for n in sizes]
     sets.insert(8, symmetric)
     assert is_symmetric(IntSet.from_iterable(symmetric)) == 200
-    want = [tallied_pair_counts(sorted(els)) for els in sets]
+    want = [(*tallied_pair_counts(sorted(els)), len(els)) for els in sets]
+    count = pair_counter(hi - lo)
+    assert [count(_indicator_of(els, lo, hi)) for els in sets] == want
+
+
+def _adler_edge_sets():
+    # {0, ..., 15} has the largest digits at 16 elements: r = 16 on its middle
+    # sum and D_1 = 15; {0, ..., 16} has D_1 = 16, whose square needs the
+    # high byte; beside each, a seeded set of the same size
+    rng = random.Random(38)
+    for n in (16, 17):
+        yield tuple(range(n))
+        yield tuple(sorted(rng.sample(range(-60, 61), n)))
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 16), (-2400, 2600)])
+def test_pair_counter_reads_sizes_16_and_17_side_by_side(lo, hi):
+    # up to 16 elements the sums come from Adler-32's low half, past 16 from
+    # the drop-zeros readout with the high tables; one run takes both in
+    # turn, on the hull of {0, ..., 16} and on a window of 5001 integers,
+    # where exactness rests on the digit bound and not on the string length
+    sets = [els for els in _adler_edge_sets() if lo <= els[0] and els[-1] <= hi]
+    sets += sets[::-1]
+    want = [(*tallied_pair_counts(els), len(els)) for els in sets]
     count = pair_counter(hi - lo)
     assert [count(_indicator_of(els, lo, hi)) for els in sets] == want
 

@@ -420,12 +420,12 @@ class TestObservation6:
             count = real(d)
 
             def skewed_count(one):
-                esp, edp, t = count(one)
-                return (esp + 1 if one.rstrip(b"\0") == target else esp), edp, t
+                esp, edp, t, n = count(one)
+                return (esp + 1 if one.rstrip(b"\0") == target else esp), edp, t, n
 
             return skewed_count
 
-        esp, edp, _ = real(4)(target)
+        esp, edp, _, _ = real(4)(target)
         assert 2 * (esp + 1) >= edp
         monkeypatch.setattr(verify, "pair_counter", skewed)
         report = verify_observation6(1, seed=7)
@@ -450,8 +450,8 @@ class TestObservation6:
             calls = iter(range(trials) if d == 64 else ())
 
             def skewed_count(one):
-                esp, edp, t = count(one)
-                return esp, edp, (t + 2 if next(calls, None) == trials - 1 else t)
+                esp, edp, t, n = count(one)
+                return esp, edp, (t + 2 if next(calls, None) == trials - 1 else t), n
 
             return skewed_count
 
@@ -677,6 +677,33 @@ class TestGrowthCriterion:
                 GrowthSequence(terms, r), Theorem3Params(r, n, ell)
             )
             assert report.grid.endswith("window=[-50,100]")
+
+    @pytest.mark.parametrize(
+        "extra, budget, drawn",
+        [((377,), 13, 13), ((377,), 100, 13), ((377, 610, 987), 50, 50)],
+    )
+    def test_drawn_subsets_repeat_neither_the_prefix_nor_each_other(
+        self, monkeypatch, extra, budget, drawn
+    ):
+        # 14 terms hold C(14, 13) = 14 subsets of the prefix's size, so a
+        # budget past 13 draws the 13 besides the prefix; at the default seed,
+        # 50 draws of 13 of 16 terms with replacement held 2 repeats
+        subjects = []
+        real = verify.sum_diff_sizes
+
+        def recorded(s):
+            subjects.append(s.elements)
+            return real(s)
+
+        monkeypatch.setattr(verify, "sum_diff_sizes", recorded)
+        report = verify_growth_criterion(
+            GrowthSequence(FIB13 + extra, 3),
+            Theorem3Params(r=3, n=2, ell=5, m=0, window=(0, 0)),
+            subset_budget=budget,
+        )
+        assert report.passed and report.grid.endswith(f", subsets={drawn}")
+        assert subjects[0] == FIB13
+        assert len(subjects) == len(set(subjects)) == drawn + 1
 
     def test_the_insertion_lemma_holds_far_outside_the_window(self):
         # one real x adds at most |S| + 1 sums and removes no difference, and
