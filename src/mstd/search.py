@@ -71,7 +71,7 @@ DEFAULT_SWEEP_DIAMETER = 24
 
 # Version of the checkpoint layout: a header record, then one record per
 # completed partition.
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 
 
 @dataclass(frozen=True)
@@ -344,40 +344,35 @@ def _record_line(rec: dict) -> bytes:
     return json.dumps(rec, separators=(",", ":")).encode() + b"\n"
 
 
-def _record_tallies(
+def _record_sets(
     rec, parts: dict, sizes: tuple[int, int], where: str
 ) -> tuple[str, list[IntSet]]:
     """(partition id, sum-dominant sets) of a record, re-checked.
 
-    The record must have the shape `scan_sum_dominant` writes and name a
-    partition (d, j, t) of ``parts`` (id -> (d, j, t)) with its diameter d.
+    The record must have the shape `scan_sum_dominant` writes, other keys
+    aside, and name a partition (d, j, t) of ``parts`` (id -> (d, j, t)).
     Every listed set must parse, have diameter d and a size in the search's
     ``sizes`` (lo, hi), classify as sum-dominant and be a canonical class of
     the partition: normalized, no larger than its reflection, with its
     first t pairs as key j decides them.
-    The list must be strictly increasing, the order the sweep writes, and
-    ``examined`` must count at least the sets listed: the sweep writes their
-    number, and older versions wrote the partition's class count.
+    The list must be strictly increasing, the order the sweep writes.
     """
-    t = rec.get("tallies") if isinstance(rec, dict) else None
     if not (
-        isinstance(t, dict)
+        isinstance(rec, dict)
         and isinstance(rec.get("partition_id"), str)
-        and type(rec.get("diameter")) is int
-        and type(t.get("examined")) is int
-        and isinstance(t.get("sum_dominant"), list)
-        and all(isinstance(a, str) for a in t["sum_dominant"])
+        and isinstance(rec.get("sum_dominant"), list)
+        and all(isinstance(a, str) for a in rec["sum_dominant"])
     ):
         raise ValueError(f"{where} is not a partition record")
     pid = rec["partition_id"]
     part = parts.get(pid)
-    if part is None or part[0] != rec["diameter"]:
+    if part is None:
         raise ValueError(f"{where} is not a partition of this search")
     (d, j, pairs), (lo, hi) = part, sizes
     decided = _prefix_masks(d, (1 << (2 * pairs)) - 1, pairs)[0]
     key = _prefix_masks(d, j, pairs)[0]
     sets = []
-    for text in t["sum_dominant"]:
+    for text in rec["sum_dominant"]:
         try:
             a = IntSet.parse(text)
         except ValueError as exc:
@@ -403,10 +398,6 @@ def _record_tallies(
         if sets and sets[-1].elements >= a.elements:
             raise ValueError(f"{where} lists {text!r} twice or out of order")
         sets.append(a)
-    if t["examined"] < len(sets):
-        raise ValueError(
-            f"{where} examined {t['examined']} sets but lists {len(sets)}"
-        )
     return pid, sets
 
 
@@ -421,7 +412,7 @@ def _load_checkpoint(
     unparseable or lacks its newline was torn by a crash mid-write: it is
     cut off the file, so its partition is scanned again.  A bad line
     anywhere else raises ValueError, and so does a later record that fails
-    ``_record_tallies`` for the search's ``parts`` (id -> (d, j, t)) and
+    `_record_sets` for the search's ``parts`` (id -> (d, j, t)) and
     ``sizes``, or a second one of its partition.  An empty file gets the
     header written.
     """
@@ -453,10 +444,10 @@ def _load_checkpoint(
                 f"(first record {rec}, want {header}); use a new file"
             )
         elif i > 0:
-            pid, tallies = _record_tallies(rec, parts, sizes, where)
+            pid, sets = _record_sets(rec, parts, sizes, where)
             if pid in records:
                 raise ValueError(f"{where} repeats partition {pid}")
-            records[pid] = tallies
+            records[pid] = sets
         intact += len(line)
     fh.truncate(intact)
     if intact == 0:
@@ -513,12 +504,7 @@ def scan_sum_dominant(config: SearchConfig) -> tuple[int, dict, list[IntSet]]:
             done[pid] = sets
             if path:
                 ckpt.write(_record_line({
-                    "partition_id": pid,
-                    "diameter": d,
-                    "tallies": {
-                        "examined": len(sets),
-                        "sum_dominant": [str(a) for a in sets],
-                    },
+                    "partition_id": pid, "sum_dominant": [str(a) for a in sets]
                 }))
                 ckpt.flush()
 

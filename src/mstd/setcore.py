@@ -13,13 +13,8 @@ big-int multiplication (Kronecker substitution), one byte per count up to 256
 elements, or count the pairs; the gate reads |A| and the hull before any
 window is built.  The convolution takes a set as its window's indicator, one
 0/1 byte per integer, and a run of sets inside one window, such as a
-verifier corpus, shares its setup.  p*p holds the ordered pairs r_s per sum,
-and since (x, y) and (y, x) match up unless x = y, the unordered count is
-ceil(r_s / 2), read through a table, and r_s is odd exactly at s = 2a for a
-in A, so the midpoint triples are the sum of the odd digits, read through a
-table of their own.  Only the middle sum, min + max, can hold |A| pairs;
-below 256 elements a byte holds them, and from 256 on one pair comes off it
-first.
+verifier corpus, shares its setup; `pair_counter` says how it reads the
+counts off the digits.
 `sizes_of` and an IntSet's first count share one builder.  An IntSet keeps
 what it builds, outside ==, hash, repr and asdict: its sizes, and A+A and
 A-A as bitmasks over a dense window (with the element mask) or as unsorted
@@ -177,10 +172,6 @@ class APSpec:
 
     def elements(self) -> tuple[int, ...]:
         return tuple(self.first + i * self.step for i in range(self.length))
-
-    def mask(self) -> int:
-        """Dense bitmask of the progression less its first term."""
-        return sum(1 << (i * self.step) for i in range(self.length))
 
     def to_json_dict(self) -> dict:
         return {"first": self.first, "step": self.step, "length": self.length}
@@ -378,12 +369,26 @@ def pair_counter(d: int) -> Callable[[bytes], tuple[int, int, int, int]]:
     The window-level work is done once, so a run of sets that share a
     window, such as a verifier corpus, pays it once.  The counter always
     convolves; `equal_pair_counts` gates first.
-    Up to 16 elements every square of a digit fits one byte and each sum of
-    them stays below 65520, so zlib's Adler-32, whose low half is 1 + the
-    byte sum mod 65521, sums the translated digits in C.  Past 16 each sum
-    adds a high-byte table and drops the zero digits first.
-    Below 256 elements no digit of p*p exceeds |A| <= 255, so min and max are
-    never read; at 256 and past, the pair (max, min) comes off the middle sum.
+
+    By Kronecker substitution the set becomes p = sum 256^e over its e, so
+    p*p and p*mirror(p) hold r_s and D_k as one-byte digits.  The pairs
+    (x, y) and (y, x) match up unless x = y, so r_s is odd exactly when s/2
+    is in A and u_s = ceil(r_s / 2): the u_s^2 come from p*p's digits
+    through a table of ceil(i/2)^2, and T is the sum of the odd digits, read
+    through a table of its own, so a wrong ceil(i/2)^2 table moves ESP and
+    not T.  The digits of p*mirror(p) mirror about its centre, so only those
+    above it, the D_k at k >= 1, are read, each squared through a table.
+    Up to 16 elements u_s <= 8 and D_k <= 15, so every square fits one byte;
+    at most 136 sums and 120 differences are nonzero, so T <= 240,
+    sum u_s^2 <= 8704 and sum D_k^2 <= 27000 on any window.  Each stays
+    below 65520, so zlib's Adler-32, whose low half is 1 + the byte sum
+    mod 65521, sums the translated digits in C.  Past 16 each sum adds a
+    high-byte table and drops the zero digits first.
+    Only the middle digit of p*p, at min + max, can reach |A|.  Below 256
+    elements no digit exceeds |A| <= 255, so min and max are never read; at
+    256 and past, the pair (max, min) comes off the middle sum before the
+    readout and its share is added back, and past 256 a digit spreads over
+    2, 4 or 8 bytes.
     """
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")
@@ -430,10 +435,7 @@ def pair_counter(d: int) -> Callable[[bytes], tuple[int, int, int, int]]:
         # Digit d + k of p*mirror(p): pairs at difference k, the same as
         # digit d - k, so only k >= 1 is read
         if n <= 16:
-            # u_s <= 8 and D_k <= 15 (k >= 1): every square fits one byte.
-            # At most 136 sums and 120 differences are nonzero, so T <= 240,
-            # sum u_s^2 <= 8704 and sum D_k^2 <= 27000, on any window, and
-            # Adler-32's low half, 1 + (byte sum) mod 65521, is 1 + the sum
+            # each sum is below 65520 (see above): Adler-32's low half is 1 + it
             t = (adler32(sums.translate(odd)) & 0xFFFF) - 1
             sq_sums = (adler32(sums.translate(half_lo)) & 0xFFFF) - 1
             sq_diffs = (adler32(diffs.translate(sq_lo)) & 0xFFFF) - 1
@@ -494,20 +496,7 @@ def equal_pair_counts(a: IntSet) -> tuple[int, int, int]:
     k, the kernel sums u_s^2, D_k^2 and r_2a over a in A.  The gate reads
     only |A| and the hull: a wide window goes pairwise, one Counter pass over
     the pairs, with no indicator built.  A small one runs `pair_counter` over
-    the hull [min A, max A] by Kronecker substitution: A - min A becomes
-    p = sum 256^e, so p*p and p*mirror(p) hold r_s and D_k as one-byte
-    digits (wider past 256 elements).  The pairs (x, y) and (y, x) match up
-    unless x = y, so r_s is odd exactly when s/2 is in A and
-    u_s = ceil(r_s / 2): the u_s^2 come from p*p's digits through a table of
-    ceil(i/2)^2, and T is the sum of the odd digits, read through a table of
-    its own, so a wrong ceil(i/2)^2 table moves ESP and not T.  Only the
-    middle digit of p*p, at max A + min A, can reach |A|; from |A| = 256 on
-    one pair comes off it before the readout and its share is added back.
-    The digits of p*mirror(p) mirror about its centre, so only those above
-    it, the D_k at k >= 1, are read, each squared through a table.  Up to
-    |A| = 16 each readout is one Adler-32 of the translated digits: its low
-    half is 1 + their byte sum, which stays below 65520 (T <= 240,
-    sum u_s^2 <= 8704, sum D_k^2 <= 27000).
+    the hull [min A, max A], whose docstring says how it reads the counts.
     """
     a._require_nonempty()
     els = a.elements

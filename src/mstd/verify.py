@@ -98,11 +98,6 @@ class Theorem3Params:
             raise ValueError("need r >= 1 and n, ell, m >= 0")
         if lo > hi:
             raise ValueError("empty window")
-        if self.m > hi - lo + 1:
-            raise ValueError(
-                f"m={self.m} distinct insertions need a window of at least "
-                f"{self.m} integers; [{lo},{hi}] holds {hi - lo + 1}"
-            )
 
 
 def verify_small_cardinality(

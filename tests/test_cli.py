@@ -41,9 +41,16 @@ FOREIGN_OPTIONS = [
 A1_TEXT = ",".join(map(str, A1))
 A1_REFLECTED = "0,2,3,7,10,11,12,14"
 
-
-def _examine_100_more(rec):
-    rec["tallies"]["examined"] += 100
+# a whole d <= 10 checkpoint as format 3 wrote it: each record named its
+# diameter and wrapped its list in tallies with an examined count
+FORMAT_3_D10 = (
+    '{"format":3,"config":{"diameter_min":0,"diameter_max":10,'
+    '"size_min":null,"size_max":null}}\n'
+) + "".join(
+    f'{{"partition_id":"{d}/0","diameter":{d},'
+    '"tallies":{"examined":0,"sum_dominant":[]}}\n'
+    for d in range(11)
+)
 
 
 class TestClassify:
@@ -220,15 +227,11 @@ class TestVerifyCommand:
         ["explore", "min-additions", "--window", "14:0"],
         ["verify", "thm3", "--terms", "0,1,2,3,5,8,13,21,34,55,89,144,233,377,610",
          "--r", "3", "--n", "2", "--ell", "5", "--subset-budget", "-3"],
-        ["verify", "thm3", "--terms",
-         "0,1,3,7,15,31,63,127,255,511,1023,2047,4095,8191,16383,32767,65535",
-         "--r", "1", "--n", "5", "--ell", "10", "--m", "2", "--window", "0:0"],
     ], ids=" ".join)
     def test_empty_grid_is_usage_error(self, capsys, argv):
         # explicit zeros reach the verifier instead of falling back to its
         # default, a window with lo > hi is refused rather than passing over
-        # 0 cases, a negative subset budget is refused, not run as 0, and so
-        # is a window too small to sample m distinct insertions from
+        # 0 cases, and a negative subset budget is refused, not run as 0
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ")
@@ -382,23 +385,26 @@ class TestSearchCommand:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and "another search" in err
 
-    def test_checkpoint_of_format_2_exits_2(self, capsys, tmp_path):
-        # format 2 partitioned on the smallest elements; its records name
-        # other partitions, so the file is refused before any of them is read
+    @pytest.mark.parametrize("fmt", [2, 3], ids=["format-2", "format-3"])
+    def test_checkpoint_of_an_older_format_exits_2(self, capsys, tmp_path, fmt):
+        # format 2 partitioned on the smallest elements, and format 3 records
+        # wrapped their list; the file is refused before any record is read
         path = tmp_path / "ck.jsonl"
         argv = ["--checkpoint", str(path), "search", "--diameter-max", "10"]
-        assert run_cli(capsys, *argv)[0] == 0
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        assert header["format"] == 3
-        header["format"] = 2
-        written = "\n".join([json.dumps(header), *lines[1:]]) + "\n"
-        path.write_text(written)
+        if fmt == 2:
+            assert run_cli(capsys, *argv)[0] == 0
+            header, *lines = path.read_text().splitlines()
+            assert json.loads(header)["format"] == 4
+            header = header.replace('"format":4', '"format":2')
+            path.write_text("\n".join([header, *lines]) + "\n")
+        else:
+            path.write_text(FORMAT_3_D10)
+        written = path.read_text()
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err == (
-            f"error: checkpoint {path} has format 2; this version reads "
-            "format 3 only; use a new file\n"
+            f"error: checkpoint {path} has format {fmt}; this version reads "
+            "format 4 only; use a new file\n"
         )
         assert path.read_text() == written
 
@@ -417,7 +423,7 @@ class TestSearchCommand:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (_examine_100_more, "line 9 repeats partition 6/0"),
+            (lambda rec: rec.update(sum_dominant=[]), "line 9 repeats partition 6/0"),
             (lambda rec: rec.update(partition_id="99/0"),
              "line 9 is not a partition of this search"),
         ],
@@ -439,24 +445,22 @@ class TestSearchCommand:
 
 
     @pytest.mark.parametrize(
-        "edit, message",
+        "listed, message",
         [
-            (lambda t: t.update(sum_dominant=["0,1,2"]),
-             "line 8 lists '0,1,2', not a sum-dominant set of diameter 6"),
-            (lambda t: t.update(examined=-30), "line 8 examined -30 sets but lists 0"),
-            (lambda t: t.update(sum_dominant=["x"]), "line 8 lists 'x': invalid token"),
+            (["0,1,2"], "line 8 lists '0,1,2', not a sum-dominant set of diameter 6"),
+            (["x"], "line 8 lists 'x': invalid token"),
         ],
-        ids=["balanced-set", "negative-examined", "unparseable-set"],
+        ids=["balanced-set", "unparseable-set"],
     )
     def test_checkpoint_record_with_unsound_tallies_exits_2(
-        self, capsys, tmp_path, edit, message
+        self, capsys, tmp_path, listed, message
     ):
         path = tmp_path / "ck.jsonl"
         argv = ["--json", "--checkpoint", str(path), "search", "--diameter-max", "6"]
         assert run_cli(capsys, *argv)[0] == 0
         lines = path.read_text().splitlines()
         rec = json.loads(lines[-1])
-        edit(rec["tallies"])
+        rec["sum_dominant"] = listed
         path.write_text("\n".join([*lines[:-1], json.dumps(rec)]) + "\n")
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
@@ -484,8 +488,8 @@ class TestSearchCommand:
         lines = path.read_text().splitlines()
         rec = json.loads(lines[-1])
         assert rec["partition_id"] == "14/0"
-        assert A1_TEXT in rec["tallies"]["sum_dominant"]
-        rec["tallies"]["sum_dominant"] = listed
+        assert A1_TEXT in rec["sum_dominant"]
+        rec["sum_dominant"] = listed
         path.write_text("\n".join([*lines[:-1], json.dumps(rec)]) + "\n")
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
@@ -499,9 +503,8 @@ class TestSearchCommand:
         listed = "0,1,2,3,5,6,11,14,15,16,17"  # sum-dominant, canonical
         space = {"diameter_min": 17, "diameter_max": 17}
         records = [
-            {"format": 3, "config": {**space, "size_min": None, "size_max": None}},
-            {"partition_id": "17/0", "diameter": 17,
-             "tallies": {"examined": 8255, "sum_dominant": [listed]}},
+            {"format": 4, "config": {**space, "size_min": None, "size_max": None}},
+            {"partition_id": "17/0", "sum_dominant": [listed]},
         ]
         path = tmp_path / "ck.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -528,7 +531,7 @@ class TestSearchCommand:
         lines = path.read_text().splitlines()
         rec = json.loads(lines[-1])
         assert rec["partition_id"] == "14/0"
-        rec["tallies"]["sum_dominant"] = [A1_TEXT]
+        rec["sum_dominant"] = [A1_TEXT]
         path.write_text("\n".join([*lines[:-1], json.dumps(rec)]) + "\n")
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""

@@ -553,7 +553,7 @@ class TestCheckpoint:
         find_min_mstd(SearchConfig(diameter_max=5, checkpoint_path=path))
         header, *records = Path(path).read_text().splitlines()
         assert json.loads(header) == {
-            "format": 3,
+            "format": 4,
             "config": {
                 "diameter_min": 0, "diameter_max": 5,
                 "size_min": None, "size_max": None,
@@ -562,8 +562,7 @@ class TestCheckpoint:
         assert len(records) == 6
         for line in records:
             rec = json.loads(line)
-            assert list(rec) == ["partition_id", "diameter", "tallies"]
-            assert list(rec["tallies"]) == ["examined", "sum_dominant"]
+            assert list(rec) == ["partition_id", "sum_dominant"]
 
     def test_checkpoint_of_another_config_is_refused(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
@@ -617,16 +616,14 @@ class TestCheckpoint:
             '{"oops": 1}',
             "5",
             "[]",
-            '{"partition_id": "ID", "diameter": 2, "tallies": 3}',
-            '{"partition_id": "ID", "diameter": 2,'
-            ' "tallies": {"examined": "1", "sum_dominant": []}}',
-            '{"partition_id": "ID", "diameter": 2,'
-            ' "tallies": {"examined": 1, "sum_dominant": 0}}',
-            '{"partition_id": "ID", "diameter": 2,'
-            ' "tallies": {"examined": 1, "sum_dominant": [0]}}',
+            '{"partition_id": "ID", "diameter": 6,'
+            ' "tallies": {"examined": 0, "sum_dominant": []}}',
+            '{"partition_id": 6, "sum_dominant": []}',
+            '{"partition_id": "ID", "sum_dominant": 0}',
+            '{"partition_id": "ID", "sum_dominant": [0]}',
         ],
         ids=[
-            "no-fields", "int", "list", "tallies-int", "examined-str",
+            "no-fields", "int", "list", "format-3-record", "id-int",
             "sum-dominant-int", "sum-dominant-of-ints",
         ],
     )
@@ -653,18 +650,15 @@ class TestCheckpoint:
 
     def test_second_record_of_a_partition_raises(self, tmp_path):
         path, line = self._with_extra_record(
-            tmp_path, lambda rec: rec["tallies"].update(examined=0)
+            tmp_path, lambda rec: rec.update(sum_dominant=[])
         )
         with pytest.raises(ValueError, match=f"line {line} repeats partition 6/0"):
             find_min_mstd(SearchConfig(diameter_max=6, checkpoint_path=path))
 
-    @pytest.mark.parametrize(
-        "field, value", [("partition_id", "99/0"), ("diameter", 5)],
-        ids=["foreign-id", "other-diameter"],
-    )
-    def test_record_of_another_partition_raises(self, tmp_path, field, value):
+    @pytest.mark.parametrize("pid", ["99/0"], ids=["foreign-id"])
+    def test_record_of_another_partition_raises(self, tmp_path, pid):
         path, line = self._with_extra_record(
-            tmp_path, lambda rec: rec.update({field: value})
+            tmp_path, lambda rec: rec.update(partition_id=pid)
         )
         with pytest.raises(
             ValueError, match=f"line {line} is not a partition of this search"
@@ -673,51 +667,25 @@ class TestCheckpoint:
 
 
     @pytest.mark.parametrize(
-        "listed, examined, message",
+        "listed, message",
         [
-            (["0,1,2"], 16, "lists '0,1,2', not a sum-dominant set of diameter 6"),
-            (["0,6"], 16, "lists '0,6', not a sum-dominant set of diameter 6"),
-            (["x"], 16, "lists 'x': invalid token 'x'"),
-            ([], -30, "examined -30 sets but lists 0"),
+            (["0,1,2"], "lists '0,1,2', not a sum-dominant set of diameter 6"),
+            (["0,6"], "lists '0,6', not a sum-dominant set of diameter 6"),
+            (["x"], "lists 'x': invalid token 'x'"),
         ],
-        ids=["other-diameter", "balanced", "unparseable", "negative"],
+        ids=["other-diameter", "balanced", "unparseable"],
     )
-    def test_record_with_unsound_tallies_raises(
-        self, tmp_path, listed, examined, message
-    ):
+    def test_record_with_unsound_tallies_raises(self, tmp_path, listed, message):
         path = str(tmp_path / "ck.jsonl")
         find_min_mstd(SearchConfig(diameter_max=6, checkpoint_path=path))
         lines = Path(path).read_text().splitlines()
         rec = json.loads(lines[-1])
-        rec["tallies"].update(examined=examined, sum_dominant=listed)
+        rec["sum_dominant"] = listed
         lines[-1] = json.dumps(rec)
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"line {len(lines)} {re.escape(message)}"):
             find_min_mstd(SearchConfig(diameter_max=6, checkpoint_path=path))
-
-    def test_record_of_an_older_version_resumes(self, tmp_path):
-        # versions before the exact leaf test wrote each partition's class
-        # count as its examined count; such a file resumes to the same output
-        path = str(tmp_path / "ck.jsonl")
-        config = SearchConfig(diameter_max=14, checkpoint_path=path)
-        fresh = render_json(find_min_mstd(config).to_json_dict())
-        header, *lines = Path(path).read_text().splitlines()
-        parts = {f"{d}/{j}": (d, j, t) for d, j, t in _partitions(config)}
-        for i, line in enumerate(lines):
-            rec = json.loads(line)
-            d, j, t = parts[rec["partition_id"]]
-            classes = len(_canonical_classes(d, j, t, 1, d + 1, cut=False))
-            rec["tallies"]["examined"] = classes
-            lines[i] = json.dumps(rec)
-        old = "\n".join([header, *lines]) + "\n"
-        assert sum(json.loads(line)["tallies"]["examined"] for line in lines) == sum(
-            class_count(d, 1, d + 1) for d in range(15)
-        )
-        with open(path, "w") as fh:
-            fh.write(old)
-        assert render_json(find_min_mstd(config).to_json_dict()) == fresh
-        assert Path(path).read_text() == old  # nothing re-scanned
 
     def test_record_listing_its_sum_dominant_sets_resumes(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
@@ -725,6 +693,18 @@ class TestCheckpoint:
         assert '"0,2,3,4,7,11,12,14"' in Path(path).read_text()  # A1, in record 14/0
         second = find_min_mstd(SearchConfig(diameter_max=14, checkpoint_path=path))
         assert render_json(second.to_json_dict()) == render_json(first.to_json_dict())
+
+    def test_record_with_an_extra_key_resumes(self, tmp_path):
+        # a later version may add per-partition stats to its records
+        path = str(tmp_path / "ck.jsonl")
+        config = SearchConfig(diameter_max=14, checkpoint_path=path)
+        fresh = render_json(find_min_mstd(config).to_json_dict())
+        header, *lines = Path(path).read_text().splitlines()
+        lines = [json.dumps({**json.loads(line), "elapsed_ms": 7}) for line in lines]
+        written = "\n".join([header, *lines]) + "\n"
+        Path(path).write_text(written)
+        assert render_json(find_min_mstd(config).to_json_dict()) == fresh
+        assert Path(path).read_text() == written  # nothing re-scanned
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
